@@ -5,9 +5,11 @@
 //!
 //! * the root crate's `src/` and every `crates/<name>/src/` tree;
 //! * **excluding** `vendor/` (third-party stand-ins), `target/`,
-//!   `crates/bench/` (benchmark harness: wall clocks are its job),
 //!   any directory named `tests`, `benches`, `examples`, or `fixtures`,
 //!   and non-Rust files.
+//!
+//! The `benchmark/` package sits outside both trees: reading wall
+//! clocks is its job.
 //!
 //! `src/bin/` files **are** collected — rules decide per-file what
 //! applies to a binary target (see `FileContext`).
@@ -21,9 +23,6 @@ use std::path::{Path, PathBuf};
 const EXCLUDED_DIRS: &[&str] = &[
     "vendor", "target", "tests", "benches", "examples", "fixtures",
 ];
-
-/// Crates (by `crates/<name>`) excluded wholesale.
-const EXCLUDED_CRATES: &[&str] = &["bench"];
 
 /// Collect every lintable source file under a workspace root, sorted.
 pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -40,10 +39,6 @@ pub fn collect_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
             .collect();
         crate_dirs.sort();
         for dir in crate_dirs {
-            let name = dir.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if EXCLUDED_CRATES.contains(&name) {
-                continue;
-            }
             let src = dir.join("src");
             if src.is_dir() {
                 walk_dir(&src, &mut out)?;
@@ -86,10 +81,7 @@ pub fn is_lintable(rel_path: &str) -> bool {
     }
     match parts.first() {
         Some(&"src") => true,
-        Some(&"crates") => {
-            parts.get(1).is_some_and(|c| !EXCLUDED_CRATES.contains(c))
-                && parts.get(2) == Some(&"src")
-        }
+        Some(&"crates") => parts.get(2) == Some(&"src"),
         _ => false,
     }
 }
@@ -104,9 +96,9 @@ mod tests {
         assert!(is_lintable("crates/core/src/hopping.rs"));
         assert!(is_lintable("crates/sim/src/bin/exp.rs"));
         assert!(!is_lintable("vendor/rand/src/lib.rs"));
-        assert!(!is_lintable("crates/bench/src/lib.rs"));
+        assert!(!is_lintable("benchmark/src/main.rs"));
         assert!(!is_lintable("crates/lint/tests/fixtures/bad.rs"));
-        assert!(!is_lintable("crates/sim/examples/dbg_web.rs"));
+        assert!(!is_lintable("crates/sim/examples/demo.rs"));
         assert!(!is_lintable("tests/determinism.rs"));
         assert!(!is_lintable("README.md"));
     }

@@ -731,7 +731,7 @@ fn disk_fixtures_behave_as_named() {
 // ------------------------------------------------------------- exclusions
 
 /// The workspace walker never descends into `vendor/`, `target/`, test
-/// trees, benches, examples, or the bench crate.
+/// trees, benches, examples, or the `benchmark/` package.
 #[test]
 fn vendor_and_test_trees_are_never_scanned() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -753,7 +753,7 @@ fn vendor_and_test_trees_are_never_scanned() {
             "/tests/",
             "/benches/",
             "/examples/",
-            "crates/bench/",
+            "benchmark/",
         ] {
             assert!(
                 !rel.contains(banned),

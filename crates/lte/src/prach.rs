@@ -173,8 +173,8 @@ impl PrachDetector {
     /// convolution of the doubled window `rx ∥ rx[..N_ZC−1]` with the
     /// time-reversed conjugate root, whose spectrum is precomputed. That
     /// is **two** [`CONV_LEN`]-point FFTs per window — the optimisation
-    /// that lifts the detector well past line rate (see the
-    /// `prach_detector` bench): `P(s) = |conv[s + N_ZC − 1]|²`.
+    /// that lifts the detector well past line rate (`cellfi-bench`'s
+    /// `lte.prach.line_rate_x` row): `P(s) = |conv[s + N_ZC − 1]|²`.
     pub fn correlation_profile(&self, rx: &[Complex]) -> Vec<f64> {
         assert_eq!(rx.len(), N_ZC, "expected one {N_ZC}-sample window");
         let mut y = vec![Complex::default(); CONV_LEN];
@@ -233,21 +233,6 @@ impl PrachDetector {
             shift: (N_ZC - arg) % N_ZC,
             peak_to_average: par,
         }
-    }
-
-    /// [`PrachDetector::detect`] wrapped in a
-    /// [`cellfi_obs::profile::SpanId::PrachCorrelator`] span, for bench
-    /// harnesses that installed a clock. With a disabled profiler this is
-    /// `detect` plus two branches.
-    pub fn detect_profiled(
-        &self,
-        rx: &[Complex],
-        profiler: &mut cellfi_obs::profile::Profiler,
-    ) -> Detection {
-        profiler.begin(cellfi_obs::profile::SpanId::PrachCorrelator);
-        let d = self.detect(rx);
-        profiler.end(cellfi_obs::profile::SpanId::PrachCorrelator);
-        d
     }
 }
 

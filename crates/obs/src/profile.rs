@@ -37,8 +37,6 @@ pub enum SpanId {
     ImEpoch,
     /// One PAWS lease-lifecycle step (`LeaseLifecycle::step`).
     LeaseStep,
-    /// PRACH preamble correlation (frequency-domain detector).
-    PrachCorrelator,
     /// Spatial-index and neighbor-table construction (grid bucketing,
     /// ring queries, CSR assembly) at scenario/engine build time.
     SpatialBuild,
@@ -46,7 +44,7 @@ pub enum SpanId {
 
 impl SpanId {
     /// Every span, in export order (outermost first).
-    pub const ALL: [SpanId; 10] = [
+    pub const ALL: [SpanId; 9] = [
         SpanId::HarnessTick,
         SpanId::Subframe,
         SpanId::MacSchedule,
@@ -55,11 +53,11 @@ impl SpanId {
         SpanId::CqiScan,
         SpanId::ImEpoch,
         SpanId::LeaseStep,
-        SpanId::PrachCorrelator,
         SpanId::SpatialBuild,
     ];
 
-    /// Stable snake_case name used in `BENCH_obs.json` / `BENCH_flame.txt`.
+    /// Stable snake_case name used in [`Profiler::tree`] paths and
+    /// [`Profiler::folded`] lines.
     pub fn name(self) -> &'static str {
         match self {
             SpanId::HarnessTick => "harness_tick",
@@ -70,7 +68,6 @@ impl SpanId {
             SpanId::CqiScan => "cqi_scan",
             SpanId::ImEpoch => "im_epoch",
             SpanId::LeaseStep => "lease_step",
-            SpanId::PrachCorrelator => "prach_correlator",
             SpanId::SpatialBuild => "spatial_build",
         }
     }
@@ -230,7 +227,8 @@ impl Profiler {
     }
 
     /// Stats for `span` merged across every tree position it occurs at
-    /// (the flat per-span view `BENCH_obs.json` pins).
+    /// (the flat per-span view; `cellfi-bench` reads its `engine.*_ns`
+    /// rows from it).
     pub fn stats(&self, span: SpanId) -> SpanStats {
         let mut out = SpanStats::default();
         for n in &self.nodes {
@@ -307,11 +305,13 @@ impl Profiler {
 mod tests {
     use super::*;
 
-    /// A deterministic fake clock: monotonically advancing counter.
+    /// A deterministic fake clock: monotonically advancing counter. It is
+    /// per thread, so tests running in parallel never see each other's
+    /// ticks.
     fn fake_clock() -> u64 {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static TICKS: AtomicU64 = AtomicU64::new(0);
-        TICKS.fetch_add(10, Ordering::Relaxed)
+        use std::cell::Cell;
+        thread_local!(static TICKS: Cell<u64> = const { Cell::new(0) });
+        TICKS.with(|t| t.replace(t.get() + 10))
     }
 
     #[test]
@@ -415,7 +415,6 @@ mod tests {
                 "cqi_scan",
                 "im_epoch",
                 "lease_step",
-                "prach_correlator",
                 "spatial_build"
             ]
         );

@@ -1,7 +1,7 @@
 //! `exp` — the experiment runner.
 //!
 //! ```text
-//! exp <name>... [--quick] [--seed N] [--json] [--bench] [--trace] [--trace-detail]
+//! exp <name>... [--quick] [--seed N] [--json] [--trace] [--trace-detail]
 //!               [--sample K/N] [--monitors]
 //! exp all [--quick]          # every table and figure, paper order
 //! exp list                   # available experiment names
@@ -13,11 +13,8 @@
 //!
 //! Each experiment prints a human-readable report; `--json` appends the
 //! headline values as a JSON object (consumed by EXPERIMENTS.md tooling).
-//! `--bench` additionally writes `BENCH_engine.json` — wall-clock per
-//! experiment, engine subframes/sec, and the PRACH line-rate factor —
-//! plus `BENCH_obs.json` with the hierarchical span profile (flat
-//! per-span totals and the harness-tick call tree) and
-//! `BENCH_flame.txt`, the same tree in folded-stack flamegraph format.
+//! An unrecognised `--option` fails before any experiment runs. Timing
+//! lives in the separate `cellfi-bench` benchmark, never here.
 //! `--trace` writes `TRACE_<name>.jsonl` (the tick-keyed event stream)
 //! and `METRICS_<name>.jsonl` (the final metrics snapshot) per
 //! experiment; `--trace-detail` additionally switches on the detail
@@ -41,180 +38,9 @@ use cellfi_sim::experiments::{self, ExpConfig};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Steady-state engine rate: simulated subframes per wall-clock second
-/// on a mid-size CellFi scenario (after a warmup second that absorbs
-/// scenario generation and cache fills).
-fn engine_subframes_per_sec(seed: u64) -> f64 {
-    use cellfi_sim::{ImMode, LteEngine, LteEngineConfig, Scenario, ScenarioConfig};
-    use cellfi_types::rng::SeedSeq;
-    use cellfi_types::time::Instant;
-    let seeds = SeedSeq::new(seed).child("bench-engine");
-    let scenario = Scenario::generate(ScenarioConfig::paper_default(8, 6), seeds);
-    let mut e = LteEngine::new(
-        scenario,
-        LteEngineConfig::paper_default(ImMode::CellFi),
-        seeds.child("engine"),
-    );
-    e.backlog_all(u64::MAX / 4);
-    e.run_until(Instant::from_secs(1));
-    let subframes = 2_000u32;
-    let t0 = std::time::Instant::now();
-    for _ in 0..subframes {
-        e.step_subframe();
-    }
-    f64::from(subframes) / t0.elapsed().as_secs_f64()
-}
-
-/// PRACH detector line-rate factor: how many 800 µs occasions one core
-/// clears per occasion time (paper: 16× on an i7).
-fn prach_line_rate_factor(seed: u64) -> f64 {
-    use cellfi_lte::prach::{awgn_channel, preamble, zc_root, PrachDetector, PREAMBLE_DURATION_US};
-    use cellfi_types::units::Db;
-    use rand::SeedableRng;
-    let det = PrachDetector::new(129);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let rx = awgn_channel(&preamble(&zc_root(129), 100), 250, Db(-10.0), &mut rng);
-    let mut sink = usize::from(det.detect(&rx).detected); // warmup
-    let reps = 50u32;
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
-        sink += usize::from(det.detect(&rx).detected);
-    }
-    assert!(sink > 0);
-    let per_detect_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(reps);
-    PREAMBLE_DURATION_US / per_detect_us
-}
-
-/// Wall-clock nanoseconds since the first call. The profiler clock is
-/// injected from the bin layer so library code never reads a clock;
-/// span timings are reported, never fed back into simulation state.
-fn clock_ns() -> u64 {
-    use std::sync::OnceLock;
-    static EPOCH: OnceLock<std::time::Instant> = OnceLock::new();
-    let epoch = *EPOCH.get_or_init(std::time::Instant::now);
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Profile the whole hierarchy — harness ticks down through the engine
-/// subframe pipeline (MAC scheduling, SINR cache, fading/CQI scans, IM
-/// epochs), the PRACH correlator, and the PAWS lease lifecycle — and
-/// write the span tree to `BENCH_obs.json` plus the folded-stack
-/// flamegraph lines to `BENCH_flame.txt`.
-fn write_obs_bench(config: ExpConfig) {
-    use cellfi_obs::Profiler;
-    use cellfi_sim::engine::SimHarness;
-    use cellfi_sim::{ImMode, LteEngine, LteEngineConfig, Scenario, ScenarioConfig};
-    use cellfi_types::rng::SeedSeq;
-    use cellfi_types::time::{Duration, Instant};
-    use serde_json::Value;
-
-    let seeds = SeedSeq::new(config.seed).child("bench-obs");
-    let scenario = Scenario::generate(ScenarioConfig::paper_default(8, 6), seeds);
-    let mut e = LteEngine::new(
-        scenario,
-        LteEngineConfig::paper_default(ImMode::CellFi),
-        seeds.child("engine"),
-    );
-    e.backlog_all(u64::MAX / 4);
-    e.run_until(Instant::from_secs(1)); // warmup: caches filled, unprofiled
-    e.obs_mut().profiler = Profiler::with_clock(clock_ns);
-    // Cost the spatial layer explicitly: one index + neighbor-table
-    // rebuild under the `spatial_build` span.
-    e.rebuild_spatial();
-    // Drive the profiled second through the harness so every subframe
-    // nests under a `harness_tick` root span.
-    let harness = SimHarness::new(Duration::from_millis(1), e.now() + Duration::from_secs(1));
-    harness.run(&mut e, &mut (), |_, _, _| {}, |_, _, _, _| {});
-    let mut profiler = std::mem::replace(&mut e.obs_mut().profiler, Profiler::disabled());
-
-    // The PRACH correlator runs in its own detector loop, not the
-    // engine subframe path; profile it directly.
-    {
-        use cellfi_lte::prach::{awgn_channel, preamble, zc_root, PrachDetector};
-        use cellfi_types::units::Db;
-        use rand::SeedableRng;
-        let det = PrachDetector::new(129);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(config.seed);
-        let rx = awgn_channel(&preamble(&zc_root(129), 100), 250, Db(-10.0), &mut rng);
-        for _ in 0..50 {
-            let _ = det.detect_profiled(&rx, &mut profiler);
-        }
-    }
-
-    // The PAWS lease lifecycle also runs outside the subframe path;
-    // step one client against a clean database at the chaos cadence.
-    {
-        use cellfi_spectrum::database::SpectrumDatabase;
-        use cellfi_spectrum::lifecycle::{LeaseLifecycle, LifecycleConfig};
-        use cellfi_spectrum::paws::GeoLocation;
-        use cellfi_spectrum::plan::ChannelPlan;
-        use cellfi_types::geo::Point;
-        let mut db = SpectrumDatabase::new(ChannelPlan::Eu, vec![]);
-        let mut lc = LeaseLifecycle::new(
-            "bench-ap-000",
-            6,
-            GeoLocation::gps(Point::new(0.0, 0.0)),
-            ChannelPlan::Eu,
-            LifecycleConfig::paper_default(30.0),
-            config.seed,
-        );
-        for i in 0..400u64 {
-            lc.step_profiled(&mut db, &[], Instant::from_millis(i * 250), &mut profiler);
-        }
-    }
-
-    let mut spans = BTreeMap::new();
-    for (name, stats) in profiler.report() {
-        if stats.count == 0 {
-            continue;
-        }
-        let mut entry = BTreeMap::new();
-        entry.insert("count".to_owned(), Value::Number(stats.count as f64));
-        entry.insert("total_ns".to_owned(), Value::Number(stats.total_ns as f64));
-        entry.insert("self_ns".to_owned(), Value::Number(stats.self_ns as f64));
-        entry.insert(
-            "mean_ns".to_owned(),
-            Value::Number(stats.total_ns as f64 / stats.count as f64),
-        );
-        spans.insert(name.to_owned(), Value::Object(entry));
-    }
-    let mut tree = Vec::new();
-    for node in profiler.tree() {
-        if node.stats.count == 0 {
-            continue;
-        }
-        let mut entry = BTreeMap::new();
-        entry.insert("path".to_owned(), Value::String(node.path.clone()));
-        entry.insert("depth".to_owned(), Value::Number(node.depth as f64));
-        entry.insert("count".to_owned(), Value::Number(node.stats.count as f64));
-        entry.insert(
-            "total_ns".to_owned(),
-            Value::Number(node.stats.total_ns as f64),
-        );
-        entry.insert(
-            "self_ns".to_owned(),
-            Value::Number(node.stats.self_ns as f64),
-        );
-        tree.push(Value::Object(entry));
-    }
-    let mut root = BTreeMap::new();
-    root.insert(
-        "threads".to_owned(),
-        Value::Number(cellfi_sim::parallel::configured_threads() as f64),
-    );
-    root.insert("profiled_subframes".to_owned(), Value::Number(1_000.0));
-    root.insert("spans".to_owned(), Value::Object(spans));
-    root.insert("tree".to_owned(), Value::Array(tree));
-    let json = serde_json::to_string_pretty(&Value::Object(root)).expect("bench report serializes");
-    match std::fs::write("BENCH_obs.json", json + "\n") {
-        Ok(()) => eprintln!("wrote BENCH_obs.json"),
-        Err(e) => eprintln!("could not write BENCH_obs.json: {e}"),
-    }
-    match std::fs::write("BENCH_flame.txt", profiler.folded()) {
-        Ok(()) => eprintln!("wrote BENCH_flame.txt"),
-        Err(e) => eprintln!("could not write BENCH_flame.txt: {e}"),
-    }
-}
+const USAGE: &str =
+    "usage: exp <name>...|all|list|trace-diff <a> <b>|trace-query <trace>|replay <trace> \
+     [--quick] [--seed N] [--json] [--trace] [--trace-detail] [--sample K/N] [--monitors]";
 
 /// Byte-compare two trace streams line by line; report the first
 /// divergence. Returns success only for identical files.
@@ -444,36 +270,6 @@ fn write_traces(
     ok
 }
 
-fn write_bench(timed: &[(experiments::ExpReport, f64)], config: ExpConfig) {
-    use serde_json::Value;
-    let mut per_exp = BTreeMap::new();
-    let mut total = 0.0;
-    for (rep, secs) in timed {
-        per_exp.insert(rep.id.clone(), Value::Number(*secs));
-        total += secs;
-    }
-    let mut root = BTreeMap::new();
-    root.insert(
-        "threads".to_owned(),
-        Value::Number(cellfi_sim::parallel::configured_threads() as f64),
-    );
-    root.insert("experiment_wall_s".to_owned(), Value::Object(per_exp));
-    root.insert("total_cpu_wall_s".to_owned(), Value::Number(total));
-    root.insert(
-        "engine_subframes_per_sec".to_owned(),
-        Value::Number(engine_subframes_per_sec(config.seed)),
-    );
-    root.insert(
-        "prach_line_rate_factor".to_owned(),
-        Value::Number(prach_line_rate_factor(config.seed)),
-    );
-    let json = serde_json::to_string_pretty(&Value::Object(root)).expect("bench report serializes");
-    match std::fs::write("BENCH_engine.json", json + "\n") {
-        Ok(()) => eprintln!("wrote BENCH_engine.json"),
-        Err(e) => eprintln!("could not write BENCH_engine.json: {e}"),
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("trace-diff") {
@@ -496,7 +292,6 @@ fn main() -> ExitCode {
     let mut names: Vec<String> = Vec::new();
     let mut config = ExpConfig::default();
     let mut json = false;
-    let mut bench = false;
     let mut trace = false;
     let mut opts = experiments::trace_run::TraceOptions::default();
     let mut it = args.iter();
@@ -504,7 +299,6 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--quick" => config.quick = true,
             "--json" => json = true,
-            "--bench" => bench = true,
             "--trace" => trace = true,
             "--trace-detail" => {
                 trace = true;
@@ -541,15 +335,16 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "all" => names.extend(experiments::ALL.iter().map(|s| s.to_string())),
+            other if other.starts_with("--") => {
+                eprintln!("unknown option: {other}");
+                eprintln!("{USAGE}");
+                return ExitCode::FAILURE;
+            }
             other => names.push(other.to_owned()),
         }
     }
     if names.is_empty() {
-        eprintln!(
-            "usage: exp <name>...|all|list|trace-diff <a> <b>|trace-query <trace>|replay <trace> \
-             [--quick] [--seed N] [--json] [--bench] [--trace] [--trace-detail] \
-             [--sample K/N] [--monitors]"
-        );
+        eprintln!("{USAGE}");
         eprintln!("experiments: {}", experiments::ALL.join(" "));
         return ExitCode::FAILURE;
     }
@@ -562,8 +357,7 @@ fn main() -> ExitCode {
         .position(|n| !experiments::ALL.contains(&n.as_str()))
         .unwrap_or(names.len());
     let runnable: Vec<&str> = names[..known].iter().map(String::as_str).collect();
-    let timed = experiments::run_many_timed(&runnable, config);
-    for (report, _) in &timed {
+    for report in experiments::run_many(&runnable, config) {
         println!("=== {} ===", report.id);
         println!("{}", report.text);
         if json {
@@ -572,10 +366,6 @@ fn main() -> ExitCode {
                 Err(e) => eprintln!("json encoding failed: {e}"),
             }
         }
-    }
-    if bench {
-        write_bench(&timed, config);
-        write_obs_bench(config);
     }
     if trace && !write_traces(&runnable, config, &opts) {
         return ExitCode::FAILURE;

@@ -110,27 +110,12 @@ pub const ALL: &[&str] = &[
 /// children of `config.seed`, so runs are independent and the reduced
 /// output is byte-identical to calling [`run`] serially in a loop.
 pub fn run_many(names: &[&str], config: ExpConfig) -> Vec<ExpReport> {
-    run_many_timed(names, config)
-        .into_iter()
-        .map(|(rep, _)| rep)
-        .collect()
-}
-
-/// As [`run_many`], also reporting each experiment's wall-clock seconds
-/// (its self time on whichever worker ran it — the `exp --bench` emitter
-/// consumes these).
-pub fn run_many_timed(names: &[&str], config: ExpConfig) -> Vec<(ExpReport, f64)> {
     crate::parallel::map_indexed(names.len(), |i| {
-        // cellfi-lint: allow(determinism) — wall-clock self-times are
-        // *reported* (exp --bench) but never fed back into simulation
-        // state, so replay stays byte-identical.
-        let t0 = std::time::Instant::now();
-        let rep = run(names[i], config)
+        run(names[i], config)
             // cellfi-lint: allow(panic) — an unknown experiment name is a
             // caller typo; failing loudly beats silently dropping a figure
             // from the reproduction run.
-            .unwrap_or_else(|| panic!("unknown experiment: {}", names[i]));
-        (rep, t0.elapsed().as_secs_f64())
+            .unwrap_or_else(|| panic!("unknown experiment: {}", names[i]))
     })
 }
 

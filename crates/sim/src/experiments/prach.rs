@@ -5,8 +5,8 @@
 //! * preambles are detected reliably at −10 dB SNR without knowing the
 //!   sequence number or timing;
 //! * the two-correlation detector is fast — the paper's ran 16× faster
-//!   than line rate on an i7 (ours reports its own ratio; see also the
-//!   `prach_detector` Criterion bench).
+//!   than line rate on an i7 (the `cellfi-bench` benchmark reports ours
+//!   as `lte.prach.line_rate_x`).
 
 use super::{ExpConfig, ExpReport};
 use crate::report::table;
@@ -59,14 +59,14 @@ pub fn run(config: ExpConfig) -> ExpReport {
     // Speed (the paper's 16×-line-rate claim) is a wall-clock
     // measurement, so it does not belong in this report: experiment
     // output is byte-reproducible across runs and thread counts, and a
-    // timing never is. `exp --bench` (BENCH_engine.json) and the
-    // `prach_detector` Criterion bench carry the line-rate factor.
+    // timing never is. The `cellfi-bench` benchmark carries the
+    // line-rate factor as its `lte.prach.line_rate_x` row.
     rep.text = table(&["SNR (dB)", "detection"], &rows);
     rep.text.push_str(&format!(
         "\nDetection at -10 dB: {:.0}% (paper [21]: reliable at -10 dB)\n\
          False alarms on noise: {alarms}/{fa_trials}\n\
-         Detector speed: see BENCH_engine.json (`exp --bench`) or the \
-         prach_detector Criterion bench (paper: 16x line rate on an i7).\n",
+         Detector speed: see lte.prach.line_rate_x in `cellfi-bench run \
+         paper_saturated` (paper: 16x line rate on an i7).\n",
         at_minus10 * 100.0
     ));
     rep.record("detection_at_minus10", at_minus10);
@@ -97,7 +97,7 @@ mod tests {
         assert!(r.values["detection_at_minus10"] >= 0.9);
         assert_eq!(r.values["false_alarms"], 0.0);
         // Speed is deliberately NOT in the report: timings are not
-        // byte-reproducible. BENCH_engine.json carries the line rate.
+        // byte-reproducible. `cellfi-bench` carries the line rate.
         assert!(!r.values.contains_key("line_rate_ratio"));
     }
 }

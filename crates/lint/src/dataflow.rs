@@ -1,7 +1,7 @@
 //! Scope-tracked intra-procedural dataflow over the token stream.
 //!
-//! The v2 rules need three questions answered about any expression in
-//! a fn or closure body:
+//! The `parallel` and `hot` rules need three questions answered about
+//! any expression in a fn or closure body:
 //!
 //! 1. **What is bound locally?** ([`bindings_in`]) — `let` patterns
 //!    (including `if let`/`while let`/`let-else`), `for` patterns and
@@ -21,7 +21,7 @@
 //! constructs they do not model — conservative in the direction of
 //! fewer findings, never more.
 
-use crate::parse::{TokKind, Token};
+use crate::parse::{match_delim, TokKind, Token};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Names (and, where visible, types) bound within a scope.
@@ -264,7 +264,7 @@ pub fn path_base_before(tokens: &[Token], masked: &str, at: usize) -> Option<Str
         let s = t.text(masked);
         match s {
             "]" | ")" => {
-                k = matching_open(tokens, masked, k)?;
+                k = match_delim(tokens, masked, k)?;
                 continue;
             }
             "." | "::" | "*" | "&" | "?" => continue,
@@ -292,7 +292,7 @@ pub fn path_idents_before(tokens: &[Token], masked: &str, at: usize) -> Vec<Stri
             "]" | ")" => {
                 // Keep index identifiers: they are part of the written
                 // path's text for naming purposes.
-                let Some(open) = matching_open(tokens, masked, k) else {
+                let Some(open) = match_delim(tokens, masked, k) else {
                     break;
                 };
                 for tok in &tokens[open + 1..k] {
@@ -312,31 +312,6 @@ pub fn path_idents_before(tokens: &[Token], masked: &str, at: usize) -> Vec<Stri
         }
     }
     out
-}
-
-/// Token index of the opener matching the `)`/`]` at `close`.
-fn matching_open(tokens: &[Token], masked: &str, close: usize) -> Option<usize> {
-    let (o, c) = match tokens.get(close)?.text(masked) {
-        ")" => ("(", ")"),
-        "]" => ("[", "]"),
-        "}" => ("{", "}"),
-        _ => return None,
-    };
-    let mut depth = 0usize;
-    let mut k = close + 1;
-    while k > 0 {
-        k -= 1;
-        let s = tokens[k].text(masked);
-        if s == c {
-            depth += 1;
-        } else if s == o {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return Some(k);
-            }
-        }
-    }
-    None
 }
 
 /// The identifier path an allocating expression at token `site` is

@@ -1,8 +1,8 @@
-//! A minimal Rust source scanner.
+//! Source masking: the first stage of `cellfi-lint`.
 //!
-//! `cellfi-lint` does not need a real parser: every rule it enforces can
-//! be decided from identifier-level patterns once comments and string
-//! literals are out of the way. This module produces that view:
+//! This module produces the view the tokenizer ([`crate::parse`])
+//! works from; rules go back to the raw source only to read a string
+//! literal's contents:
 //!
 //! * [`mask_source`] returns a same-length copy of the file in which
 //!   comment bytes and string-literal *contents* are replaced by spaces
@@ -12,10 +12,8 @@
 //! * [`collect_directives`] extracts `// cellfi-lint: allow(<rules>) — <reason>`
 //!   directives and `// cellfi-lint: hot` hot-path markers from the
 //!   comments the mask removed.
-//! * [`test_line_ranges`] finds the line spans of `#[cfg(test)]` /
-//!   `#[test]` items so rules can skip test code.
 //!
-//! The scanner understands line and (nested) block comments, plain and
+//! The masker understands line and (nested) block comments, plain and
 //! raw string literals, char literals, and the lifetime-vs-char-literal
 //! ambiguity. That is enough to be exact on this workspace and safely
 //! conservative on anything weirder.
@@ -46,8 +44,6 @@ pub struct ScannedFile {
     pub line_starts: Vec<usize>,
     /// All allow directives, in file order.
     pub allows: Vec<AllowDirective>,
-    /// Inclusive 1-based line ranges occupied by test-only items.
-    pub test_ranges: Vec<(usize, usize)>,
     /// Lines targeted by `// cellfi-lint: hot` markers (the next line
     /// holding code, like allow directives). Each marks the fn item
     /// starting there as a hot-path allocation root (`hot` rule).
@@ -62,34 +58,18 @@ impl ScannedFile {
             Err(i) => i,
         }
     }
-
-    /// Whether a 1-based line falls inside a test-only item.
-    pub fn in_test_code(&self, line: usize) -> bool {
-        self.test_ranges
-            .iter()
-            .any(|&(lo, hi)| lo <= line && line <= hi)
-    }
-
-    /// The allow directives that cover `line`.
-    pub fn allows_for_line(&self, line: usize) -> impl Iterator<Item = &AllowDirective> {
-        self.allows
-            .iter()
-            .filter(move |a| a.applies_to_line == line)
-    }
 }
 
-/// Scan one file: mask it, collect directives, and locate test items.
+/// Scan one file: mask it and collect its directives.
 pub fn scan(source: &str) -> ScannedFile {
     let (masked, comments) = mask_source(source);
     let line_starts = line_starts(source);
     let (allows, hot_markers) = collect_directives(&comments, &masked, &line_starts);
-    let test_ranges = test_line_ranges(&masked, &line_starts);
     ScannedFile {
         raw: source.to_owned(),
         masked,
         line_starts,
         allows,
-        test_ranges,
         hot_markers,
     }
 }
@@ -240,9 +220,9 @@ fn is_raw_string_start(bytes: &[u8], i: usize) -> bool {
     // (e.g. the trailing r of `var`) — except for the `br`/`cr` raw
     // byte-/C-string prefixes, where the prefix byte itself must start
     // the token.
-    if i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_') {
+    if i > 0 && is_ident_byte(bytes[i - 1]) {
         let prefixed = (bytes[i - 1] == b'b' || bytes[i - 1] == b'c')
-            && (i < 2 || !(bytes[i - 2].is_ascii_alphanumeric() || bytes[i - 2] == b'_'));
+            && (i < 2 || !is_ident_byte(bytes[i - 2]));
         if !prefixed {
             return false;
         }
@@ -377,122 +357,7 @@ fn next_code_line(masked: &str, line_starts: &[usize], after: usize) -> usize {
     after
 }
 
-/// Find the 1-based line spans of items annotated `#[cfg(test)]`,
-/// `#[cfg(all(test, ...))]`, or `#[test]`.
-///
-/// After such an attribute the item body runs to the matching `}` of the
-/// first top-level `{` (or to a `;` for brace-less items like `use`).
-fn test_line_ranges(masked: &str, line_starts: &[usize]) -> Vec<(usize, usize)> {
-    let bytes = masked.as_bytes();
-    let mut ranges = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'#' {
-            i += 1;
-            continue;
-        }
-        let attr_start = i;
-        let mut j = i + 1;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if bytes.get(j) != Some(&b'[') {
-            i += 1;
-            continue;
-        }
-        // Attribute content up to the matching `]`.
-        let mut depth = 1usize;
-        let content_start = j + 1;
-        j += 1;
-        while j < bytes.len() && depth > 0 {
-            match bytes[j] {
-                b'[' => depth += 1,
-                b']' => depth -= 1,
-                _ => {}
-            }
-            j += 1;
-        }
-        let content = &masked[content_start..j.saturating_sub(1)];
-        if !attr_marks_test(content) {
-            i = j;
-            continue;
-        }
-        // Skip any further attributes/whitespace, then find the item end.
-        let end = item_end(bytes, j);
-        ranges.push((line_of(line_starts, attr_start), line_of(line_starts, end)));
-        i = end + 1;
-    }
-    ranges
-}
-
-/// Whether attribute content (inside `#[...]`) marks test-only code.
-fn attr_marks_test(content: &str) -> bool {
-    let trimmed = content.trim();
-    if trimmed == "test" {
-        return true;
-    }
-    let Some(cfg_args) = trimmed.strip_prefix("cfg") else {
-        return false;
-    };
-    has_word(cfg_args, "test")
-}
-
-/// Byte offset of the end of the item starting after offset `from`:
-/// the matching `}` of the first top-level brace, or the first `;` seen
-/// at zero bracket/paren depth.
-fn item_end(bytes: &[u8], from: usize) -> usize {
-    let mut i = from;
-    let mut paren = 0isize;
-    let mut bracket = 0isize;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'(' => paren += 1,
-            b')' => paren -= 1,
-            b'[' => bracket += 1,
-            b']' => bracket -= 1,
-            b';' if paren == 0 && bracket == 0 => return i,
-            b'{' => {
-                let mut depth = 1usize;
-                i += 1;
-                while i < bytes.len() && depth > 0 {
-                    match bytes[i] {
-                        b'{' => depth += 1,
-                        b'}' => depth -= 1,
-                        _ => {}
-                    }
-                    i += 1;
-                }
-                return i.saturating_sub(1);
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    bytes.len().saturating_sub(1)
-}
-
-/// Whether `word` appears in `text` as a whole identifier.
-pub fn has_word(text: &str, word: &str) -> bool {
-    find_word(text, word, 0).is_some()
-}
-
-/// Find `word` as a whole identifier at or after byte `from`.
-pub fn find_word(text: &str, word: &str, from: usize) -> Option<usize> {
-    let bytes = text.as_bytes();
-    let mut start = from;
-    while let Some(rel) = text.get(start..)?.find(word) {
-        let pos = start + rel;
-        let before_ok = pos == 0 || !is_ident_byte(bytes[pos - 1]);
-        let after = pos + word.len();
-        let after_ok = after >= bytes.len() || !is_ident_byte(bytes[after]);
-        if before_ok && after_ok {
-            return Some(pos);
-        }
-        start = pos + 1;
-    }
-    None
-}
-
-fn is_ident_byte(b: u8) -> bool {
+/// Whether a byte can continue an identifier (ASCII rules only).
+pub(crate) fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }

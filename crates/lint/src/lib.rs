@@ -1,12 +1,16 @@
 //! `cellfi-lint` — CellFi's workspace static-analysis pass.
 //!
 //! The simulation's headline claims (byte-identical parallel replay,
-//! ITU-style link budgets) rest on invariants the compiler cannot see:
-//! no nondeterministic iteration or wall-clock reads in engine code, no
-//! panics in library crates, no raw dB/linear mixing outside the
-//! `cellfi_types::units` newtypes. This crate enforces them with a
-//! dependency-free scanner — see [`rules`] for the catalogue and the
-//! `// cellfi-lint: allow(<rule>) — <reason>` escape hatch.
+//! ITU-style link budgets, allocation-free steady state) rest on
+//! invariants the compiler cannot see: no nondeterministic iteration or
+//! wall-clock reads in engine code, no panics in library crates, no raw
+//! dB/linear mixing outside the `cellfi_types::units` newtypes, no
+//! captured writes in parallel fan-outs. This crate enforces them with
+//! a dependency-free pipeline: [`lexer`] masks comments and string
+//! contents, [`parse`] tokenizes and finds items, and every rule in
+//! [`rules`] — the one catalogue, with the
+//! `// cellfi-lint: allow(<rule>) — <reason>` escape hatch — reads the
+//! parsed token stream.
 //!
 //! Run it with `cargo run -p cellfi-lint` (add `--json` for machine
 //! output); `scripts/tier1.sh` runs it on every verification pass.
@@ -16,7 +20,6 @@ pub mod lexer;
 pub mod parse;
 pub mod report;
 pub mod rules;
-pub mod rules_v2;
 pub mod walk;
 
 use report::Finding;

@@ -1,27 +1,29 @@
 //! A lightweight recursive-descent parser over the masked token stream.
 //!
-//! The v2 rule families ([`crate::rules_v2`]) need more structure than
-//! identifier probes: which `fn` a finding sits in, what a closure
-//! binds, where a call's argument list ends. This module supplies
-//! exactly that much syntax — no types, no name resolution, no AST —
-//! by tokenizing the masked text from [`crate::lexer::mask_source`]
-//! (so comments and string bodies are already spaces) and walking the
+//! Every rule in [`crate::rules`] reads the file through this module:
+//! which `fn` a finding sits in, what a closure binds, where a call's
+//! argument list ends, which items are test-only. It supplies exactly
+//! that much syntax — no types, no name resolution, no AST — by
+//! tokenizing the masked text from [`crate::lexer::mask_source`] (so
+//! comments and string bodies are already spaces) and walking the
 //! token stream with a few recursive-descent routines:
 //!
 //! * [`tokenize`] — idents, numbers, string/char/lifetime literals and
 //!   punctuation (multi-byte operators like `::`, `..`, `+=` merged),
 //!   each with its byte span so findings keep exact lines.
 //! * [`parse`] — scans items for `fn` signatures (name, parameter
-//!   names + type text, body token range) and attaches
-//!   `// cellfi-lint: hot` markers to the fn they precede.
-//! * [`closure_in_args`], [`call_sites`], [`method_call_sites`],
-//!   [`callee_names`] — the expression-level probes rules compose.
+//!   names + type text, body token range), attaches
+//!   `// cellfi-lint: hot` markers to the fn they precede, and records
+//!   the line spans of `#[test]` / `#[cfg(test)]` items.
+//! * [`match_delim`], [`path_at`], [`closure_in_args`], [`call_sites`],
+//!   [`method_call_sites`], [`callee_names`] — the expression-level
+//!   probes rules compose.
 //!
 //! Everything is intra-file and conservative: unparseable corners are
 //! skipped, never guessed at, so a weird construct can suppress a
 //! finding but not invent one.
 
-use crate::lexer::ScannedFile;
+use crate::lexer::{is_ident_byte, ScannedFile};
 
 /// Token classes: just enough to tell identifiers from operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,10 +205,22 @@ pub struct Parsed {
     pub tokens: Vec<Token>,
     /// Every fn item, in file order.
     pub fns: Vec<FnItem>,
+    /// Inclusive 1-based line ranges occupied by test-only items.
+    pub test_ranges: Vec<(usize, usize)>,
 }
 
-/// Parse a scanned file: tokenize and scan for fn items, attaching hot
-/// markers to the first fn at or after each marker's target line.
+impl Parsed {
+    /// Whether a 1-based line falls inside a test-only item.
+    pub fn in_test_code(&self, line: usize) -> bool {
+        self.test_ranges
+            .iter()
+            .any(|&(lo, hi)| lo <= line && line <= hi)
+    }
+}
+
+/// Parse a scanned file: tokenize, scan for fn items (attaching hot
+/// markers to the first fn at or after each marker's target line), and
+/// locate test-only items.
 pub fn parse(scanned: &ScannedFile) -> Parsed {
     let masked = &scanned.masked;
     let tokens = tokenize(masked);
@@ -239,28 +253,17 @@ pub fn parse(scanned: &ScannedFile) -> Parsed {
             k += 1;
             continue;
         };
-        let params = parse_params(&tokens, masked, j + 1, params_close);
-        // Signature tail (return type, where clause) up to the body
-        // brace or a `;`, skipping bracketed groups like `-> [f64; 4]`.
-        let mut b = params_close + 1;
-        let mut body = None;
-        while let Some(t) = tokens.get(b) {
-            let s = t.text(masked);
-            if s == "(" || s == "[" {
-                b = match_delim(&tokens, masked, b).map_or(b + 1, |c| c + 1);
-                continue;
-            }
-            if s == "{" {
-                if let Some(end) = match_delim(&tokens, masked, b) {
-                    body = Some((b, end));
-                }
-                break;
-            }
-            if s == ";" {
-                break;
-            }
-            b += 1;
-        }
+        let params = split_list(&tokens, masked, j + 1, params_close)
+            .into_iter()
+            .filter_map(|(a, b)| param_of(&tokens[a..b], masked))
+            .collect();
+        // Signature tail (return type, where clause) up to the body.
+        let b = body_or_semi(&tokens, masked, params_close + 1);
+        let body = tokens
+            .get(b)
+            .filter(|t| t.is(masked, "{"))
+            .and_then(|_| match_delim(&tokens, masked, b))
+            .map(|end| (b, end));
         fns.push(FnItem {
             name,
             line,
@@ -280,30 +283,134 @@ pub fn parse(scanned: &ScannedFile) -> Parsed {
             f.hot = true;
         }
     }
-    Parsed { tokens, fns }
+    let test_ranges = test_ranges(scanned, &tokens);
+    Parsed {
+        tokens,
+        fns,
+        test_ranges,
+    }
 }
 
-/// Token index of the closer matching the `(`/`[`/`{` at `open`.
-pub fn match_delim(tokens: &[Token], masked: &str, open: usize) -> Option<usize> {
-    let (o, c) = match tokens.get(open)?.text(masked) {
-        "(" => ("(", ")"),
-        "[" => ("[", "]"),
-        "{" => ("{", "}"),
+/// Index of the first `{` or `;` at or after `k` outside `(...)` and
+/// `[...]` groups (so `-> [f64; 4]` and further attributes are
+/// skipped): where an item's body opens or its declaration ends.
+/// `tokens.len()` when neither follows.
+fn body_or_semi(tokens: &[Token], masked: &str, mut k: usize) -> usize {
+    while let Some(t) = tokens.get(k) {
+        match t.text(masked) {
+            "(" | "[" => k = match_delim(tokens, masked, k).map_or(k + 1, |c| c + 1),
+            "{" | ";" => return k,
+            _ => k += 1,
+        }
+    }
+    k
+}
+
+/// Line spans of items under `#[test]` or a test-only `#[cfg(...)]`
+/// (see [`cfg_is_test_only`]). A span runs from the attribute to the
+/// `}` closing the item's body or to its `;` (`use`, `mod x;`).
+fn test_ranges(scanned: &ScannedFile, tokens: &[Token]) -> Vec<(usize, usize)> {
+    let masked = &scanned.masked;
+    let mut ranges = Vec::new();
+    let mut k = 0;
+    while k + 1 < tokens.len() {
+        if !tokens[k].is(masked, "#") || !tokens[k + 1].is(masked, "[") {
+            k += 1;
+            continue;
+        }
+        let Some(close) = match_delim(tokens, masked, k + 1) else {
+            break;
+        };
+        let attr = &tokens[k + 2..close];
+        let test_only = match attr {
+            [t] => t.is(masked, "test"),
+            [cfg, open, .., _] if cfg.is(masked, "cfg") && open.is(masked, "(") => {
+                match_delim(tokens, masked, k + 3) == Some(close - 1)
+                    && cfg_is_test_only(tokens, masked, k + 4, close - 1)
+            }
+            _ => false,
+        };
+        if !test_only {
+            k = close + 1;
+            continue;
+        }
+        let e = body_or_semi(tokens, masked, close + 1);
+        let end = match tokens.get(e) {
+            Some(t) if t.is(masked, "{") => match_delim(tokens, masked, e),
+            Some(_) => Some(e),
+            None => None,
+        };
+        // An unterminated item runs to the end of the file.
+        let end_offset = end.map_or(masked.len().saturating_sub(1), |e| tokens[e].start);
+        ranges.push((
+            scanned.line_of(tokens[k].start),
+            scanned.line_of(end_offset),
+        ));
+        k = end.map_or(tokens.len(), |e| e + 1);
+    }
+    ranges
+}
+
+/// Whether the cfg predicate in tokens `lo..hi` holds only under
+/// `cfg(test)`: it is `test` itself, or an `all(...)` with such an
+/// argument. `not(test)` and `any(test, …)` guard production code.
+fn cfg_is_test_only(tokens: &[Token], masked: &str, lo: usize, hi: usize) -> bool {
+    if hi == lo + 1 {
+        return tokens[lo].is(masked, "test");
+    }
+    tokens[lo].is(masked, "all")
+        && match_delim(tokens, masked, lo + 1) == Some(hi - 1)
+        && split_list(tokens, masked, lo + 2, hi - 1)
+            .into_iter()
+            .any(|(a, b)| cfg_is_test_only(tokens, masked, a, b))
+}
+
+/// Token index of the delimiter matching the bracket at `at`: forward
+/// from a `(`/`[`/`{`, backward from a `)`/`]`/`}`.
+pub fn match_delim(tokens: &[Token], masked: &str, at: usize) -> Option<usize> {
+    let (same, other, forward) = match tokens.get(at)?.text(masked) {
+        "(" => ("(", ")", true),
+        "[" => ("[", "]", true),
+        "{" => ("{", "}", true),
+        ")" => (")", "(", false),
+        "]" => ("]", "[", false),
+        "}" => ("}", "{", false),
         _ => return None,
     };
     let mut depth = 0usize;
-    for (k, t) in tokens.iter().enumerate().skip(open) {
-        let s = t.text(masked);
-        if s == o {
+    let mut closes = |k: &usize| {
+        let s = tokens[*k].text(masked);
+        if s == same {
             depth += 1;
-        } else if s == c {
+        } else if s == other {
             depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return Some(k);
-            }
+            return depth == 0;
         }
+        false
+    };
+    if forward {
+        (at..tokens.len()).find(&mut closes)
+    } else {
+        (0..=at).rev().find(&mut closes)
     }
-    None
+}
+
+/// Whether the tokens from index `k` spell `path`: an identifier
+/// (`HashMap`), a `::`-qualified path (`Instant::now`), or a macro
+/// invocation (`format!`).
+pub fn path_at(tokens: &[Token], masked: &str, mut k: usize, path: &str) -> bool {
+    let is = |k: usize, s: &str| tokens.get(k).is_some_and(|t| t.is(masked, s));
+    let (mut rest, bang) = path.strip_suffix('!').map_or((path, false), |p| (p, true));
+    // Consume `rest` one identifier token (and `::` token) at a time.
+    while let Some(t) = tokens.get(k).filter(|t| t.kind == TokKind::Ident) {
+        match rest.strip_prefix(t.text(masked)) {
+            Some("") => return !bang || is(k + 1, "!"),
+            Some(tail) if tail.starts_with("::") && is(k + 1, "::") => rest = &tail[2..],
+            _ => return false,
+        }
+        k += 2;
+    }
+    false
 }
 
 /// Skip a balanced `<...>` generics group starting at `open`; returns
@@ -325,32 +432,28 @@ fn skip_angles(tokens: &[Token], masked: &str, open: usize) -> usize {
     k
 }
 
-/// Split a parameter list (tokens strictly between the parens) at
-/// top-level commas and extract (name, type) per parameter.
-fn parse_params(tokens: &[Token], masked: &str, start: usize, close: usize) -> Vec<Param> {
-    let mut params = Vec::new();
+/// Split the list in tokens `lo..hi` at commas outside `()`, `[]` and
+/// `<>` groups into half-open item ranges. A group still open at `hi`
+/// swallows the trailing item.
+fn split_list(tokens: &[Token], masked: &str, lo: usize, hi: usize) -> Vec<(usize, usize)> {
+    let mut items = Vec::new();
     let mut depth = 0i32;
-    let mut seg_start = start;
-    for k in start..=close.min(tokens.len()) {
-        let s = if k == close {
-            ","
-        } else {
-            tokens[k].text(masked)
-        };
-        if s == "," && depth == 0 {
-            if let Some(p) = param_of(tokens.get(seg_start..k).unwrap_or(&[]), masked) {
-                params.push(p);
-            }
-            seg_start = k + 1;
-            continue;
-        }
-        match s {
+    let mut item = lo;
+    for (k, t) in (lo..).zip(&tokens[lo..hi]) {
+        match t.text(masked) {
             "(" | "[" | "<" => depth += 1,
             ")" | "]" | ">" => depth -= 1,
+            "," if depth == 0 => {
+                items.push((item, k));
+                item = k + 1;
+            }
             _ => {}
         }
     }
-    params
+    if depth == 0 {
+        items.push((item, hi));
+    }
+    items
 }
 
 /// Extract one parameter from its token segment.
@@ -500,17 +603,13 @@ fn closure_at(
 
 /// Indices of `name(...)` call sites (plain or method) in a token range.
 pub fn call_sites(tokens: &[Token], masked: &str, range: (usize, usize), name: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    for k in range.0..=range.1.min(tokens.len().saturating_sub(1)) {
-        if tokens[k].kind == TokKind::Ident
-            && tokens[k].is(masked, name)
-            && tokens.get(k + 1).is_some_and(|t| t.is(masked, "("))
-            && !(k > 0 && tokens[k - 1].is(masked, "fn"))
-        {
-            out.push(k);
-        }
-    }
-    out
+    (range.0..=range.1.min(tokens.len().saturating_sub(1)))
+        .filter(|&k| {
+            path_at(tokens, masked, k, name)
+                && tokens.get(k + 1).is_some_and(|t| t.is(masked, "("))
+                && !(k > 0 && tokens[k - 1].is(masked, "fn"))
+        })
+        .collect()
 }
 
 /// Indices of `.name(...)` method-call sites in a token range.
@@ -548,10 +647,6 @@ pub fn callee_names(tokens: &[Token], masked: &str, range: (usize, usize)) -> Ve
         }
     }
     out
-}
-
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@ use std::fmt;
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule family: `determinism`, `panic`, `units`, or `lint-allow`.
+    /// Rule family: one of [`crate::rules::RULE_NAMES`] (`determinism`,
+    /// `panic`, `units`, `obs`, `structure`, `parallel`, `slab`, `hot`,
+    /// `cachegen`) or `lint-allow` for directive hygiene.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,

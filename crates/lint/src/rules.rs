@@ -1,6 +1,9 @@
 //! The CellFi rule catalogue.
 //!
-//! Five families, named in findings and in allow directives:
+//! Every rule reads one file's parsed token stream ([`crate::parse`]);
+//! the `parallel` and `hot` rules add scope-tracked dataflow
+//! ([`crate::dataflow`]). Nine families, named in findings and in allow
+//! directives:
 //!
 //! * **`determinism`** — byte-identical replay is a workspace contract
 //!   (`tests/determinism.rs`). Engine-path library code must not iterate
@@ -24,11 +27,11 @@
 //! * **`units`** — dB/linear conversions belong to
 //!   `crates/types/src/units.rs` (`Dbm`/`Db`/`MilliWatts`). Raw
 //!   `10f64.powf(x / 10.0)`-style conversions, and multiplying or
-//!   dividing a `*_db`/`*_dbm`-named binding (dB is logarithmic; scaling
-//!   it is almost always a link-budget bug), are flagged everywhere
-//!   else. Decibel-ness also propagates through simple `let` chains:
-//!   `let margin = snr_db - floor_db;` taints `margin`, so scaling it
-//!   later is flagged too.
+//!   dividing (`*`, `/`, `*=`, `/=`) a `*_db`/`*_dbm`-named binding (dB
+//!   is logarithmic; scaling it is almost always a link-budget bug),
+//!   are flagged everywhere else. Decibel-ness also propagates through
+//!   simple `let` chains: `let margin = snr_db - floor_db;` taints
+//!   `margin`, so scaling it later is flagged too.
 //! * **`structure`** — the layered engine must stay decomposed: no file
 //!   under `crates/sim/src/engine/` may exceed
 //!   [`MAX_ENGINE_FILE_LINES`] lines. The engine was once a ~1,900-line
@@ -39,15 +42,49 @@
 //!   argument list of an `.emit(...)` event call must not allocate
 //!   (`format!`, `to_string`, `to_owned`, `vec!`, `Vec::new`,
 //!   `Box::new`, `.clone()`, …). Payloads are plain numerics; the
-//!   disabled path costs exactly one branch.
+//!   disabled path costs exactly one branch. `.register(...)` monitor
+//!   check closures run every armed tick and are held to the same bar.
+//! * **`parallel`** — byte-identical replay across `CELLFI_THREADS`.
+//!   Closures passed to the `parallel::for_each_chunk` /
+//!   `for_each_row` / `map_indexed` fan-outs must not mutate captured
+//!   state (cross-chunk writes alias between workers) or reach for
+//!   scheduling-dependent synchronization (`Mutex`, atomics,
+//!   `unsafe`); trace events inside them must go through a forked
+//!   per-entity sink, and a fn that forks sinks must absorb them back
+//!   (entity-index order) in the same fn.
+//! * **`slab`** — one home for stride math. Index expressions that
+//!   re-derive slab offsets (`base * stride + k`, multiply-add or
+//!   multiply-range arithmetic inside `[...]`) are forbidden outside
+//!   `crates/sim/src/slab.rs`; everything else goes through the
+//!   `Slab2`/`Slab3` accessors, so a layout change cannot silently
+//!   desynchronize hand-rolled offsets.
+//! * **`hot`** — the steady-state subframe loop allocates nothing.
+//!   Fns marked `// cellfi-lint: hot` (and everything they reach by
+//!   direct same-file calls) may not allocate (`Vec::new`, `vec!`,
+//!   `collect`, `push`, `format!`, `to_string`, `to_owned`,
+//!   `to_vec`, `String::from`, `Box::new`) except into bindings whose
+//!   path names a reserved `*scratch*` buffer, and may not `clone`
+//!   slab-typed values.
+//! * **`cachegen`** — generation-keyed caches never serve stale data.
+//!   A fn that writes slab gain state (`self.lin_mw` /
+//!   `self.static_mw` / `self.dl_mean_dbm` through a mutating
+//!   accessor) must bump `gain_gen` in the same fn, and a write to the
+//!   association table (`…assoc[ue] = …`) must bump `assoc_gen` — the
+//!   `(generation, set_id)` keys of `TxSetTracker` /
+//!   `InterferenceCache` / `CqiMemo` only invalidate when the
+//!   generation moves.
 //!
-//! Any finding can be waived line-by-line with
+//! Items under `#[test]` or a test-only `#[cfg(...)]` are never
+//! checked. Any finding can be waived line-by-line with
 //! `// cellfi-lint: allow(<rule>) — <reason>`; a directive with an
 //! unknown rule, a missing reason, or nothing to suppress is itself a
 //! finding (`lint-allow`), so the escape hatch cannot rot silently.
 
-use crate::lexer::{find_word, ScannedFile};
+use crate::dataflow;
+use crate::lexer::ScannedFile;
+use crate::parse::{self, Closure, Parsed, TokKind, Token};
 use crate::report::Finding;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Shortest `.expect()` message that can plausibly state an invariant.
 pub const MIN_EXPECT_MSG: usize = 8;
@@ -96,8 +133,7 @@ pub const INVARIANT_STEMS: &[&str] = &[
 
 /// Rule names accepted in `allow(...)` directives. `structure` findings
 /// are file-level and cannot be waived, but the name is known so a stray
-/// `allow(structure)` reads as unused rather than as a typo. The last
-/// four are the parse-aware v2 families (see [`crate::rules_v2`]).
+/// `allow(structure)` reads as unused rather than as a typo.
 pub const RULE_NAMES: &[&str] = &[
     "determinism",
     "panic",
@@ -123,6 +159,133 @@ const ORDER_SENSITIVE_CRATES: &[&str] = &["core", "lte", "obs", "sim", "spectrum
 /// The crate whose retry/backoff machinery must run on simulation time
 /// and seeded randomness only (see the stricter determinism sub-rule).
 const SIM_CLOCK_ONLY_CRATE: &str = "spectrum";
+
+/// `determinism` probes as `(path, why)`; a hit reads "`{path} {why}`".
+/// Order-randomized collections, checked in [`ORDER_SENSITIVE_CRATES`].
+const HASH_COLLECTIONS: &[(&str, &str)] = &[("HashMap", HASH_ORDER), ("HashSet", HASH_ORDER)];
+const HASH_ORDER: &str = "has a randomized iteration order; use BTreeMap/BTreeSet \
+                          or a hasher seeded from the run seed in engine-path code";
+
+/// Wall clocks and OS entropy, checked in every library crate.
+const CLOCKS_AND_ENTROPY: &[(&str, &str)] = &[
+    ("Instant::now", WALL_CLOCK),
+    ("SystemTime::now", WALL_CLOCK),
+    ("thread_rng", OS_ENTROPY),
+    ("from_entropy", OS_ENTROPY),
+];
+const WALL_CLOCK: &str = "reads the wall clock; simulation state must only \
+                          depend on cellfi_types::time and the run seed";
+const OS_ENTROPY: &str = "draws OS entropy; derive randomness from the run \
+                          seed via cellfi_types::rng::SeedSeq";
+
+/// The stricter [`SIM_CLOCK_ONLY_CRATE`] sub-rule: the lease lifecycle's
+/// retry/backoff paths must schedule on the simulation clock and draw
+/// jitter from seeded RNGs, so even *naming* `std::time` (wall-clock
+/// types), blocking with `thread::sleep`, or sampling `rand::random` is
+/// a finding there, not just calling `::now()`. Compliance under
+/// arbitrary fault schedules is proved by replaying them byte-identically
+/// from the run seed; one wall-clock read anywhere in the retry path
+/// would void that proof.
+const SIM_CLOCK_ONLY: &[(&str, &str)] = &[
+    (
+        "std::time",
+        "in the PAWS lease machinery: wall-clock time types; lease \
+         retry/backoff schedules on cellfi_types::time (sim \
+         Instant/Duration) only",
+    ),
+    (
+        "thread::sleep",
+        "in the PAWS lease machinery: blocks on real time; schedule the \
+         retry at a future sim Instant and let the harness tick reach it",
+    ),
+    (
+        "rand::random",
+        "in the PAWS lease machinery: ambient OS entropy; backoff jitter \
+         must come from an RNG seeded via cellfi_types::rng::SeedSeq",
+    ),
+];
+
+/// Allocation markers forbidden inside `.emit(...)` argument lists.
+const EMIT_ALLOC_MARKERS: &[&str] = &[
+    "format!",
+    "vec!",
+    "to_string",
+    "to_owned",
+    "to_vec",
+    "clone",
+    "String::from",
+    "Vec::new",
+    "Box::new",
+];
+
+/// The deterministic fan-out helpers whose worker closures the
+/// `parallel` rule audits (see `crates/sim/src/parallel.rs`).
+const FAN_OUT: &[&str] = &["for_each_chunk", "for_each_row", "map_indexed"];
+
+/// Identifiers that imply scheduling-dependent shared state inside a
+/// fan-out closure. `Atomic*` is matched by prefix.
+const SYNC_TOKENS: &[&str] = &[
+    "Mutex",
+    "RwLock",
+    "RefCell",
+    "borrow_mut",
+    "fetch_add",
+    "fetch_sub",
+    "fetch_or",
+    "fetch_and",
+    "fetch_xor",
+    "compare_exchange",
+    "unsafe",
+];
+
+/// The implementation homes the discipline rules trust: stride math
+/// lives in the slab module, worker plumbing in the parallel module.
+const SLAB_MODULE: &str = "crates/sim/src/slab.rs";
+const PARALLEL_MODULE: &str = "crates/sim/src/parallel.rs";
+
+/// Slab gain state: writes through these `self` fields feed the
+/// `(gain_gen, …)` cache keys.
+const GAIN_FIELDS: &[&str] = &["lin_mw", "static_mw", "dl_mean_dbm"];
+
+/// Mutating accessors through which slab state is written.
+const GAIN_MUT_METHODS: &[&str] = &[
+    "set",
+    "at_mut",
+    "lane_mut",
+    "row_mut",
+    "as_mut_slice",
+    "fill",
+];
+
+/// Allocation calls that are exempt when they land in a `*scratch*`
+/// binding (reserving/refilling scratch is how the steady state stays
+/// allocation-free); everything else in [`HOT_FORBIDDEN_METHODS`] and
+/// the macro/qualified sets is flagged unconditionally.
+const HOT_SCRATCH_EXEMPT: &[&str] = &["collect", "push", "extend", "insert"];
+
+/// Method calls forbidden in hot fns (subject to the scratch
+/// exemption above where listed).
+const HOT_FORBIDDEN_METHODS: &[&str] = &[
+    "collect",
+    "push",
+    "extend",
+    "insert",
+    "to_string",
+    "to_owned",
+    "to_vec",
+];
+
+/// Qualified constructors forbidden in hot fns. `Vec::new` and
+/// `Vec::with_capacity` get the scratch exemption (reserving scratch);
+/// the rest never do.
+const HOT_QUALIFIED: &[(&str, bool)] = &[
+    ("Vec::new", true),
+    ("Vec::with_capacity", true),
+    ("String::new", false),
+    ("String::from", false),
+    ("String::with_capacity", false),
+    ("Box::new", false),
+];
 
 /// Where a file sits in the workspace, driving rule applicability.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,30 +333,41 @@ impl FileContext {
 
 /// Run every applicable rule over one already-scanned file.
 pub fn lint_scanned(ctx: &FileContext, scanned: &ScannedFile) -> Vec<Finding> {
-    let parsed = crate::parse::parse(scanned);
-    let mut sink = Sink::new(ctx, scanned);
+    let parsed = parse::parse(scanned);
+    let mut sink = Sink {
+        ctx,
+        scanned,
+        parsed: &parsed,
+        findings: Vec::new(),
+        used_allows: vec![false; scanned.allows.len()],
+    };
 
     if ctx.order_sensitive() {
-        check_collections(&mut sink);
+        check_paths(&mut sink, HASH_COLLECTIONS);
     }
     if !ctx.is_bin {
-        check_clocks_and_entropy(&mut sink);
+        check_paths(&mut sink, CLOCKS_AND_ENTROPY);
+        if ctx.crate_name.as_deref() == Some(SIM_CLOCK_ONLY_CRATE) {
+            check_paths(&mut sink, SIM_CLOCK_ONLY);
+        }
         check_panics(&mut sink);
-    }
-    if !ctx.is_bin && ctx.crate_name.as_deref() == Some(SIM_CLOCK_ONLY_CRATE) {
-        check_sim_clock_only(&mut sink);
+        check_obs(&mut sink);
+        if !ctx.path.ends_with(PARALLEL_MODULE) {
+            check_parallel(&mut sink);
+        }
+        if !ctx.path.ends_with(SLAB_MODULE) {
+            check_slab(&mut sink);
+        }
+        check_hot(&mut sink);
+        check_cachegen(&mut sink);
     }
     if !ctx.is_units_module() {
         check_unit_conversions(&mut sink);
         check_db_scaling(&mut sink);
     }
-    if !ctx.is_bin {
-        check_obs_emit(&mut sink);
-    }
     if ctx.in_structure_dir() {
         check_structure(&mut sink);
     }
-    crate::rules_v2::run(&mut sink, ctx, scanned, &parsed);
     check_allow_hygiene(&mut sink);
     let mut findings = sink.findings;
     findings.sort_by(|a, b| {
@@ -202,33 +376,24 @@ pub fn lint_scanned(ctx: &FileContext, scanned: &ScannedFile) -> Vec<Finding> {
     findings
 }
 
-/// Collects findings, applying test-code exclusion and allow directives.
-/// Shared by the v1 catalogue here and the v2 families in
-/// [`crate::rules_v2`], so both honor the same test exclusion and
-/// allow-directive bookkeeping (unused allows stay detectable).
-pub(crate) struct Sink<'a> {
+/// Collects findings, applying test-code exclusion and allow directives
+/// (recording which allows suppressed something, so unused ones stay
+/// detectable).
+struct Sink<'a> {
     ctx: &'a FileContext,
     scanned: &'a ScannedFile,
+    parsed: &'a Parsed,
     findings: Vec<Finding>,
     /// Indices into `scanned.allows` that suppressed something.
     used_allows: Vec<bool>,
 }
 
 impl<'a> Sink<'a> {
-    fn new(ctx: &'a FileContext, scanned: &'a ScannedFile) -> Sink<'a> {
-        Sink {
-            ctx,
-            scanned,
-            findings: Vec::new(),
-            used_allows: vec![false; scanned.allows.len()],
-        }
-    }
-
     /// Report `rule` at byte `offset` unless the line is test code or a
     /// valid allow directive covers it.
-    pub(crate) fn report(&mut self, rule: &'static str, offset: usize, message: String) {
+    fn report(&mut self, rule: &'static str, offset: usize, message: String) {
         let line = self.scanned.line_of(offset);
-        if self.scanned.in_test_code(line) {
+        if self.parsed.in_test_code(line) {
             return;
         }
         for (i, allow) in self.scanned.allows.iter().enumerate() {
@@ -251,165 +416,81 @@ impl<'a> Sink<'a> {
     fn masked(&self) -> &'a str {
         &self.scanned.masked
     }
-}
 
-/// determinism: `HashMap`/`HashSet` in order-sensitive library code.
-fn check_collections(sink: &mut Sink) {
-    for name in ["HashMap", "HashSet"] {
-        let mut from = 0;
-        while let Some(pos) = find_word(sink.masked(), name, from) {
-            sink.report(
-                "determinism",
-                pos,
-                format!(
-                    "{name} has a randomized iteration order; use BTreeMap/BTreeSet \
-                     or a hasher seeded from the run seed in engine-path code"
-                ),
-            );
-            from = pos + name.len();
-        }
+    fn parsed(&self) -> &'a Parsed {
+        self.parsed
+    }
+
+    /// The token range of the whole file.
+    fn all(&self) -> (usize, usize) {
+        (0, self.parsed.tokens.len().saturating_sub(1))
     }
 }
 
-/// determinism: wall clocks and OS entropy in library code.
-fn check_clocks_and_entropy(sink: &mut Sink) {
-    for path in [&["Instant", "now"][..], &["SystemTime", "now"][..]] {
-        let mut from = 0;
-        while let Some((pos, end)) = find_qualified(sink.masked(), path, from) {
-            sink.report(
-                "determinism",
-                pos,
-                format!(
-                    "{}::{} reads the wall clock; simulation state must only \
-                     depend on cellfi_types::time and the run seed",
-                    path[0], path[1]
-                ),
-            );
-            from = end;
-        }
-    }
-    for name in ["thread_rng", "from_entropy"] {
-        let mut from = 0;
-        while let Some(pos) = find_word(sink.masked(), name, from) {
-            sink.report(
-                "determinism",
-                pos,
-                format!(
-                    "{name} draws OS entropy; derive randomness from the run \
-                     seed via cellfi_types::rng::SeedSeq"
-                ),
-            );
-            from = pos + name.len();
-        }
-    }
-}
-
-/// determinism (spectrum only): the lease lifecycle's retry/backoff
-/// paths must schedule on the simulation clock and draw jitter from
-/// seeded RNGs. Stricter than [`check_clocks_and_entropy`]: in
-/// `crates/spectrum` even *naming* `std::time` (wall-clock types),
-/// blocking with `thread::sleep`, or sampling `rand::random` is a
-/// finding, not just calling `::now()`. Compliance under arbitrary
-/// fault schedules is proved by replaying them byte-identically from
-/// the run seed; one wall-clock read anywhere in the retry path would
-/// void that proof.
-fn check_sim_clock_only(sink: &mut Sink) {
-    let probes: &[(&[&str], &str)] = &[
-        (
-            &["std", "time"],
-            "wall-clock time types; lease retry/backoff schedules on \
-             cellfi_types::time (sim Instant/Duration) only",
-        ),
-        (
-            &["thread", "sleep"],
-            "blocks on real time; schedule the retry at a future sim \
-             Instant and let the harness tick reach it",
-        ),
-        (
-            &["rand", "random"],
-            "ambient OS entropy; backoff jitter must come from an RNG \
-             seeded via cellfi_types::rng::SeedSeq",
-        ),
-    ];
-    for (path, why) in probes {
-        let mut from = 0;
-        while let Some((pos, end)) = find_qualified(sink.masked(), path, from) {
-            sink.report(
-                "determinism",
-                pos,
-                format!(
-                    "{}::{} in the PAWS lease machinery: {why}",
-                    path[0], path[1]
-                ),
-            );
-            from = end;
+/// determinism: every occurrence of a `(path, why)` probe.
+fn check_paths(sink: &mut Sink, probes: &[(&str, &str)]) {
+    let (masked, toks) = (sink.masked(), &sink.parsed().tokens);
+    for (k, t) in toks.iter().enumerate() {
+        for (path, why) in probes {
+            if parse::path_at(toks, masked, k, path) {
+                sink.report("determinism", t.start, format!("{path} {why}"));
+            }
         }
     }
 }
 
 /// panic: `.unwrap()`, weak `.expect()`, and panicking macros.
 fn check_panics(sink: &mut Sink) {
-    let masked = sink.masked();
-    let bytes = masked.as_bytes();
-
-    let mut from = 0;
-    while let Some(pos) = find_word(masked, "unwrap", from) {
-        from = pos + "unwrap".len();
-        let is_method = pos > 0 && bytes[pos - 1] == b'.';
-        let is_call = bytes.get(from) == Some(&b'(');
-        if is_method && is_call {
+    let (masked, toks) = (sink.masked(), &sink.parsed().tokens);
+    for k in parse::method_call_sites(toks, masked, sink.all(), "unwrap") {
+        sink.report(
+            "panic",
+            toks[k].start,
+            ".unwrap() in library code: return a Result or use \
+             .expect(\"<invariant>\")"
+                .to_owned(),
+        );
+    }
+    for k in parse::method_call_sites(toks, masked, sink.all(), "expect") {
+        // Only a string-literal message can be judged.
+        let Some(lit) = toks
+            .get(k + 2)
+            .filter(|t| t.kind == TokKind::Str && t.end - t.start >= 2)
+            .filter(|t| t.text(masked).ends_with('"'))
+        else {
+            continue;
+        };
+        let msg = &sink.scanned.raw[lit.start + 1..lit.end - 1];
+        if msg.len() < MIN_EXPECT_MSG {
             sink.report(
                 "panic",
-                pos,
-                ".unwrap() in library code: return a Result or use \
-                 .expect(\"<invariant>\")"
+                toks[k].start,
+                format!(
+                    ".expect() message is too short to state an invariant \
+                     ({} bytes < {MIN_EXPECT_MSG})",
+                    msg.len()
+                ),
+            );
+        } else if !states_invariant(msg) {
+            sink.report(
+                "panic",
+                toks[k].start,
+                ".expect() message names an outcome, not an invariant: \
+                 phrase it with the invariant vocabulary (e.g. \
+                 \"always\", \"non-empty\", \"comes straight from\" — \
+                 see INVARIANT_STEMS)"
                     .to_owned(),
             );
         }
     }
-
-    let mut from = 0;
-    while let Some(pos) = find_word(masked, "expect", from) {
-        from = pos + "expect".len();
-        let is_method = pos > 0 && bytes[pos - 1] == b'.';
-        if !is_method || bytes.get(from) != Some(&b'(') {
-            continue;
-        }
-        if let Some((open, close)) = string_literal_span(masked, from + 1) {
-            let len = close - open - 1;
-            if len < MIN_EXPECT_MSG {
+    for (k, t) in toks.iter().enumerate() {
+        for mac in ["panic!", "todo!", "unimplemented!"] {
+            if parse::path_at(toks, masked, k, mac) {
                 sink.report(
                     "panic",
-                    pos,
+                    t.start,
                     format!(
-                        ".expect() message is too short to state an invariant \
-                         ({len} bytes < {MIN_EXPECT_MSG})"
-                    ),
-                );
-            } else if !states_invariant(&sink.scanned.raw[open + 1..close]) {
-                sink.report(
-                    "panic",
-                    pos,
-                    ".expect() message names an outcome, not an invariant: \
-                     phrase it with the invariant vocabulary (e.g. \
-                     \"always\", \"non-empty\", \"comes straight from\" — \
-                     see INVARIANT_STEMS)"
-                        .to_owned(),
-                );
-            }
-        }
-    }
-
-    for mac in ["panic", "todo", "unimplemented"] {
-        let mut from = 0;
-        while let Some(pos) = find_word(masked, mac, from) {
-            from = pos + mac.len();
-            if bytes.get(from) == Some(&b'!') {
-                sink.report(
-                    "panic",
-                    pos,
-                    format!(
-                        "{mac}! in library code: return a Result or encode the invariant in types"
+                        "{mac} in library code: return a Result or encode the invariant in types"
                     ),
                 );
             }
@@ -417,17 +498,20 @@ fn check_panics(sink: &mut Sink) {
     }
 }
 
+/// Whether an `.expect()` message contains a curated invariant stem.
+fn states_invariant(msg: &str) -> bool {
+    let lower = msg.to_ascii_lowercase();
+    INVARIANT_STEMS.iter().any(|stem| lower.contains(stem))
+}
+
 /// units: `10f64.powf(...)`-style raw dB→linear conversion.
 fn check_unit_conversions(sink: &mut Sink) {
-    let masked = sink.masked();
-    let mut from = 0;
-    while let Some(rel) = masked[from..].find(".powf") {
-        let pos = from + rel;
-        from = pos + ".powf".len();
-        if preceding_literal_is_ten(masked.as_bytes(), pos) {
+    let (masked, toks) = (sink.masked(), &sink.parsed().tokens);
+    for k in parse::method_call_sites(toks, masked, sink.all(), "powf") {
+        if k >= 2 && is_literal_ten(&toks[k - 2], masked) {
             sink.report(
                 "units",
-                pos,
+                toks[k - 1].start,
                 "raw 10^(x/10) conversion: use Dbm::to_milliwatts / \
                  Db::to_linear from cellfi_types::units"
                     .to_owned(),
@@ -436,29 +520,17 @@ fn check_unit_conversions(sink: &mut Sink) {
     }
 }
 
-/// Whether the token ending at `end` is a literal `10` (any float form).
-fn preceding_literal_is_ten(bytes: &[u8], end: usize) -> bool {
-    let mut start = end;
-    while start > 0 {
-        let b = bytes[start - 1];
-        if b.is_ascii_alphanumeric() || b == b'_' || b == b'.' {
-            start -= 1;
-        } else {
-            break;
-        }
-    }
-    let token = std::str::from_utf8(&bytes[start..end]).unwrap_or("");
-    if token.is_empty() || !token.starts_with(|c: char| c.is_ascii_digit()) {
-        return false;
-    }
-    // Strip a numeric suffix and underscores: 10, 10.0, 10f64, 10_f64...
-    let cleaned: String = token
+/// Whether a token is the literal `10` in any float form: `10`, `10.0`,
+/// `10f64`, `10_f32`, …
+fn is_literal_ten(t: &Token, masked: &str) -> bool {
+    let digits: String = t
+        .text(masked)
         .trim_end_matches("f64")
         .trim_end_matches("f32")
         .chars()
         .filter(|&c| c != '_')
         .collect();
-    cleaned == "10" || cleaned == "10." || cleaned == "10.0"
+    t.kind == TokKind::Num && (digits == "10" || digits == "10.0")
 }
 
 /// Whether an identifier is decibel-named by suffix convention.
@@ -469,62 +541,49 @@ fn db_named(ident: &str) -> bool {
 /// Bindings that inherit decibel-ness through simple `let` chains:
 /// `let margin = snr_db - floor_db;` makes `margin` a dB quantity. Only
 /// initializers that are plain arithmetic over identifiers and literals
-/// propagate — any call, indexing, comparison or struct syntax in the
-/// right-hand side (`Db(x)`, `x_db.to_linear()`, …) may change the
-/// unit, so those bindings stay untainted. Iterates to a fixpoint so
-/// chains of such lets propagate.
-fn db_tainted_bindings(masked: &str) -> std::collections::BTreeSet<String> {
-    let bytes = masked.as_bytes();
-    let mut tainted = std::collections::BTreeSet::new();
+/// propagate — any call, indexing, comparison, member access or struct
+/// syntax in the right-hand side (`Db(x)`, `x_db.to_linear()`, …) may
+/// change the unit, so those bindings stay untainted. The set is
+/// file-global (names, not scopes) and iterates to a fixpoint so chains
+/// of such lets propagate.
+fn db_tainted_bindings(masked: &str, toks: &[Token]) -> BTreeSet<String> {
+    let ident = |k: usize| toks.get(k).filter(|t| t.kind == TokKind::Ident);
+    let is = |k: usize, s: &str| toks.get(k).is_some_and(|t| t.is(masked, s));
+    let mut tainted = BTreeSet::new();
     loop {
         let mut changed = false;
-        let mut from = 0;
-        while let Some(pos) = find_word(masked, "let", from) {
-            from = pos + "let".len();
-            let mut i = skip_space(bytes, from);
-            if let Some(after_mut) = strip_word(masked, i, "mut") {
-                i = skip_space(bytes, after_mut);
-            }
-            // A single plain binding only; patterns (`(a, b)`, `Some(x)`)
-            // fall out because the next byte is not an identifier start.
-            if i >= bytes.len() || !is_ident_start(bytes[i]) {
-                continue;
-            }
-            let mut end = i;
-            while end < bytes.len() && is_ident_byte(bytes[end]) {
-                end += 1;
-            }
-            let name = &masked[i..end];
-            let mut j = skip_space(bytes, end);
-            // Optional `: f64`-style ascription (simple path types only).
-            if bytes.get(j) == Some(&b':') {
-                j += 1;
-                while j < bytes.len() && (is_ident_byte(bytes[j]) || bytes[j].is_ascii_whitespace())
-                {
-                    j += 1;
-                }
-            }
-            if bytes.get(j) != Some(&b'=') || bytes.get(j + 1) == Some(&b'=') {
-                continue;
-            }
-            let Some(semi_rel) = masked[j + 1..].find(';') else {
+        for k in (0..toks.len()).filter(|&k| parse::path_at(toks, masked, k, "let")) {
+            // A single plain binding only: patterns (`(a, b)`,
+            // `Some(x)`) fall out at the `=` check below.
+            let p = k + 1 + usize::from(parse::path_at(toks, masked, k + 1, "mut"));
+            let Some(name) = ident(p).map(|t| t.text(masked)) else {
                 continue;
             };
-            let rhs = &masked[j + 1..j + 1 + semi_rel];
-            if rhs.contains(['(', ')', '[', ']', '{', '}', '<', '>', '!', '?', '&', '|']) {
+            // Optional `: f64`-style ascription (simple path types only).
+            let mut eq = p + 1;
+            if is(eq, ":") {
+                eq += 1;
+                while ident(eq).is_some() {
+                    eq += 1;
+                }
+            }
+            if !is(eq, "=") {
                 continue;
             }
-            // A `.` followed by an identifier is field/method access
-            // (which may change the unit); a digit is a float literal.
-            let rhs_bytes = rhs.as_bytes();
-            let accesses_member = rhs_bytes.iter().enumerate().any(|(k, &b)| {
-                b == b'.' && rhs_bytes.get(k + 1).is_some_and(|&n| is_ident_start(n))
+            let Some(semi) = (eq + 1..toks.len()).find(|&r| is(r, ";")) else {
+                continue;
+            };
+            let rhs = eq + 1..semi;
+            let may_convert = rhs.clone().any(|r| {
+                let s = toks[r].text(masked);
+                s.contains(['(', ')', '[', ']', '{', '}', '<', '>', '!', '?', '&', '|'])
+                    || (s == "." && ident(r + 1).is_some())
             });
-            if accesses_member {
-                continue;
-            }
-            let inherits = idents_of(rhs).any(|id| db_named(id) || tainted.contains(id));
-            if inherits && !db_named(name) && tainted.insert(name.to_owned()) {
+            let inherits = rhs.filter_map(ident).any(|t| {
+                let id = t.text(masked);
+                db_named(id) || tainted.contains(id)
+            });
+            if !may_convert && inherits && !db_named(name) && tainted.insert(name.to_owned()) {
                 changed = true;
             }
         }
@@ -534,76 +593,38 @@ fn db_tainted_bindings(masked: &str) -> std::collections::BTreeSet<String> {
     }
 }
 
-/// Iterate the identifiers of a source fragment.
-fn idents_of(fragment: &str) -> impl Iterator<Item = &str> {
-    fragment
-        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|tok| tok.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
-}
-
-fn skip_space(bytes: &[u8], mut i: usize) -> usize {
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    i
-}
-
-/// If `masked[at..]` starts with `word` on an identifier boundary,
-/// return the offset just past it.
-fn strip_word(masked: &str, at: usize, word: &str) -> Option<usize> {
-    let bytes = masked.as_bytes();
-    if masked.get(at..)?.starts_with(word) {
-        let end = at + word.len();
-        if bytes.get(end).is_none_or(|&b| !is_ident_byte(b)) {
-            return Some(end);
-        }
-    }
-    None
-}
-
 /// units: multiplying or dividing a decibel binding — one named
 /// `*_db`/`*_dbm`, or one that inherited decibel-ness through a simple
-/// `let` chain ([`db_tainted_bindings`]).
+/// `let` chain ([`db_tainted_bindings`]). Compound assignment scales
+/// too, on either side: `x_db *= 2.0` and `gain *= loss_db`.
 fn check_db_scaling(sink: &mut Sink) {
-    let masked = sink.masked();
-    let bytes = masked.as_bytes();
-    let tainted = db_tainted_bindings(masked);
-    let mut i = 0;
-    while i < bytes.len() {
-        if !is_ident_start(bytes[i]) || (i > 0 && is_ident_byte(bytes[i - 1])) {
-            i += 1;
+    let (masked, toks) = (sink.masked(), &sink.parsed().tokens);
+    let tainted = db_tainted_bindings(masked, toks);
+    let scales = |k: usize| {
+        toks.get(k)
+            .is_some_and(|t| matches!(t.text(masked), "*" | "/" | "*=" | "/="))
+    };
+    for (k, t) in toks.iter().enumerate() {
+        let ident = t.text(masked);
+        if t.kind != TokKind::Ident || !(db_named(ident) || tainted.contains(ident)) {
             continue;
         }
-        let mut end = i;
-        while end < bytes.len() && is_ident_byte(bytes[end]) {
-            end += 1;
+        if scales(k + 1) || (k > 0 && scales(k - 1)) {
+            let origin = if db_named(ident) {
+                "is a decibel quantity"
+            } else {
+                "was assigned from a decibel quantity"
+            };
+            sink.report(
+                "units",
+                t.start,
+                format!(
+                    "`{ident}` {origin}; multiplying or dividing it is a \
+                     log/linear mixup — convert with cellfi_types::units \
+                     first"
+                ),
+            );
         }
-        let ident = &masked[i..end];
-        let is_db = db_named(ident) || tainted.contains(ident);
-        if is_db {
-            let next = next_nonspace(bytes, end);
-            let prev = prev_nonspace(bytes, i);
-            let scaled =
-                matches!(next, Some(b'*') | Some(b'/')) || matches!(prev, Some(b'*') | Some(b'/'));
-            // `x * 2` vs `x *= 2`: *= on a dB binding is also scaling.
-            if scaled {
-                let origin = if db_named(ident) {
-                    "is a decibel quantity"
-                } else {
-                    "was assigned from a decibel quantity"
-                };
-                sink.report(
-                    "units",
-                    i,
-                    format!(
-                        "`{ident}` {origin}; multiplying or dividing it is a \
-                         log/linear mixup — convert with cellfi_types::units \
-                         first"
-                    ),
-                );
-            }
-        }
-        i = end;
     }
 }
 
@@ -627,130 +648,427 @@ fn check_structure(sink: &mut Sink) {
     }
 }
 
-/// Allocation markers forbidden inside `.emit(...)` argument lists.
-const EMIT_ALLOC_MARKERS: &[&str] = &[
-    "format!",
-    "vec!",
-    "to_string",
-    "to_owned",
-    "to_vec",
-    "clone",
-    "String::from",
-    "Vec::new",
-    "Box::new",
-];
-
 /// obs: `.emit(...)` must build its payload without allocating, so an
 /// emission on the disabled path costs exactly one branch — and
 /// `.register(...)` monitor check closures run every armed tick, so
-/// they must be allocation-free too.
-fn check_obs_emit(sink: &mut Sink) {
-    check_obs_alloc_free(
-        sink,
-        "emit",
-        "event payloads must be allocation-free plain numerics so disabled \
-         tracing costs one branch",
-    );
-    check_obs_alloc_free(
-        sink,
-        "register",
-        "monitor check closures run on every armed tick and must stay \
-         allocation-free (return plain Option<f64> from the facts)",
-    );
+/// they must be allocation-free too. Each argument list reports each
+/// [`EMIT_ALLOC_MARKERS`] entry at most once (its first hit); a call
+/// nested inside an audited argument list is covered by the outer one.
+fn check_obs(sink: &mut Sink) {
+    let (masked, toks) = (sink.masked(), &sink.parsed().tokens);
+    for (method, why) in [
+        (
+            "emit",
+            "event payloads must be allocation-free plain numerics so disabled \
+             tracing costs one branch",
+        ),
+        (
+            "register",
+            "monitor check closures run on every armed tick and must stay \
+             allocation-free (return plain Option<f64> from the facts)",
+        ),
+    ] {
+        let mut audited_to = 0;
+        for site in parse::method_call_sites(toks, masked, sink.all(), method) {
+            if site < audited_to {
+                continue;
+            }
+            let Some(close) = parse::match_delim(toks, masked, site + 1) else {
+                continue;
+            };
+            for marker in EMIT_ALLOC_MARKERS {
+                if let Some(hit) =
+                    (site + 2..close).find(|&k| parse::path_at(toks, masked, k, marker))
+                {
+                    sink.report(
+                        "obs",
+                        toks[hit].start,
+                        format!("`{marker}` inside .{method}(...): {why}"),
+                    );
+                }
+            }
+            audited_to = close;
+        }
+    }
 }
 
-/// Scan every `.{method}(...)` argument list for [`EMIT_ALLOC_MARKERS`]
-/// and report hits under the `obs` rule with `why` as the rationale.
-fn check_obs_alloc_free(sink: &mut Sink, method: &str, why: &str) {
-    let masked = sink.masked();
-    let bytes = masked.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = find_word(masked, method, from) {
-        from = pos + method.len();
-        let is_method = pos > 0 && bytes[pos - 1] == b'.';
-        if !is_method || bytes.get(from) != Some(&b'(') {
-            continue;
-        }
-        let Some(close) = matching_paren(bytes, from) else {
-            continue;
-        };
-        let args = &masked[from + 1..close];
-        for marker in EMIT_ALLOC_MARKERS {
-            let hit = if let Some((ty, m)) = marker.split_once("::") {
-                find_qualified(args, &[ty, m], 0).map(|(p, _)| p)
-            } else if let Some(mac) = marker.strip_suffix('!') {
-                let mut at = 0;
-                let mut found = None;
-                while let Some(p) = find_word(args, mac, at) {
-                    at = p + mac.len();
-                    if args.as_bytes().get(at) == Some(&b'!') {
-                        found = Some(p);
-                        break;
-                    }
-                }
-                found
-            } else {
-                find_word(args, marker, 0)
-            };
-            if let Some(rel) = hit {
+/// parallel: fan-out closures own their chunk; reductions merge in
+/// entity-index order.
+fn check_parallel(sink: &mut Sink) {
+    let (masked, parsed) = (sink.masked(), sink.parsed());
+    let toks = &parsed.tokens;
+    for f in &parsed.fns {
+        let Some(body) = f.body else { continue };
+        // Forked per-entity sinks must be merged back in the same fn:
+        // the absorb loop is where entity-index order is re-imposed.
+        let forks = parse::method_call_sites(toks, masked, body, "fork");
+        let absorbs = parse::method_call_sites(toks, masked, body, "absorb");
+        if let Some(&first) = forks.first() {
+            if absorbs.is_empty() {
                 sink.report(
-                    "obs",
-                    from + 1 + rel,
-                    format!("`{marker}` inside .{method}(...): {why}"),
+                    "parallel",
+                    toks[first].start,
+                    format!(
+                        "`{}` forks per-entity sinks but never absorbs them; \
+                         absorb forked state back in entity-index order in the \
+                         same fn so merged traces are schedule-independent",
+                        f.name
+                    ),
                 );
             }
         }
-        from = close;
+        for name in FAN_OUT {
+            for site in parse::call_sites(toks, masked, body, name) {
+                let open = site + 1;
+                let Some(close) = parse::match_delim(toks, masked, open) else {
+                    continue;
+                };
+                let Some(cl) = parse::closure_in_args(toks, masked, open, close) else {
+                    continue;
+                };
+                check_fanout_closure(sink, &cl, name);
+            }
+        }
     }
 }
 
-/// Offset of the `)` matching the `(` at `open`.
-fn matching_paren(bytes: &[u8], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
+/// Audit one worker closure passed to a fan-out helper.
+fn check_fanout_closure(sink: &mut Sink, cl: &Closure, fan: &str) {
+    let (masked, toks) = (sink.masked(), &sink.parsed().tokens);
+    let mut locals = dataflow::bindings_in(toks, masked, cl.body);
+    for p in &cl.params {
+        locals.insert(p);
+    }
+    for m in dataflow::mutations_in(toks, masked, cl.body) {
+        if !locals.contains(&m.base) {
+            sink.report(
+                "parallel",
+                toks[m.tok].start,
+                format!(
+                    "`{}` is captured state mutated inside a `{fan}` closure; \
+                     cross-chunk writes alias between workers — write only \
+                     through the closure's own chunk arguments and merge \
+                     reductions in entity-index order after the fan-out",
+                    m.base
+                ),
+            );
+        }
+    }
+    for tok in &toks[cl.body.0..=cl.body.1.min(toks.len().saturating_sub(1))] {
+        if tok.kind != TokKind::Ident {
+            continue;
+        }
+        let s = tok.text(masked);
+        if SYNC_TOKENS.contains(&s) || s.starts_with("Atomic") {
+            sink.report(
+                "parallel",
+                tok.start,
+                format!(
+                    "`{s}` inside a `{fan}` closure: scheduling-dependent \
+                     synchronization breaks byte-identical replay — restructure \
+                     so each chunk owns its slice and merge after the fan-out"
+                ),
+            );
+        }
+    }
+    for site in parse::method_call_sites(toks, masked, cl.body, "emit") {
+        let base = dataflow::path_base_before(toks, masked, site.saturating_sub(1));
+        if base.is_some_and(|b| !locals.contains(&b)) {
+            sink.report(
+                "parallel",
+                toks[site].start,
+                format!(
+                    "emitting through a captured sink inside a `{fan}` closure \
+                     interleaves events in schedule order; fork a per-entity \
+                     sink into the chunk and absorb it in entity-index order"
+                ),
+            );
+        }
+    }
+}
+
+/// slab: multiply-add / multiply-range arithmetic inside an index
+/// expression re-derives slab strides.
+fn check_slab(sink: &mut Sink) {
+    let (masked, toks) = (sink.masked(), &sink.parsed().tokens);
+    for k in 0..toks.len() {
+        if !toks[k].is(masked, "[") {
+            continue;
+        }
+        // Indexing context: `expr[...]`, i.e. the bracket follows a
+        // value (identifier, literal, or a closed group). `vec![…]`,
+        // attributes, array literals/types all follow punctuation.
+        if k == 0 {
+            continue;
+        }
+        let prev = toks[k - 1].text(masked);
+        let indexing = matches!(toks[k - 1].kind, TokKind::Ident | TokKind::Num)
+            && !matches!(prev, "return" | "in" | "break" | "match" | "else")
+            || prev == ")"
+            || prev == "]";
+        if !indexing {
+            continue;
+        }
+        let Some(close) = parse::match_delim(toks, masked, k) else {
+            continue;
+        };
+        let mut has_mul = false;
+        let mut has_add = false;
+        let mut has_range = false;
+        let mut q = k + 1;
+        while q < close {
+            let s = toks[q].text(masked);
+            if s == "[" {
+                // Nested index: audited on its own visit.
+                q = parse::match_delim(toks, masked, q).map_or(q + 1, |c| c + 1);
+                continue;
+            }
+            let binary = q > 0
+                && (matches!(toks[q - 1].kind, TokKind::Ident | TokKind::Num)
+                    || toks[q - 1].is(masked, ")")
+                    || toks[q - 1].is(masked, "]"));
+            match s {
+                "*" if binary => has_mul = true,
+                "+" if binary => has_add = true,
+                ".." | "..=" => has_range = true,
+                _ => {}
+            }
+            q += 1;
+        }
+        if has_mul && (has_add || has_range) {
+            sink.report(
+                "slab",
+                toks[k].start,
+                "raw stride arithmetic inside an index re-derives slab \
+                 offsets; go through the Slab2/Slab3 accessors \
+                 (crates/sim/src/slab.rs) so layout changes cannot \
+                 desynchronize hand-rolled index math"
+                    .to_owned(),
+            );
+        }
+    }
+}
+
+/// hot: fns reachable from `// cellfi-lint: hot` roots stay
+/// allocation-free outside reserved scratch.
+fn check_hot(sink: &mut Sink) {
+    let (masked, parsed) = (sink.masked(), sink.parsed());
+    if !parsed.fns.iter().any(|f| f.hot) {
+        return;
+    }
+    // Propagate hotness through direct same-file calls (callee-name
+    // matching; duplicate names are all marked — conservative).
+    let mut hot_root: BTreeMap<usize, String> = BTreeMap::new();
+    let mut work: Vec<usize> = Vec::new();
+    for (i, f) in parsed.fns.iter().enumerate() {
+        if f.hot {
+            hot_root.insert(i, f.name.clone());
+            work.push(i);
+        }
+    }
+    while let Some(i) = work.pop() {
+        let Some(body) = parsed.fns[i].body else {
+            continue;
+        };
+        let root = hot_root.get(&i).cloned().unwrap_or_default();
+        for callee in parse::callee_names(&parsed.tokens, masked, body) {
+            for (j, g) in parsed.fns.iter().enumerate() {
+                if g.name == callee && !hot_root.contains_key(&j) {
+                    hot_root.insert(j, root.clone());
+                    work.push(j);
                 }
             }
-            _ => {}
-        }
-        i += 1;
-    }
-    None
-}
-
-fn next_nonspace(bytes: &[u8], mut i: usize) -> Option<u8> {
-    while i < bytes.len() {
-        if !bytes[i].is_ascii_whitespace() {
-            return Some(bytes[i]);
-        }
-        i += 1;
-    }
-    None
-}
-
-fn prev_nonspace(bytes: &[u8], i: usize) -> Option<u8> {
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        if !bytes[j].is_ascii_whitespace() {
-            return Some(bytes[j]);
         }
     }
-    None
+    for (&i, root) in &hot_root {
+        check_hot_body(sink, i, root);
+    }
 }
 
-fn is_ident_start(b: u8) -> bool {
-    b.is_ascii_alphabetic() || b == b'_'
+/// Scan one hot fn body for allocation and slab-clone sites.
+fn check_hot_body(sink: &mut Sink, fn_idx: usize, root: &str) {
+    let (masked, parsed) = (sink.masked(), sink.parsed());
+    let toks = &parsed.tokens;
+    let f = &parsed.fns[fn_idx];
+    let Some(body) = f.body else { return };
+    let mut bindings = dataflow::bindings_in(toks, masked, body);
+    for p in &f.params {
+        bindings.insert_typed(&p.name, &p.ty);
+    }
+    let scratch_named = |idents: &[String]| idents.iter().any(|s| s.contains("scratch"));
+    let hi = body.1.min(toks.len().saturating_sub(1));
+    for k in body.0..=hi {
+        if toks[k].kind != TokKind::Ident {
+            continue;
+        }
+        let s = toks[k].text(masked);
+        // Allocating macros: `format!` always, `vec!` unless scratch.
+        if parse::path_at(toks, masked, k, "format!") {
+            report_hot(sink, toks[k].start, root, "format! allocates a String");
+            continue;
+        }
+        if parse::path_at(toks, masked, k, "vec!") {
+            if !scratch_named(&dataflow::assign_target_idents(toks, masked, k)) {
+                report_hot(sink, toks[k].start, root, "vec! allocates");
+            }
+            continue;
+        }
+        // Qualified constructors: `Vec::new`, `Box::new`, …
+        if let Some(&(path, exemptable)) = HOT_QUALIFIED
+            .iter()
+            .find(|&&(path, _)| parse::path_at(toks, masked, k, path))
+        {
+            let exempt =
+                exemptable && scratch_named(&dataflow::assign_target_idents(toks, masked, k));
+            if !exempt {
+                report_hot(sink, toks[k].start, root, &format!("{path} allocates"));
+            }
+            continue;
+        }
+        // Method calls: allocation set and slab clones.
+        let is_method = k > 0
+            && toks[k - 1].is(masked, ".")
+            && toks.get(k + 1).is_some_and(|n| n.is(masked, "("));
+        if !is_method {
+            continue;
+        }
+        if HOT_FORBIDDEN_METHODS.contains(&s) {
+            let exempt = if HOT_SCRATCH_EXEMPT.contains(&s) {
+                // `push`/`extend`/`insert` refill their receiver;
+                // `collect` lands in its assignment target.
+                let idents = if s == "collect" {
+                    dataflow::assign_target_idents(toks, masked, k)
+                } else {
+                    dataflow::path_idents_before(toks, masked, k - 1)
+                };
+                scratch_named(&idents)
+            } else {
+                false
+            };
+            if !exempt {
+                report_hot(sink, toks[k].start, root, &format!(".{s}() allocates"));
+            }
+            continue;
+        }
+        if s == "clone" {
+            let base = dataflow::path_base_before(toks, masked, k - 1);
+            let slab_typed = base
+                .as_deref()
+                .and_then(|b| bindings.ty(b))
+                .is_some_and(|ty| ty.contains("Slab2") || ty.contains("Slab3"));
+            if slab_typed {
+                report_hot(
+                    sink,
+                    toks[k].start,
+                    root,
+                    ".clone() on a slab copies the whole tensor",
+                );
+            }
+        }
+    }
 }
 
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
+fn report_hot(sink: &mut Sink, offset: usize, root: &str, what: &str) {
+    sink.report(
+        "hot",
+        offset,
+        format!(
+            "{what} in a per-subframe hot path (reached from \
+             `// cellfi-lint: hot` root `{root}`); steady-state subframes \
+             must reuse reserved *_scratch buffers instead"
+        ),
+    );
+}
+
+/// cachegen: slab gain writes bump `gain_gen`; association writes bump
+/// `assoc_gen` — in the same fn as the mutation.
+fn check_cachegen(sink: &mut Sink) {
+    let (masked, parsed) = (sink.masked(), sink.parsed());
+    let toks = &parsed.tokens;
+    for f in &parsed.fns {
+        let Some(body) = f.body else { continue };
+        let hi = body.1.min(toks.len().saturating_sub(1));
+        let bumps = |gen_name: &str| -> bool {
+            (body.0..=hi).any(|k| {
+                toks[k].kind == TokKind::Ident
+                    && toks[k].is(masked, gen_name)
+                    && toks
+                        .get(k + 1)
+                        .is_some_and(|n| n.is(masked, "+=") || n.is(masked, "="))
+            })
+        };
+        let mut gain_sites = Vec::new();
+        let mut assoc_sites = Vec::new();
+        for k in body.0..=hi {
+            if toks[k].kind != TokKind::Ident {
+                continue;
+            }
+            let s = toks[k].text(masked);
+            // `self.<gain field>.<mutating accessor>(…)` or a wholesale
+            // `self.<gain field> = …` replacement.
+            if s == "self"
+                && toks.get(k + 1).is_some_and(|t| t.is(masked, "."))
+                && toks
+                    .get(k + 2)
+                    .is_some_and(|t| GAIN_FIELDS.contains(&t.text(masked)))
+            {
+                let write = match toks.get(k + 3).map(|t| t.text(masked)) {
+                    Some(".") => toks
+                        .get(k + 4)
+                        .is_some_and(|t| GAIN_MUT_METHODS.contains(&t.text(masked)))
+                        .then_some(k + 4),
+                    Some("=") => Some(k + 2),
+                    _ => None,
+                };
+                if let Some(site) = write {
+                    gain_sites.push((site, toks.get(k + 2).map_or("", |t| t.text(masked))));
+                }
+            }
+            // `….assoc[ue] = …` association rewrites.
+            if s == "assoc" && k > 0 && toks[k - 1].is(masked, ".") {
+                if let Some(close) = toks
+                    .get(k + 1)
+                    .filter(|t| t.is(masked, "["))
+                    .and_then(|_| parse::match_delim(toks, masked, k + 1))
+                {
+                    let writes = toks
+                        .get(close + 1)
+                        .is_some_and(|t| t.is(masked, "=") || t.is(masked, "+="));
+                    if writes {
+                        assoc_sites.push(k);
+                    }
+                }
+            }
+        }
+        if !gain_sites.is_empty() && !bumps("gain_gen") {
+            for (site, field) in gain_sites {
+                sink.report(
+                    "cachegen",
+                    toks[site].start,
+                    format!(
+                        "`{}` writes slab gain state (`{field}`) without bumping \
+                         `gain_gen`; the (gain_gen, set_id) cache keys would \
+                         replay stale interference/CQI for the changed gains",
+                        f.name
+                    ),
+                );
+            }
+        }
+        if !assoc_sites.is_empty() && !bumps("assoc_gen") {
+            for site in assoc_sites {
+                sink.report(
+                    "cachegen",
+                    toks[site].start,
+                    format!(
+                        "`{}` rewrites the association table without bumping \
+                         `assoc_gen`; the CQI memo would replay scans for the \
+                         old association",
+                        f.name
+                    ),
+                );
+            }
+        }
+    }
 }
 
 /// lint-allow: every directive must be well-formed, reasoned, and used.
@@ -805,56 +1123,4 @@ fn push_hygiene(sink: &mut Sink, line: usize, message: String) {
         line,
         message,
     });
-}
-
-/// Find `a :: b` (whitespace-tolerant); returns (start of `a`, end of `b`).
-fn find_qualified(masked: &str, path: &[&str], from: usize) -> Option<(usize, usize)> {
-    let bytes = masked.as_bytes();
-    let mut search = from;
-    loop {
-        let pos = find_word(masked, path[0], search)?;
-        search = pos + path[0].len();
-        let mut j = search;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if bytes.get(j) != Some(&b':') || bytes.get(j + 1) != Some(&b':') {
-            continue;
-        }
-        j += 2;
-        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-            j += 1;
-        }
-        if masked[j..].starts_with(path[1]) {
-            let end = j + path[1].len();
-            let boundary = bytes.get(end).is_none_or(|&b| !is_ident_byte(b));
-            if boundary {
-                return Some((pos, end));
-            }
-        }
-    }
-}
-
-/// If `masked[at..]` (after optional whitespace) opens a string literal,
-/// return the byte offsets of its opening and closing quotes. Offsets
-/// map 1:1 onto the raw source, so callers can read the literal's
-/// contents there. `None` for non-literal arguments.
-fn string_literal_span(masked: &str, at: usize) -> Option<(usize, usize)> {
-    let bytes = masked.as_bytes();
-    let mut i = at;
-    while i < bytes.len() && bytes[i].is_ascii_whitespace() {
-        i += 1;
-    }
-    if bytes.get(i) != Some(&b'"') {
-        return None;
-    }
-    let open = i;
-    let close = masked[open + 1..].find('"')? + open + 1;
-    Some((open, close))
-}
-
-/// Whether an `.expect()` message contains a curated invariant stem.
-fn states_invariant(msg: &str) -> bool {
-    let lower = msg.to_ascii_lowercase();
-    INVARIANT_STEMS.iter().any(|stem| lower.contains(stem))
 }

@@ -175,6 +175,23 @@ fn panic_ignores_strings_comments_and_test_code() {
 }
 
 #[test]
+fn test_exemption_requires_a_test_only_cfg() {
+    // `not(test)` and `any(test, …)` guard code that ships: still linted.
+    for cfg in ["not(test)", "any(test, feature = \"x\")"] {
+        let f = lint_core(&format!(
+            "#[cfg({cfg})]\nfn f(x: Option<u32>) -> u32 {{ x.unwrap() }}\n"
+        ));
+        assert_eq!(rules(&f), ["panic"], "{cfg}: {f:?}");
+        assert_eq!(f[0].line, 2, "{cfg}: {f:?}");
+    }
+    // `test` as a direct argument of `all(...)` is test-only.
+    let f = lint_core(
+        "#[cfg(all(test, feature = \"x\"))]\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+    );
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
 fn panic_flags_outcome_phrased_expects() {
     // Long enough, but names the failure instead of the invariant.
     let f = lint_core("fn f(x: Option<u32>) -> u32 { x.expect(\"bad channel number\") }\n");
@@ -236,6 +253,11 @@ fn units_flags_scaling_of_decibel_bindings() {
     let f = lint_core("fn f(snr_db: f64) -> f64 { snr_db * 2.0 }\n");
     assert_eq!(rules(&f), ["units"], "{f:?}");
     let f = lint_core("fn f(p_dbm: f64) -> f64 { p_dbm / 2.0 }\n");
+    assert_eq!(rules(&f), ["units"], "{f:?}");
+    // Compound assignment by a dB binding scales the target just the same.
+    let f = lint_core("fn f(mut gain: f64, loss_db: f64) -> f64 { gain *= loss_db; gain }\n");
+    assert_eq!(rules(&f), ["units"], "{f:?}");
+    let f = lint_core("fn f(mut x: f64, snr_db: f64) -> f64 { x /= snr_db; x }\n");
     assert_eq!(rules(&f), ["units"], "{f:?}");
 }
 
@@ -674,6 +696,16 @@ fn allow_for_a_different_rule_does_not_suppress() {
         r.contains(&"lint-allow"),
         "unused allow(units) is flagged: {f:?}"
     );
+}
+
+#[test]
+fn malformed_directive_is_flagged_and_suppresses_nothing() {
+    let f = lint_core(
+        "// cellfi-lint: allw(panic) — typo\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
+    );
+    let got: Vec<(&str, usize)> = f.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(got, [("lint-allow", 1), ("panic", 2)], "{f:?}");
+    assert!(f[0].message.starts_with("malformed directive"), "{f:?}");
 }
 
 #[test]

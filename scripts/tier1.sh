@@ -16,16 +16,17 @@ cargo build --workspace --release --offline
 echo "== tier1: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-echo "== tier1: cellfi-lint (v1 hygiene + v2 parallel/slab/hot/cachegen, deny-by-default) =="
-cargo run -q -p cellfi-lint --offline
-
-echo "== tier1: cellfi-lint baseline self-check (--json vs committed empty baseline) =="
-# The workspace ships lint-zero: the machine-readable report must stay
-# byte-identical to the committed empty-findings baseline, so a rule
-# regression (or a sneaky allowlist) cannot pass silently even if the
-# exit-code path above changes.
+echo "== tier1: cellfi-lint (deny-by-default, --json vs committed empty baseline) =="
+# The workspace ships lint-zero: any finding fails the run and prints
+# the report, and the machine-readable report must stay byte-identical
+# to the committed empty-findings baseline, so a rule regression (or a
+# sneaky allowlist) cannot pass silently.
 LINT_TMP=$(mktemp)
-cargo run -q -p cellfi-lint --offline -- --json > "$LINT_TMP"
+if ! cargo run -q -p cellfi-lint --offline -- --json > "$LINT_TMP"; then
+    cat "$LINT_TMP"
+    rm -f "$LINT_TMP"
+    exit 1
+fi
 diff tests/goldens/lint_baseline.json "$LINT_TMP"
 rm -f "$LINT_TMP"
 

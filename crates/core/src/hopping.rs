@@ -23,7 +23,6 @@ use crate::bucket::Bucket;
 use cellfi_types::SubchannelId;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
 
@@ -103,11 +102,6 @@ impl Hopper {
             m[s.index()] = true;
         }
         m
-    }
-
-    /// Bucket value of an owned subchannel (diagnostics).
-    pub fn bucket_value(&self, s: SubchannelId) -> Option<f64> {
-        self.owned.get(&s).map(|b| b.value())
     }
 
     fn unowned(&self) -> Vec<SubchannelId> {
@@ -218,12 +212,6 @@ impl Hopper {
         self.owned.remove(&from);
         let b = Bucket::draw(self.lambda, &mut self.rng);
         self.owned.insert(to, b);
-    }
-
-    /// Uniform random draw in `[0, 1)` from the hopper's own stream
-    /// (lets the manager make randomized decisions without a second RNG).
-    pub fn gen_uniform(&mut self) -> f64 {
-        self.rng.gen()
     }
 }
 

@@ -67,11 +67,6 @@ impl Band {
         }
     }
 
-    /// Lowest carrier frequency of the band.
-    pub fn f_low(self) -> Hertz {
-        Hertz::from_mhz(self.row().f_low_mhz)
-    }
-
     /// Inclusive EARFCN range of the band.
     pub fn earfcn_range(self) -> (u32, u32) {
         let r = self.row();

@@ -6,6 +6,7 @@
 //! deterministic. Everything is plain integers/floats: no interning, no
 //! background thread, no wall clock.
 
+use crate::trace::write_f64;
 use cellfi_types::time::Instant;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -230,14 +231,6 @@ impl Registry {
             out.push_str("}\n");
         }
         out
-    }
-}
-
-fn write_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
     }
 }
 

@@ -6,7 +6,7 @@
 //! experiment. The grammar, mirrored by `exp trace-query`:
 //!
 //! * **filter** — `kind` (the `"ev"` field), `entity` (the kind's
-//!   primary entity field, see [`entity_field`]), and an inclusive
+//!   entity id, the first field of its [`KindSpec`]), and an inclusive
 //!   `[tick_lo, tick_hi]` microsecond range on `"t"`;
 //! * **group-by** — any field name (`cell`, `ue`, `channel`, `ev`, …);
 //!   rows missing the field group under `-`;
@@ -14,22 +14,62 @@
 //!   `q<frac>:<field>` (nearest-rank quantile, e.g. `q0.9:margin_us`).
 //!
 //! Output is a deterministic tab-separated table: a header, one row per
-//! group (numeric group keys sort numerically), and a `total` row. The
-//! parser handles exactly the flat one-object-per-line JSON the tracer
-//! writes; it is not a general JSON reader.
+//! group (numeric group keys sort numerically), and a `total` row.
+//!
+//! [`parse_line`] is the one reader of the JSONL this crate writes
+//! (traces, metrics snapshots, sketches): `trace-query`, `replay` and
+//! `trace-diff` all go through it. It handles exactly the flat
+//! one-object-per-line JSON the writers emit; it is not a general JSON
+//! reader.
 
-/// One parsed field value from a trace line.
-#[derive(Debug, Clone, PartialEq)]
-enum FieldVal<'a> {
-    Num(f64),
+use crate::trace::KindSpec;
+
+/// One field value of a trace line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldVal<'a> {
+    /// A number: its value, and its text as written (integers read back
+    /// exactly through [`FieldVal::int`]).
+    Num(f64, &'a str),
+    /// A plain string, or the unsplit inner text of an array.
     Str(&'a str),
+    /// `null`, the writers' spelling of a non-finite value.
     Null,
 }
 
-/// Parse one flat JSONL trace line into `(key, value)` pairs in field
-/// order. Returns `None` on anything that is not a flat object of
-/// numbers / plain strings / nulls.
-fn parse_line(line: &str) -> Option<Vec<(&str, FieldVal<'_>)>> {
+impl FieldVal<'_> {
+    /// The value as an unsigned integer, when it is written as one.
+    pub fn int(&self) -> Option<u64> {
+        match self {
+            FieldVal::Num(_, text) => text.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+/// One parsed line: its `(key, value)` pairs in field order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Line<'a>(pub Vec<(&'a str, FieldVal<'a>)>);
+
+impl<'a> Line<'a> {
+    /// The value of field `name`, if the line has it.
+    pub fn get(&self, name: &str) -> Option<FieldVal<'a>> {
+        self.0.iter().find(|(k, _)| *k == name).map(|&(_, v)| v)
+    }
+
+    /// The event kind (the `"ev"` string); `None` for lines that are not
+    /// events (metrics, sketches).
+    pub fn kind(&self) -> Option<&'a str> {
+        match self.get("ev") {
+            Some(FieldVal::Str(ev)) => Some(ev),
+            _ => None,
+        }
+    }
+}
+
+/// Parse one flat JSONL line into its fields. Returns `None` on anything
+/// that is not a flat object of numbers / plain strings / nulls / flat
+/// arrays.
+pub fn parse_line(line: &str) -> Option<Line<'_>> {
     let s = line.trim();
     let s = s.strip_prefix('{')?.strip_suffix('}')?;
     let mut out = Vec::new();
@@ -53,8 +93,8 @@ fn parse_line(line: &str) -> Option<Vec<(&str, FieldVal<'_>)>> {
                 .find(',')
                 .unwrap_or(rest.len())
                 .min(rest.find('}').unwrap_or(rest.len()));
-            let v: f64 = rest[..vend].parse().ok()?;
-            (FieldVal::Num(v), &rest[vend..])
+            let text = &rest[..vend];
+            (FieldVal::Num(text.parse().ok()?, text), &rest[vend..])
         };
         out.push((key, val));
         match tail.strip_prefix(',') {
@@ -67,19 +107,7 @@ fn parse_line(line: &str) -> Option<Vec<(&str, FieldVal<'_>)>> {
             }
         }
     }
-    Some(out)
-}
-
-/// The primary entity field per event kind — what `--entity` filters
-/// on. Mirrors `Event::entity`.
-pub fn entity_field(kind: &str) -> Option<&'static str> {
-    match kind {
-        "hop" | "share" | "prach" | "pack" | "fault_inject" | "lease_renew" | "degrade"
-        | "recover" | "sched" => Some("cell"),
-        "cqi_interf" | "harq_retx" => Some("ue"),
-        "paws_grant" | "paws_renew" | "paws_vacate" | "paws_vacated" => Some("channel"),
-        _ => None,
-    }
+    Some(Line(out))
 }
 
 /// The aggregate operator.
@@ -214,25 +242,22 @@ pub fn run_query(input: &str, query: &Query) -> Result<String, String> {
         }
         let fields =
             parse_line(line).ok_or_else(|| format!("line {}: unparseable: {line}", lineno + 1))?;
-        let get = |name: &str| fields.iter().find(|(k, _)| *k == name).map(|(_, v)| v);
-        let tick = match get("t") {
-            Some(FieldVal::Num(t)) => *t as u64,
+        let tick = match fields.get("t") {
+            Some(FieldVal::Num(t, _)) => t as u64,
             _ => continue, // not an event line (e.g. a sketch record)
         };
         if query.tick_lo.is_some_and(|lo| tick < lo) || query.tick_hi.is_some_and(|hi| tick > hi) {
             continue;
         }
-        let ev = match get("ev") {
-            Some(FieldVal::Str(ev)) => *ev,
-            _ => continue,
+        let Some(ev) = fields.kind() else {
+            continue;
         };
         if query.kind.as_deref().is_some_and(|k| k != ev) {
             continue;
         }
         if let Some(want) = query.entity {
-            let field = entity_field(ev);
-            let id = field.and_then(|f| match get(f) {
-                Some(FieldVal::Num(v)) => Some(*v as u32),
+            let id = KindSpec::named(ev).and_then(|k| match fields.get(k.fields[0]) {
+                Some(FieldVal::Num(v, _)) => Some(v as u32),
                 _ => None,
             });
             if id != Some(want) {
@@ -242,18 +267,18 @@ pub fn run_query(input: &str, query: &Query) -> Result<String, String> {
         matched += 1;
         let key = match &query.group_by {
             None => GroupKey("all".to_owned()),
-            Some(f) => GroupKey(match get(f) {
-                Some(FieldVal::Num(v)) => format_num(*v),
-                Some(FieldVal::Str(s)) => (*s).to_owned(),
+            Some(f) => GroupKey(match fields.get(f) {
+                Some(FieldVal::Num(v, _)) => format_num(v),
+                Some(FieldVal::Str(s)) => s.to_owned(),
                 Some(FieldVal::Null) | None => "-".to_owned(),
             }),
         };
         let acc = groups.entry(key).or_default();
         acc.rows += 1;
         if let Some(f) = query.agg.field() {
-            if let Some(FieldVal::Num(v)) = get(f) {
+            if let Some(FieldVal::Num(v, _)) = fields.get(f) {
                 if v.is_finite() {
-                    acc.values.push(*v);
+                    acc.values.push(v);
                 }
             }
         }
@@ -416,6 +441,58 @@ mod tests {
         let err = run_query("{\"t\":1,\"ev\":\"hop\"}\nnot json\n", &Query::default())
             .expect_err("malformed input");
         assert!(err.starts_with("line 2:"), "{err}");
+    }
+
+    #[test]
+    fn entity_filter_takes_each_kinds_entity_field_from_the_schema() {
+        for (kind, line) in [
+            (
+                "cull",
+                "{\"t\":1,\"ev\":\"cull\",\"ue\":3,\"kept\":4,\"culled\":12}",
+            ),
+            (
+                "shard_outage",
+                "{\"t\":2,\"ev\":\"shard_outage\",\"shard\":3,\"until_us\":4}",
+            ),
+            (
+                "cache_hit",
+                "{\"t\":3,\"ev\":\"cache_hit\",\"shard\":3,\"age_us\":4}",
+            ),
+            (
+                "renew_batch",
+                "{\"t\":4,\"ev\":\"renew_batch\",\"shard\":3,\"size\":4}",
+            ),
+        ] {
+            let count = |entity| {
+                let q = Query {
+                    kind: Some(kind.to_owned()),
+                    entity: Some(entity),
+                    ..Query::default()
+                };
+                run_query(line, &q).expect("query runs")
+            };
+            assert_eq!(
+                count(3),
+                "group\tn\tcount\nall\t1\t1\ntotal\t1\t1\n",
+                "{line}"
+            );
+            assert_eq!(count(4), "group\tn\tcount\ntotal\t0\t0\n", "{line}");
+        }
+    }
+
+    #[test]
+    fn numbers_keep_their_text_so_integers_read_back_exactly() {
+        let line = parse_line("{\"t\":18446744073709551615,\"x\":-2.5,\"s\":\"a\",\"n\":null}")
+            .expect("flat line parses");
+        let t = line.get("t").expect("t present");
+        assert_eq!(t.int(), Some(u64::MAX));
+        assert!(matches!(t, FieldVal::Num(v, "18446744073709551615") if v == u64::MAX as f64));
+        assert_eq!(line.get("x"), Some(FieldVal::Num(-2.5, "-2.5")));
+        assert_eq!(line.get("x").and_then(|v| v.int()), None);
+        assert_eq!(line.get("s"), Some(FieldVal::Str("a")));
+        assert_eq!(line.get("n"), Some(FieldVal::Null));
+        assert_eq!(line.get("missing"), None);
+        assert_eq!(line.kind(), None, "no \"ev\" field: not an event line");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! of `CELLFI_THREADS` (the per-entity [`EventSink`] merge below is what
 //! makes that hold inside parallel regions).
 
+use cellfi_types::rng::splitmix64;
 use cellfi_types::time::Instant;
 use std::fmt::Write as _;
 
@@ -206,136 +207,254 @@ pub enum Event {
 /// Number of distinct event kinds (one per [`Event`] variant).
 pub const N_KINDS: usize = 19;
 
+/// One payload value of an event, as the JSONL stream writes it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Value {
+    /// An id, count, code or bitmask.
+    Int(u64),
+    /// Microseconds of simulation time. A sketch aggregates it in
+    /// seconds (`/ 1e6`) so it fits a fixed range.
+    Micros(u64),
+    /// A dB or utility value; a non-finite one is written as `null`.
+    Real(f64),
+}
+
+impl Value {
+    /// The value a sketch aggregates.
+    fn sample(self) -> f64 {
+        match self {
+            Value::Int(x) => x as f64,
+            Value::Micros(us) => us as f64 / 1e6,
+            Value::Real(x) => x,
+        }
+    }
+}
+
+/// The schema of one event kind, stated once: the writer, the sketches,
+/// stratified sampling and `trace-query --entity` all read it from here.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct KindSpec {
+    /// The `"ev"` field value.
+    pub name: &'static str,
+    /// Payload field names in record order. The first is the kind's
+    /// entity id: the cell for cell-scoped events, the UE for per-client
+    /// reports, the channel for PAWS lease events, the shard for fleet
+    /// events.
+    pub fields: &'static [&'static str],
+    /// Index into `fields` of the value a sketch aggregates; `None` for
+    /// count-only kinds (pure lease bookkeeping).
+    pub value: Option<usize>,
+    /// Sketch value range `(lo, hi)`, fixed at compile time so two
+    /// sketches of one kind always share bucket edges and merge
+    /// bucket-by-bucket. Count-only kinds never bucket a value.
+    pub range: (f64, f64),
+}
+
+impl KindSpec {
+    /// The schema of the kind whose `"ev"` value is `name`.
+    pub fn named(name: &str) -> Option<&'static KindSpec> {
+        KINDS.iter().find(|k| k.name == name)
+    }
+}
+
+/// A kind whose sketch aggregates `fields[value]` over `[lo, hi)`.
+const fn valued(
+    name: &'static str,
+    fields: &'static [&'static str],
+    value: usize,
+    lo: f64,
+    hi: f64,
+) -> KindSpec {
+    KindSpec {
+        name,
+        fields,
+        value: Some(value),
+        range: (lo, hi),
+    }
+}
+
+/// A count-only kind.
+const fn counted(name: &'static str, fields: &'static [&'static str]) -> KindSpec {
+    KindSpec {
+        name,
+        fields,
+        value: None,
+        range: (0.0, 1.0),
+    }
+}
+
+/// Every kind's schema, indexed by [`Event::kind_code`]. Sketch ranges:
+/// hop utilities on the bps scale, dB values within ±40, subchannel
+/// indices and counts within the grid, vacate margins and cache ages in
+/// seconds.
+pub const KINDS: [KindSpec; N_KINDS] = [
+    valued(
+        "hop",
+        &["cell", "from", "to", "from_utility", "to_utility"],
+        4,
+        0.0,
+        1e8,
+    ),
+    valued("share", &["cell", "own", "heard", "share"], 3, 0.0, 32.0),
+    valued("prach", &["cell", "ue", "snr_db"], 2, -40.0, 40.0),
+    valued(
+        "cqi_interf",
+        &["ue", "sub", "sinr_db", "clean_db"],
+        2,
+        -40.0,
+        40.0,
+    ),
+    valued("pack", &["cell", "from", "to"], 2, 0.0, 32.0),
+    counted("paws_grant", &["channel", "expires_us"]),
+    counted("paws_renew", &["channel", "expires_us"]),
+    counted("paws_vacate", &["channel", "deadline_us"]),
+    valued("paws_vacated", &["channel", "margin_us"], 1, 0.0, 120.0),
+    valued("fault_inject", &["cell", "kind"], 1, 0.0, 8.0),
+    counted("lease_renew", &["cell", "channel", "expires_us"]),
+    valued("degrade", &["cell", "channel", "step"], 2, 0.0, 4.0),
+    counted("recover", &["cell", "channel"]),
+    valued("sched", &["cell", "mask", "owned"], 2, 0.0, 32.0),
+    valued("harq_retx", &["ue", "cell", "process"], 2, 0.0, 16.0),
+    valued("cull", &["ue", "kept", "culled"], 2, 0.0, 64.0),
+    counted("shard_outage", &["shard", "until_us"]),
+    valued("cache_hit", &["shard", "age_us"], 1, 0.0, 16.0),
+    valued("renew_batch", &["shard", "size"], 1, 0.0, 256.0),
+];
+
+/// Most payload fields any kind carries (`hop`).
+const MAX_FIELDS: usize = 5;
+
+/// A kind code with its payload padded to [`MAX_FIELDS`].
+fn payload<const N: usize>(code: usize, values: [Value; N]) -> (usize, [Value; MAX_FIELDS]) {
+    let mut out = [Value::Int(0); MAX_FIELDS];
+    out[..N].copy_from_slice(&values);
+    (code, out)
+}
+
 impl Event {
+    /// The one per-variant listing: the kind code (the index into
+    /// [`KINDS`]) and the payload values in that kind's field order.
+    fn payload(&self) -> (usize, [Value; MAX_FIELDS]) {
+        use Value::{Micros, Real};
+        let n = |x: u32| Value::Int(x.into());
+        match *self {
+            Event::Hop {
+                cell,
+                from,
+                to,
+                from_utility,
+                to_utility,
+            } => payload(
+                0,
+                [
+                    n(cell),
+                    n(from),
+                    n(to),
+                    Real(from_utility),
+                    Real(to_utility),
+                ],
+            ),
+            Event::Share {
+                cell,
+                own_active,
+                heard_active,
+                share,
+            } => payload(1, [n(cell), n(own_active), n(heard_active), n(share)]),
+            Event::PrachHeard { cell, ue, snr_db } => payload(2, [n(cell), n(ue), Real(snr_db)]),
+            Event::CqiInterference {
+                ue,
+                subchannel,
+                sinr_db,
+                clean_db,
+            } => payload(3, [n(ue), n(subchannel), Real(sinr_db), Real(clean_db)]),
+            Event::Pack { cell, from, to } => payload(4, [n(cell), n(from), n(to)]),
+            Event::PawsGrant {
+                channel,
+                expires_us,
+            } => payload(5, [n(channel), Micros(expires_us)]),
+            Event::PawsRenew {
+                channel,
+                expires_us,
+            } => payload(6, [n(channel), Micros(expires_us)]),
+            Event::PawsVacate {
+                channel,
+                deadline_us,
+            } => payload(7, [n(channel), Micros(deadline_us)]),
+            Event::PawsVacated { channel, margin_us } => {
+                payload(8, [n(channel), Micros(margin_us)])
+            }
+            Event::FaultInject { cell, kind } => payload(9, [n(cell), n(kind)]),
+            Event::LeaseRenew {
+                cell,
+                channel,
+                expires_us,
+            } => payload(10, [n(cell), n(channel), Micros(expires_us)]),
+            Event::Degrade {
+                cell,
+                channel,
+                step,
+            } => payload(11, [n(cell), n(channel), n(step)]),
+            Event::Recover { cell, channel } => payload(12, [n(cell), n(channel)]),
+            Event::Sched {
+                cell,
+                mask_bits,
+                owned,
+            } => payload(13, [n(cell), n(mask_bits), n(owned)]),
+            Event::HarqRetx { ue, cell, process } => payload(14, [n(ue), n(cell), n(process)]),
+            Event::Cull { ue, kept, culled } => payload(15, [n(ue), n(kept), n(culled)]),
+            Event::ShardOutage { shard, until_us } => payload(16, [n(shard), Micros(until_us)]),
+            Event::CacheHit { shard, age_us } => payload(17, [n(shard), Micros(age_us)]),
+            Event::RenewBatch { shard, size } => payload(18, [n(shard), n(size)]),
+        }
+    }
+
+    /// This event's kind schema.
+    pub fn spec(&self) -> &'static KindSpec {
+        &KINDS[self.payload().0]
+    }
+
     /// Stable kind name — the `"ev"` field value in the JSONL stream.
     pub fn kind(&self) -> &'static str {
-        KIND_NAMES[self.kind_code() as usize]
+        self.spec().name
     }
 
     /// Dense kind code, `0..N_KINDS`, stable across releases (new kinds
     /// append). Sampling keys and sketch tables index on it.
     pub fn kind_code(&self) -> u32 {
-        match self {
-            Event::Hop { .. } => 0,
-            Event::Share { .. } => 1,
-            Event::PrachHeard { .. } => 2,
-            Event::CqiInterference { .. } => 3,
-            Event::Pack { .. } => 4,
-            Event::PawsGrant { .. } => 5,
-            Event::PawsRenew { .. } => 6,
-            Event::PawsVacate { .. } => 7,
-            Event::PawsVacated { .. } => 8,
-            Event::FaultInject { .. } => 9,
-            Event::LeaseRenew { .. } => 10,
-            Event::Degrade { .. } => 11,
-            Event::Recover { .. } => 12,
-            Event::Sched { .. } => 13,
-            Event::HarqRetx { .. } => 14,
-            Event::Cull { .. } => 15,
-            Event::ShardOutage { .. } => 16,
-            Event::CacheHit { .. } => 17,
-            Event::RenewBatch { .. } => 18,
-        }
+        self.payload().0 as u32
     }
 
-    /// The event's primary entity id: the cell for cell-scoped events,
-    /// the UE for per-client reports, the channel for PAWS lease events.
+    /// The payload as `(field name, value)` pairs in record order.
+    pub fn fields(&self) -> impl Iterator<Item = (&'static str, Value)> {
+        let (code, values) = self.payload();
+        KINDS[code].fields.iter().copied().zip(values)
+    }
+
+    /// The event's primary entity id, its kind's first field.
     /// Stratified sampling keys on `(kind_code, entity)`.
     pub fn entity(&self) -> u32 {
-        match *self {
-            Event::Hop { cell, .. }
-            | Event::Share { cell, .. }
-            | Event::PrachHeard { cell, .. }
-            | Event::Pack { cell, .. }
-            | Event::FaultInject { cell, .. }
-            | Event::LeaseRenew { cell, .. }
-            | Event::Degrade { cell, .. }
-            | Event::Recover { cell, .. }
-            | Event::Sched { cell, .. } => cell,
-            Event::CqiInterference { ue, .. }
-            | Event::HarqRetx { ue, .. }
-            | Event::Cull { ue, .. } => ue,
-            Event::PawsGrant { channel, .. }
-            | Event::PawsRenew { channel, .. }
-            | Event::PawsVacate { channel, .. }
-            | Event::PawsVacated { channel, .. } => channel,
-            Event::ShardOutage { shard, .. }
-            | Event::CacheHit { shard, .. }
-            | Event::RenewBatch { shard, .. } => shard,
+        match self.payload().1[0] {
+            Value::Int(id) => id as u32,
+            // No kind leads with a time or a real (pinned by the
+            // kind-table test).
+            Value::Micros(_) | Value::Real(_) => 0,
         }
     }
 
     /// The magnitude a histogram sketch aggregates for this kind, if the
-    /// kind has one (pure lease bookkeeping events are count-only).
-    /// Vacate margins are scaled to seconds so they fit a fixed range.
+    /// kind has one.
     pub fn value(&self) -> Option<f64> {
-        match *self {
-            Event::Hop { to_utility, .. } => Some(to_utility),
-            Event::Share { share, .. } => Some(share as f64),
-            Event::PrachHeard { snr_db, .. } => Some(snr_db),
-            Event::CqiInterference { sinr_db, .. } => Some(sinr_db),
-            Event::Pack { to, .. } => Some(to as f64),
-            Event::PawsGrant { .. }
-            | Event::PawsRenew { .. }
-            | Event::PawsVacate { .. }
-            | Event::LeaseRenew { .. }
-            | Event::Recover { .. } => None,
-            Event::PawsVacated { margin_us, .. } => Some(margin_us as f64 / 1e6),
-            Event::FaultInject { kind, .. } => Some(kind as f64),
-            Event::Degrade { step, .. } => Some(step as f64),
-            Event::Sched { owned, .. } => Some(owned as f64),
-            Event::HarqRetx { process, .. } => Some(process as f64),
-            Event::Cull { culled, .. } => Some(culled as f64),
-            Event::ShardOutage { .. } => None,
-            Event::CacheHit { age_us, .. } => Some(age_us as f64 / 1e6),
-            Event::RenewBatch { size, .. } => Some(size as f64),
-        }
+        let (code, values) = self.payload();
+        KINDS[code].value.map(|i| values[i].sample())
     }
 }
 
-/// Kind names indexed by [`Event::kind_code`].
-pub const KIND_NAMES: [&str; N_KINDS] = [
-    "hop",
-    "share",
-    "prach",
-    "cqi_interf",
-    "pack",
-    "paws_grant",
-    "paws_renew",
-    "paws_vacate",
-    "paws_vacated",
-    "fault_inject",
-    "lease_renew",
-    "degrade",
-    "recover",
-    "sched",
-    "harq_retx",
-    "cull",
-    "shard_outage",
-    "cache_hit",
-    "renew_batch",
-];
-
-/// Per-kind sketch value range `(lo, hi)` — fixed at compile time so two
-/// sketches for the same kind always have identical bucket edges and
-/// merge bucket-by-bucket.
+/// Per-kind sketch value range `(lo, hi)` ([`KindSpec::range`]); codes
+/// past the table get the count-only range.
 pub fn sketch_range(kind_code: u32) -> (f64, f64) {
-    match kind_code {
-        0 => (0.0, 1e8),    // hop: acquired-subchannel utility (bps scale)
-        1 => (0.0, 32.0),   // share: computed share S_i
-        2 => (-40.0, 40.0), // prach: uplink SNR dB
-        3 => (-40.0, 40.0), // cqi_interf: observed SINR dB
-        4 => (0.0, 32.0),   // pack: target subchannel index
-        8 => (0.0, 120.0),  // paws_vacated: margin seconds
-        9 => (0.0, 8.0),    // fault_inject: fault kind code
-        11 => (0.0, 4.0),   // degrade: ladder rung code
-        13 => (0.0, 32.0),  // sched: owned subchannel count
-        14 => (0.0, 16.0),  // harq_retx: HARQ process index
-        15 => (0.0, 64.0),  // cull: culled candidate-AP count
-        17 => (0.0, 16.0),  // cache_hit: replayed-response age seconds
-        18 => (0.0, 256.0), // renew_batch: requests per rate window
-        _ => (0.0, 1.0),    // count-only kinds never bucket a value
-    }
+    KINDS
+        .get(kind_code as usize)
+        .map_or((0.0, 1.0), |k| k.range)
 }
 
 /// An event with the simulation tick at which it was observed.
@@ -367,16 +486,13 @@ impl SampleSpec {
     /// Keep everything (the default: traces stay full fidelity).
     pub const FULL: SampleSpec = SampleSpec { keep: 1, out_of: 1 };
 
-    /// Parse `"K/N"` (e.g. `"1/8"`). `None` on malformed input or a
-    /// zero modulus.
+    /// Parse `"K/N"` (e.g. `"1/8"`). `None` on malformed input and
+    /// unless `0 < K <= N`: keeping no stratum would write an empty trace.
     pub fn parse(s: &str) -> Option<SampleSpec> {
         let (k, n) = s.split_once('/')?;
         let keep: u32 = k.trim().parse().ok()?;
         let out_of: u32 = n.trim().parse().ok()?;
-        if out_of == 0 {
-            return None;
-        }
-        Some(SampleSpec { keep, out_of })
+        (0 < keep && keep <= out_of).then_some(SampleSpec { keep, out_of })
     }
 
     /// Whether this spec keeps every event.
@@ -392,7 +508,7 @@ impl SampleSpec {
             return true;
         }
         let key = ((event.kind_code() as u64) << 32) | event.entity() as u64;
-        (mix64(key) % self.out_of as u64) < self.keep as u64
+        (splitmix64(key) % self.out_of as u64) < self.keep as u64
     }
 }
 
@@ -400,15 +516,6 @@ impl Default for SampleSpec {
     fn default() -> SampleSpec {
         SampleSpec::FULL
     }
-}
-
-/// SplitMix64 finalizer: a well-mixed pure hash for stratum selection.
-#[inline]
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// Fixed bucket count for every histogram sketch.
@@ -552,7 +659,7 @@ impl SketchSet {
             let _ = write!(
                 out,
                 "{{\"sketch\":\"{}\",\"count\":{},\"valued\":{},\"sum\":",
-                KIND_NAMES[s.kind_code as usize], s.count, s.valued
+                KINDS[s.kind_code as usize].name, s.count, s.valued
             );
             write_f64(&mut out, s.sum());
             out.push_str(",\"lo\":");
@@ -686,11 +793,6 @@ impl Tracer {
     /// [`Tracer::sketches`]; the default [`SampleSpec::FULL`] keeps all.
     pub fn set_sample(&mut self, spec: SampleSpec) {
         self.spec = spec;
-    }
-
-    /// The active sampling spec.
-    pub fn sample_spec(&self) -> SampleSpec {
-        self.spec
     }
 
     /// Histogram sketches of the events sampling dropped.
@@ -847,7 +949,7 @@ impl EventSink {
 /// Write one f64 as JSON: `{}` round-trips shortest-form and is
 /// deterministic; non-finite values (never expected in practice) become
 /// `null` to keep the line valid JSON.
-fn write_f64(out: &mut String, v: f64) {
+pub(crate) fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
@@ -856,165 +958,14 @@ fn write_f64(out: &mut String, v: f64) {
 }
 
 fn write_record(out: &mut String, r: &Record) {
-    let _ = write!(out, "{{\"t\":{}", r.tick_us);
-    match r.event {
-        Event::Hop {
-            cell,
-            from,
-            to,
-            from_utility,
-            to_utility,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"hop\",\"cell\":{cell},\"from\":{from},\"to\":{to},\"from_utility\":"
-            );
-            write_f64(out, from_utility);
-            out.push_str(",\"to_utility\":");
-            write_f64(out, to_utility);
-        }
-        Event::Share {
-            cell,
-            own_active,
-            heard_active,
-            share,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"share\",\"cell\":{cell},\"own\":{own_active},\"heard\":{heard_active},\"share\":{share}"
-            );
-        }
-        Event::PrachHeard { cell, ue, snr_db } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"prach\",\"cell\":{cell},\"ue\":{ue},\"snr_db\":"
-            );
-            write_f64(out, snr_db);
-        }
-        Event::CqiInterference {
-            ue,
-            subchannel,
-            sinr_db,
-            clean_db,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"cqi_interf\",\"ue\":{ue},\"sub\":{subchannel},\"sinr_db\":"
-            );
-            write_f64(out, sinr_db);
-            out.push_str(",\"clean_db\":");
-            write_f64(out, clean_db);
-        }
-        Event::Pack { cell, from, to } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"pack\",\"cell\":{cell},\"from\":{from},\"to\":{to}"
-            );
-        }
-        Event::PawsGrant {
-            channel,
-            expires_us,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"paws_grant\",\"channel\":{channel},\"expires_us\":{expires_us}"
-            );
-        }
-        Event::PawsRenew {
-            channel,
-            expires_us,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"paws_renew\",\"channel\":{channel},\"expires_us\":{expires_us}"
-            );
-        }
-        Event::PawsVacate {
-            channel,
-            deadline_us,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"paws_vacate\",\"channel\":{channel},\"deadline_us\":{deadline_us}"
-            );
-        }
-        Event::PawsVacated { channel, margin_us } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"paws_vacated\",\"channel\":{channel},\"margin_us\":{margin_us}"
-            );
-        }
-        Event::FaultInject { cell, kind } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"fault_inject\",\"cell\":{cell},\"kind\":{kind}"
-            );
-        }
-        Event::LeaseRenew {
-            cell,
-            channel,
-            expires_us,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"lease_renew\",\"cell\":{cell},\"channel\":{channel},\"expires_us\":{expires_us}"
-            );
-        }
-        Event::Degrade {
-            cell,
-            channel,
-            step,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"degrade\",\"cell\":{cell},\"channel\":{channel},\"step\":{step}"
-            );
-        }
-        Event::Recover { cell, channel } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"recover\",\"cell\":{cell},\"channel\":{channel}"
-            );
-        }
-        Event::Sched {
-            cell,
-            mask_bits,
-            owned,
-        } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"sched\",\"cell\":{cell},\"mask\":{mask_bits},\"owned\":{owned}"
-            );
-        }
-        Event::HarqRetx { ue, cell, process } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"harq_retx\",\"ue\":{ue},\"cell\":{cell},\"process\":{process}"
-            );
-        }
-        Event::Cull { ue, kept, culled } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"cull\",\"ue\":{ue},\"kept\":{kept},\"culled\":{culled}"
-            );
-        }
-        Event::ShardOutage { shard, until_us } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"shard_outage\",\"shard\":{shard},\"until_us\":{until_us}"
-            );
-        }
-        Event::CacheHit { shard, age_us } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"cache_hit\",\"shard\":{shard},\"age_us\":{age_us}"
-            );
-        }
-        Event::RenewBatch { shard, size } => {
-            let _ = write!(
-                out,
-                ",\"ev\":\"renew_batch\",\"shard\":{shard},\"size\":{size}"
-            );
+    let _ = write!(out, "{{\"t\":{},\"ev\":\"{}\"", r.tick_us, r.event.kind());
+    for (name, value) in r.event.fields() {
+        let _ = write!(out, ",\"{name}\":");
+        match value {
+            Value::Int(x) | Value::Micros(x) => {
+                let _ = write!(out, "{x}");
+            }
+            Value::Real(x) => write_f64(out, x),
         }
     }
     out.push('}');
@@ -1323,103 +1274,243 @@ mod tests {
         assert_eq!(t.flight().records_in_order().len(), 1);
     }
 
+    /// One sample per kind, in kind-code order, with its exact JSONL
+    /// line, entity id and sketch value. Fractional reals and times past
+    /// 2^32 pin the number formatting and the microsecond scaling.
+    fn kind_samples() -> [(Event, &'static str, u32, Option<f64>); N_KINDS] {
+        [
+            (
+                Event::Hop {
+                    cell: 3,
+                    from: 1,
+                    to: 2,
+                    from_utility: 0.1,
+                    to_utility: 2_500_000.75,
+                },
+                r#""hop","cell":3,"from":1,"to":2,"from_utility":0.1,"to_utility":2500000.75"#,
+                3,
+                Some(2_500_000.75),
+            ),
+            (
+                Event::Share {
+                    cell: 4,
+                    own_active: 2,
+                    heard_active: 5,
+                    share: 6,
+                },
+                r#""share","cell":4,"own":2,"heard":5,"share":6"#,
+                4,
+                Some(6.0),
+            ),
+            (
+                Event::PrachHeard {
+                    cell: 5,
+                    ue: 9,
+                    snr_db: -4.25,
+                },
+                r#""prach","cell":5,"ue":9,"snr_db":-4.25"#,
+                5,
+                Some(-4.25),
+            ),
+            (
+                Event::CqiInterference {
+                    ue: 11,
+                    subchannel: 7,
+                    sinr_db: -3.125,
+                    clean_db: 18.5,
+                },
+                r#""cqi_interf","ue":11,"sub":7,"sinr_db":-3.125,"clean_db":18.5"#,
+                11,
+                Some(-3.125),
+            ),
+            (
+                Event::Pack {
+                    cell: 6,
+                    from: 9,
+                    to: 2,
+                },
+                r#""pack","cell":6,"from":9,"to":2"#,
+                6,
+                Some(2.0),
+            ),
+            (
+                Event::PawsGrant {
+                    channel: 21,
+                    expires_us: 7_200_000_000_123,
+                },
+                r#""paws_grant","channel":21,"expires_us":7200000000123"#,
+                21,
+                None,
+            ),
+            (
+                Event::PawsRenew {
+                    channel: 22,
+                    expires_us: 8_589_934_592,
+                },
+                r#""paws_renew","channel":22,"expires_us":8589934592"#,
+                22,
+                None,
+            ),
+            (
+                Event::PawsVacate {
+                    channel: 23,
+                    deadline_us: 5_060_000_001,
+                },
+                r#""paws_vacate","channel":23,"deadline_us":5060000001"#,
+                23,
+                None,
+            ),
+            (
+                Event::PawsVacated {
+                    channel: 24,
+                    margin_us: 58_250_001,
+                },
+                r#""paws_vacated","channel":24,"margin_us":58250001"#,
+                24,
+                Some(58.250001),
+            ),
+            (
+                Event::FaultInject { cell: 7, kind: 5 },
+                r#""fault_inject","cell":7,"kind":5"#,
+                7,
+                Some(5.0),
+            ),
+            (
+                Event::LeaseRenew {
+                    cell: 8,
+                    channel: 44,
+                    expires_us: 4_294_967_297,
+                },
+                r#""lease_renew","cell":8,"channel":44,"expires_us":4294967297"#,
+                8,
+                None,
+            ),
+            (
+                Event::Degrade {
+                    cell: 9,
+                    channel: 45,
+                    step: 2,
+                },
+                r#""degrade","cell":9,"channel":45,"step":2"#,
+                9,
+                Some(2.0),
+            ),
+            (
+                Event::Recover {
+                    cell: 10,
+                    channel: 46,
+                },
+                r#""recover","cell":10,"channel":46"#,
+                10,
+                None,
+            ),
+            (
+                Event::Sched {
+                    cell: 12,
+                    mask_bits: 0b1011_0001,
+                    owned: 4,
+                },
+                r#""sched","cell":12,"mask":177,"owned":4"#,
+                12,
+                Some(4.0),
+            ),
+            (
+                Event::HarqRetx {
+                    ue: 13,
+                    cell: 2,
+                    process: 7,
+                },
+                r#""harq_retx","ue":13,"cell":2,"process":7"#,
+                13,
+                Some(7.0),
+            ),
+            (
+                Event::Cull {
+                    ue: 14,
+                    kept: 4,
+                    culled: 12,
+                },
+                r#""cull","ue":14,"kept":4,"culled":12"#,
+                14,
+                Some(12.0),
+            ),
+            (
+                Event::ShardOutage {
+                    shard: 3,
+                    until_us: 6_000_000_000_000,
+                },
+                r#""shard_outage","shard":3,"until_us":6000000000000"#,
+                3,
+                None,
+            ),
+            (
+                Event::CacheHit {
+                    shard: 5,
+                    age_us: 1_234_567,
+                },
+                r#""cache_hit","shard":5,"age_us":1234567"#,
+                5,
+                Some(1.234567),
+            ),
+            (
+                Event::RenewBatch { shard: 6, size: 42 },
+                r#""renew_batch","shard":6,"size":42"#,
+                6,
+                Some(42.0),
+            ),
+        ]
+    }
+
     #[test]
     fn kind_tables_are_consistent() {
-        let samples = [
-            Event::Hop {
-                cell: 0,
-                from: 0,
-                to: 1,
-                from_utility: 0.0,
-                to_utility: 1.0,
-            },
-            Event::Share {
-                cell: 0,
-                own_active: 1,
-                heard_active: 1,
-                share: 1,
-            },
-            Event::PrachHeard {
-                cell: 0,
-                ue: 0,
-                snr_db: 0.0,
-            },
-            cqi(0),
-            Event::Pack {
-                cell: 0,
-                from: 1,
-                to: 0,
-            },
-            Event::PawsGrant {
-                channel: 21,
-                expires_us: 1,
-            },
-            Event::PawsRenew {
-                channel: 21,
-                expires_us: 1,
-            },
-            Event::PawsVacate {
-                channel: 21,
-                deadline_us: 1,
-            },
-            Event::PawsVacated {
-                channel: 21,
-                margin_us: 1,
-            },
-            Event::FaultInject { cell: 0, kind: 0 },
-            Event::LeaseRenew {
-                cell: 0,
-                channel: 21,
-                expires_us: 1,
-            },
-            Event::Degrade {
-                cell: 0,
-                channel: 21,
-                step: 0,
-            },
-            Event::Recover {
-                cell: 0,
-                channel: 21,
-            },
-            Event::Sched {
-                cell: 0,
-                mask_bits: 1,
-                owned: 1,
-            },
-            Event::HarqRetx {
-                ue: 0,
-                cell: 0,
-                process: 0,
-            },
-            Event::Cull {
-                ue: 0,
-                kept: 4,
-                culled: 2,
-            },
-            Event::ShardOutage {
-                shard: 0,
-                until_us: 1,
-            },
-            Event::CacheHit {
-                shard: 0,
-                age_us: 1,
-            },
-            Event::RenewBatch { shard: 0, size: 1 },
-        ];
-        assert_eq!(samples.len(), N_KINDS);
-        for (i, e) in samples.iter().enumerate() {
+        for (i, (e, line, entity, value)) in kind_samples().into_iter().enumerate() {
             assert_eq!(e.kind_code() as usize, i, "dense codes in variant order");
-            assert_eq!(e.kind(), KIND_NAMES[i]);
-            // The serialized "ev" field matches the kind table.
-            let mut line = String::new();
+            assert_eq!(e.kind(), KINDS[i].name);
+            let mut got = String::new();
             write_record(
-                &mut line,
+                &mut got,
                 &Record {
-                    tick_us: 0,
-                    event: *e,
+                    tick_us: 5_000_000_001,
+                    event: e,
                 },
             );
-            assert!(line.contains(&format!("\"ev\":\"{}\"", e.kind())), "{line}");
+            assert_eq!(got, format!("{{\"t\":5000000001,\"ev\":{line}}}"));
+            assert_eq!(e.entity(), entity, "{line}");
+            assert_eq!(
+                e.value().map(f64::to_bits),
+                value.map(f64::to_bits),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn kind_schema_names_every_written_field() {
+        for (e, line, _, _) in kind_samples() {
+            let spec = e.spec();
+            let names: Vec<&str> = e.fields().map(|(name, _)| name).collect();
+            assert_eq!(names, spec.fields, "{line}");
+            for name in spec.fields {
+                assert!(line.contains(&format!("\"{name}\":")), "{line}");
+            }
+            assert!(spec.value.is_none_or(|i| i < spec.fields.len()));
+            assert!(spec.range.0 < spec.range.1, "{line}");
+            assert_eq!(KindSpec::named(spec.name), Some(spec));
+        }
+        assert_eq!(KindSpec::named("no_such_kind"), None);
+    }
+
+    #[test]
+    fn sample_spec_parse_accepts_only_nonempty_fractions() {
+        assert_eq!(
+            SampleSpec::parse("1/8"),
+            Some(SampleSpec { keep: 1, out_of: 8 })
+        );
+        assert!(SampleSpec::parse(" 8 / 8 ").is_some_and(|s| s.is_full()));
+        for bad in [
+            "0/8", "0/1", "9/8", "2/1", "1/0", "0/0", "1", "a/8", "-1/8", "",
+        ] {
+            assert_eq!(SampleSpec::parse(bad), None, "{bad:?}");
         }
     }
 

@@ -113,10 +113,8 @@ fn trace_diff(path_a: &str, path_b: &str) -> ExitCode {
 fn kind_counts<'a>(lines: impl Iterator<Item = &'a str>) -> BTreeMap<&'a str, u64> {
     let mut counts = BTreeMap::new();
     for line in lines {
-        let kind = line
-            .split("\"ev\":\"")
-            .nth(1)
-            .and_then(|rest| rest.split('"').next())
+        let kind = cellfi_obs::query::parse_line(line)
+            .and_then(|fields| fields.kind())
             .unwrap_or("<other>");
         *counts.entry(kind).or_insert(0) += 1;
     }

@@ -25,7 +25,7 @@ use super::{ExpConfig, ExpReport};
 use crate::engine::{ImMode, LteEngine, LteEngineConfig, SimHarness};
 use crate::report::table;
 use crate::topology::{Scenario, ScenarioConfig};
-use cellfi_obs::Event;
+use cellfi_obs::{Event, Registry, Tracer};
 use cellfi_spectrum::database::SpectrumDatabase;
 use cellfi_spectrum::faults::{FaultInjector, FaultPlan};
 use cellfi_spectrum::lifecycle::{LeaseLifecycle, LifecycleConfig, LifecycleEvent, LifecycleStats};
@@ -105,16 +105,7 @@ pub(crate) fn chaos_run(
         seeds.child("engine"),
     );
     if let Some(opts) = trace {
-        let mut tracer = cellfi_obs::Tracer::new(true);
-        tracer.set_sample(opts.sample);
-        if opts.flight_cap > 0 {
-            tracer.enable_flight(opts.flight_cap);
-        }
-        engine.obs_mut().tracer = tracer;
-        engine.obs_mut().detail = opts.detail;
-        if opts.monitors {
-            engine.obs_mut().monitors = cellfi_obs::MonitorRegistry::standard();
-        }
+        super::trace_run::apply_opts(&mut engine, opts);
     }
     engine.backlog_all(super::harness::LTE_BACKLOG);
 
@@ -173,7 +164,12 @@ pub(crate) fn chaos_run(
                     e.obs_mut().metrics.inc("faults_injected", cell, 1);
                 }
                 for (at, ev) in lc.drain_events() {
-                    emit_lifecycle_event(e, cell, at, ev);
+                    let obs = e.obs_mut();
+                    if let Some(margin_us) =
+                        emit_lifecycle_event(&mut obs.tracer, &mut obs.metrics, cell, at, ev)
+                    {
+                        e.observe_vacate_margin_us(margin_us);
+                    }
                 }
                 let ok = lc.may_transmit(now);
                 total_ticks += 1;
@@ -219,15 +215,23 @@ pub(crate) fn chaos_run(
     }
 }
 
-/// Translate a lifecycle transition into the obs event stream and
-/// metrics registry of the engine hosting the affected cell.
-fn emit_lifecycle_event(e: &mut LteEngine, cell: u32, at: Instant, ev: LifecycleEvent) {
+/// Translate a lifecycle transition of `cell` into the trace event and
+/// lease metrics it stands for. Returns the vacate margin in
+/// microseconds when the transition is a vacate, for the caller's
+/// compliance bookkeeping.
+pub(crate) fn emit_lifecycle_event(
+    tracer: &mut Tracer,
+    metrics: &mut Registry,
+    cell: u32,
+    at: Instant,
+    ev: LifecycleEvent,
+) -> Option<i64> {
     match ev {
         LifecycleEvent::Acquired {
             channel, expires, ..
         }
         | LifecycleEvent::Renewed { channel, expires } => {
-            e.obs_mut().tracer.emit(
+            tracer.emit(
                 at,
                 Event::LeaseRenew {
                     cell,
@@ -235,10 +239,10 @@ fn emit_lifecycle_event(e: &mut LteEngine, cell: u32, at: Instant, ev: Lifecycle
                     expires_us: expires.as_micros(),
                 },
             );
-            e.obs_mut().metrics.inc("lease_renewals", cell, 1);
+            metrics.inc("lease_renewals", cell, 1);
         }
         LifecycleEvent::Degraded { step, channel } => {
-            e.obs_mut().tracer.emit(
+            tracer.emit(
                 at,
                 Event::Degrade {
                     cell,
@@ -246,35 +250,34 @@ fn emit_lifecycle_event(e: &mut LteEngine, cell: u32, at: Instant, ev: Lifecycle
                     step: step.code(),
                 },
             );
-            e.obs_mut().metrics.inc("lease_degrades", cell, 1);
+            metrics.inc("lease_degrades", cell, 1);
         }
         LifecycleEvent::Recovered { channel } => {
-            e.obs_mut().tracer.emit(
+            tracer.emit(
                 at,
                 Event::Recover {
                     cell,
                     channel: channel.0,
                 },
             );
-            e.obs_mut().metrics.inc("lease_recoveries", cell, 1);
+            metrics.inc("lease_recoveries", cell, 1);
         }
         LifecycleEvent::Vacated { channel, margin } => {
-            e.obs_mut().tracer.emit(
+            tracer.emit(
                 at,
                 Event::PawsVacated {
                     channel: channel.0,
                     margin_us: margin.as_micros(),
                 },
             );
-            e.obs_mut()
-                .metrics
-                .observe("vacate_margin_s", cell, margin.as_micros() as f64 / 1e6);
-            e.observe_vacate_margin_us(margin.as_micros() as i64);
+            metrics.observe("vacate_margin_s", cell, margin.as_micros() as f64 / 1e6);
+            return Some(margin.as_micros() as i64);
         }
         LifecycleEvent::BackedOff { .. } => {
-            e.obs_mut().metrics.inc("lease_backoffs", cell, 1);
+            metrics.inc("lease_backoffs", cell, 1);
         }
     }
+    None
 }
 
 /// Run the chaos sweep.

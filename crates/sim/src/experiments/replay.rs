@@ -15,7 +15,7 @@
 //! a run reproduces exactly the allowed masks the engine ended with.
 
 use crate::report::table;
-use serde_json::Value;
+use cellfi_obs::query::{parse_line, Line};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Occupancy state reconstructed from a trace.
@@ -34,13 +34,11 @@ pub struct Replay {
     pub from_sched: bool,
 }
 
-fn field_u64(map: &BTreeMap<String, Value>, key: &str, line: usize) -> Result<u64, String> {
-    match map.get(key) {
-        Some(Value::Number(n)) if *n >= 0.0 => Ok(*n as u64),
-        other => Err(format!(
-            "line {line}: field {key:?} is not a count: {other:?}"
-        )),
-    }
+fn field_u64(fields: &Line<'_>, key: &str, line: usize) -> Result<u64, String> {
+    let value = fields.get(key);
+    value
+        .and_then(|v| v.int())
+        .ok_or_else(|| format!("line {line}: field {key:?} is not a count: {value:?}"))
 }
 
 /// Replay a JSONL trace stream. Unknown event kinds are skipped (a
@@ -52,35 +50,31 @@ pub fn replay_jsonl(text: &str) -> Result<Replay, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v: Value =
-            serde_json::from_str(line).map_err(|e| format!("line {n}: bad JSON: {e}"))?;
-        let Value::Object(map) = v else {
-            return Err(format!("line {n}: not a JSON object"));
-        };
-        let Some(Value::String(ev)) = map.get("ev") else {
+        let fields = parse_line(line).ok_or_else(|| format!("line {n}: unparseable: {line}"))?;
+        let Some(ev) = fields.kind() else {
             return Err(format!("line {n}: missing \"ev\" kind"));
         };
         r.events += 1;
-        r.last_tick_us = field_u64(&map, "t", n)?;
-        match ev.as_str() {
+        r.last_tick_us = field_u64(&fields, "t", n)?;
+        match ev {
             "sched" => {
-                let cell = field_u64(&map, "cell", n)? as u32;
-                let mask = field_u64(&map, "mask", n)? as u32;
+                let cell = field_u64(&fields, "cell", n)? as u32;
+                let mask = field_u64(&fields, "mask", n)? as u32;
                 let set: BTreeSet<u32> = (0..32).filter(|s| mask & (1 << s) != 0).collect();
                 r.occupancy.insert(cell, set);
                 r.from_sched = true;
             }
             "hop" | "pack" => {
-                let cell = field_u64(&map, "cell", n)? as u32;
-                let from = field_u64(&map, "from", n)? as u32;
-                let to = field_u64(&map, "to", n)? as u32;
+                let cell = field_u64(&fields, "cell", n)? as u32;
+                let from = field_u64(&fields, "from", n)? as u32;
+                let to = field_u64(&fields, "to", n)? as u32;
                 let set = r.occupancy.entry(cell).or_default();
                 set.remove(&from);
                 set.insert(to);
             }
             "share" => {
-                let cell = field_u64(&map, "cell", n)? as u32;
-                let share = field_u64(&map, "share", n)? as u32;
+                let cell = field_u64(&fields, "cell", n)? as u32;
+                let share = field_u64(&fields, "share", n)? as u32;
                 r.shares.insert(cell, share);
             }
             _ => {}

@@ -28,7 +28,7 @@ use cellfi_obs::monitor::TickFacts;
 use cellfi_obs::{Event, MonitorRegistry, Registry, Tracer};
 use cellfi_spectrum::faults::FaultPlan;
 use cellfi_spectrum::fleet::{FleetConfig, FleetEvent, FleetStats, SpectrumFleet};
-use cellfi_spectrum::lifecycle::{LifecycleConfig, LifecycleEvent};
+use cellfi_spectrum::lifecycle::LifecycleConfig;
 use cellfi_spectrum::paws::GeoLocation;
 use cellfi_spectrum::profile::RuleProfile;
 use cellfi_types::geo::Point;
@@ -241,57 +241,13 @@ fn emit_fleet_event(
     min_margin_us: &mut i64,
 ) {
     match event {
-        FleetEvent::Lifecycle { ap, event } => match event {
-            LifecycleEvent::Acquired {
-                channel, expires, ..
+        FleetEvent::Lifecycle { ap, event } => {
+            if let Some(margin_us) =
+                super::chaos::emit_lifecycle_event(tracer, metrics, ap, at, event)
+            {
+                *min_margin_us = (*min_margin_us).min(margin_us);
             }
-            | LifecycleEvent::Renewed { channel, expires } => {
-                tracer.emit(
-                    at,
-                    Event::LeaseRenew {
-                        cell: ap,
-                        channel: channel.0,
-                        expires_us: expires.as_micros(),
-                    },
-                );
-                metrics.inc("lease_renewals", ap, 1);
-            }
-            LifecycleEvent::Degraded { step, channel } => {
-                tracer.emit(
-                    at,
-                    Event::Degrade {
-                        cell: ap,
-                        channel: channel.0,
-                        step: step.code(),
-                    },
-                );
-                metrics.inc("lease_degrades", ap, 1);
-            }
-            LifecycleEvent::Recovered { channel } => {
-                tracer.emit(
-                    at,
-                    Event::Recover {
-                        cell: ap,
-                        channel: channel.0,
-                    },
-                );
-                metrics.inc("lease_recoveries", ap, 1);
-            }
-            LifecycleEvent::Vacated { channel, margin } => {
-                tracer.emit(
-                    at,
-                    Event::PawsVacated {
-                        channel: channel.0,
-                        margin_us: margin.as_micros(),
-                    },
-                );
-                metrics.observe("vacate_margin_s", ap, margin.as_micros() as f64 / 1e6);
-                *min_margin_us = (*min_margin_us).min(margin.as_micros() as i64);
-            }
-            LifecycleEvent::BackedOff { .. } => {
-                metrics.inc("lease_backoffs", ap, 1);
-            }
-        },
+        }
         FleetEvent::ShardOutage { shard, until } => {
             tracer.emit(
                 at,

@@ -123,7 +123,7 @@ fn output_from_engine(e: &LteEngine, metrics: String) -> TraceOutput {
 }
 
 /// Configure an engine's obs bundle from `opts` (tracer always on).
-fn apply_opts(e: &mut LteEngine, opts: &TraceOptions) {
+pub(crate) fn apply_opts(e: &mut LteEngine, opts: &TraceOptions) {
     let mut tracer = Tracer::new(true);
     tracer.set_sample(opts.sample);
     if opts.flight_cap > 0 {

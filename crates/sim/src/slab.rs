@@ -102,16 +102,6 @@ impl Slab3 {
         }
     }
 
-    /// Extent of the middle axis.
-    pub fn dim1(&self) -> usize {
-        self.d1
-    }
-
-    /// Extent of the lane (last) axis.
-    pub fn dim2(&self) -> usize {
-        self.d2
-    }
-
     /// Length of one outer block (`d1 × d2` elements): the unit the
     /// parallel splitter chunks by.
     pub fn block_len(&self) -> usize {

@@ -11,13 +11,21 @@ fn exp(args: &[&str]) -> Output {
 
 #[test]
 fn unknown_options_fail_before_any_experiment_runs() {
-    for flag in ["--bench", "--quik"] {
-        let out = exp(&["table1", flag]);
-        assert!(!out.status.success(), "exp table1 {flag} must fail");
+    // A known option with a bad value fails the same way: a sample that
+    // keeps no stratum (or more strata than exist) is rejected.
+    for args in [
+        &["--bench"][..],
+        &["--quik"],
+        &["--sample", "0/8"],
+        &["--sample", "9/8"],
+    ] {
+        let flag = args[0];
+        let out = exp(&[&["table1"][..], args].concat());
+        assert!(!out.status.success(), "exp table1 {args:?} must fail");
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(
             !stdout.contains("=== table1 ==="),
-            "exp table1 {flag} ran the experiment:\n{stdout}"
+            "exp table1 {args:?} ran the experiment:\n{stdout}"
         );
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(flag), "error names the option:\n{stderr}");

@@ -328,25 +328,6 @@ impl DatabaseClient {
         Ok(())
     }
 
-    /// [`DatabaseClient::tick`] that also emits [`Event::PawsVacate`]
-    /// when an in-lease expiry starts the vacate countdown.
-    pub fn tick_traced(&mut self, now: Instant, tracer: &mut Tracer) -> ClientState {
-        let before = self.state;
-        let after = self.tick(now);
-        if let (ClientState::Operating { .. }, ClientState::Vacating { channel, deadline }) =
-            (before, after)
-        {
-            tracer.emit(
-                now,
-                Event::PawsVacate {
-                    channel: channel.0,
-                    deadline_us: deadline.as_micros(),
-                },
-            );
-        }
-        after
-    }
-
     /// [`DatabaseClient::confirm_stopped`] that also emits
     /// [`Event::PawsVacated`] with the margin left before the ETSI
     /// deadline (zero margin means the deadline was missed — a

@@ -287,12 +287,6 @@ impl FaultInjector {
         std::mem::take(&mut self.log)
     }
 
-    /// Total faults injected so far (including drained ones is *not*
-    /// tracked — this is the undrained count).
-    pub fn pending_faults(&self) -> usize {
-        self.log.len()
-    }
-
     /// Apply every revocation scheduled at or before `now`. Scheduled
     /// state changes happen on the simulation clock, not on request
     /// arrival, so availability ground truth is well-defined even while

@@ -41,7 +41,7 @@
 
 use std::collections::BTreeMap;
 
-use cellfi_types::rng::SeedSeq;
+use cellfi_types::rng::{splitmix64, SeedSeq};
 use cellfi_types::time::{Duration, Instant};
 use cellfi_types::units::Dbm;
 use cellfi_types::ChannelId;
@@ -268,14 +268,6 @@ pub struct SpectrumFleet {
     listen: Vec<ListenObservation>,
 }
 
-/// SplitMix64 finalizer: the consistent AP→shard hash.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Snap a query location to its quantization cell's representative: the
 /// cell centre, with an uncertainty disc covering the entire cell (so a
 /// cached answer is conservative for every AP inside it).
@@ -395,7 +387,7 @@ impl SpectrumFleet {
                 ApState {
                     lifecycle,
                     location: *loc,
-                    shard: (mix64(i as u64 ^ assign_seed) % config.n_shards as u64) as usize,
+                    shard: (splitmix64(i as u64 ^ assign_seed) % config.n_shards as u64) as usize,
                     activation: Instant::from_micros(offset),
                     unavailable_since: None,
                     ticks: 0,

@@ -95,14 +95,6 @@ impl WifiConfig {
         }
     }
 
-    /// The 802.11ac home-Wi-Fi baseline of Fig 2.
-    pub fn ac_default() -> WifiConfig {
-        WifiConfig {
-            band: WifiBand::Ac20,
-            ..WifiConfig::af_default()
-        }
-    }
-
     /// DIFS = SIFS + 2 slots.
     pub fn difs_slots(&self) -> u64 {
         // Rounded up to whole slots for the slotted model.

@@ -82,6 +82,10 @@ sed -n "/^{/,/^}/p" "$TRACE_TMP/fleet_out.txt" | diff tests/goldens/values_spect
 grep -q "\"ev\":\"renew_batch\"" "$TRACE_TMP/TRACE_spectrum_scale.jsonl"
 grep -q "\"ev\":\"cache_hit\"" "$TRACE_TMP/TRACE_spectrum_scale.jsonl"
 grep -q "\"ev\":\"shard_outage\"" "$TRACE_TMP/TRACE_spectrum_scale.jsonl"
+# trace-query --entity reads each kind's entity field from the event
+# schema: shard 0's renewal batches must be found.
+"$EXP" trace-query "$TRACE_TMP/TRACE_spectrum_scale.jsonl" --kind renew_batch --entity 0 \
+    | grep -Eq "^total[[:space:]]+[1-9]"
 mv "$TRACE_TMP/TRACE_spectrum_scale.jsonl" "$TRACE_TMP/trace_t1.jsonl"
 mv "$TRACE_TMP/METRICS_spectrum_scale.jsonl" "$TRACE_TMP/metrics_t1.jsonl"
 (cd "$TRACE_TMP" && CELLFI_THREADS=8 "$OLDPWD/$EXP" spectrum_scale --trace --monitors --quick > /dev/null)
@@ -119,6 +123,8 @@ grep "^fig9metro: monitors: armed=4" "$TRACE_TMP/metro_out.txt" | grep " violati
 sed -n "/^{/,/^}/p" "$TRACE_TMP/metro_out.txt" | diff tests/goldens/values_fig9metro.json -
 # The traced pocket run must carry the cull audit trail.
 grep -q "\"ev\":\"cull\"" "$TRACE_TMP/TRACE_fig9metro.jsonl"
+"$EXP" trace-query "$TRACE_TMP/TRACE_fig9metro.jsonl" --kind cull --entity 0 \
+    | grep -Eq "^total[[:space:]]+[1-9]"
 METRO_RSS_KB=$(cat "$TRACE_TMP/metro_rss_kb")
 echo "fig9metro max RSS: ${METRO_RSS_KB} KB (ceiling ${METRO_RSS_CEILING_KB} KB)"
 [ "$METRO_RSS_KB" -le "$METRO_RSS_CEILING_KB" ]

@@ -9,7 +9,7 @@
 //!   (string quotes are kept so literal extents stay visible). Byte
 //!   offsets in the masked text therefore map 1:1 onto the original,
 //!   which is how findings get line numbers.
-//! * [`collect_directives`] extracts `// cellfi-lint: allow(<rules>) — <reason>`
+//! * `collect_directives` extracts `// cellfi-lint: allow(<rules>) — <reason>`
 //!   directives and `// cellfi-lint: hot` hot-path markers from the
 //!   comments the mask removed.
 //!

@@ -150,7 +150,7 @@ pub const RULE_NAMES: &[&str] = &[
 /// ~1,900-line monolith; see the `structure` rule).
 const STRUCTURE_DIRS: &[&str] = &["crates/sim/src/engine/"];
 
-/// Line cap for files under a [`STRUCTURE_DIRS`] directory.
+/// Line cap for files under a `STRUCTURE_DIRS` directory.
 pub const MAX_ENGINE_FILE_LINES: usize = 700;
 
 /// Crates whose library code must not use order-randomized collections.

@@ -172,7 +172,7 @@ impl PrachDetector {
     /// the circular correlation is computed directly as a linear
     /// convolution of the doubled window `rx ∥ rx[..N_ZC−1]` with the
     /// time-reversed conjugate root, whose spectrum is precomputed. That
-    /// is **two** [`CONV_LEN`]-point FFTs per window — the optimisation
+    /// is **two** `CONV_LEN`-point FFTs per window — the optimisation
     /// that lifts the detector well past line rate (`cellfi-bench`'s
     /// `lte.prach.line_rate_x` row): `P(s) = |conv[s + N_ZC − 1]|²`.
     pub fn correlation_profile(&self, rx: &[Complex]) -> Vec<f64> {

@@ -122,17 +122,6 @@ impl RadioEnvironment {
     pub fn mean_snr(&self, tx: &LinkEnd, tx_power: Dbm, rx: &LinkEnd, bandwidth: Hertz) -> Db {
         self.mean_rx_power(tx, tx_power, rx) - self.noise.floor(bandwidth)
     }
-
-    /// Total received power at `rx` from a set of transmissions (for
-    /// energy-detect carrier sensing in the Wi-Fi engine), without fading.
-    pub fn total_mean_power(&self, rx: &LinkEnd, transmissions: &[Transmission]) -> Dbm {
-        transmissions
-            .iter()
-            .filter(|t| t.from.node != rx.node)
-            .map(|t| self.mean_rx_power(&t.from, t.power, rx).to_milliwatts())
-            .sum::<MilliWatts>()
-            .to_dbm()
-    }
 }
 
 #[cfg(test)]
@@ -259,27 +248,6 @@ mod tests {
             Hertz::from_mhz(5.0),
         );
         assert_eq!(with, without);
-    }
-
-    #[test]
-    fn total_power_sums_multiple_sources() {
-        let env = quiet_env();
-        let a = ap_at(0, 0.0, 0.0);
-        let b = ap_at(2, 0.0, 0.0);
-        let rx = ue_at(1, 400.0, 0.0);
-        let txs = [
-            Transmission {
-                from: a,
-                power: Dbm(30.0),
-            },
-            Transmission {
-                from: b,
-                power: Dbm(30.0),
-            },
-        ];
-        let single = env.mean_rx_power(&a, Dbm(30.0), &rx);
-        let total = env.total_mean_power(&rx, &txs);
-        assert!(((total - single).value() - 3.01).abs() < 0.02);
     }
 
     #[test]

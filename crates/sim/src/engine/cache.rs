@@ -14,7 +14,8 @@
 //! interference events re-applied in the same order the parallel scan
 //! would have emitted them.
 
-use crate::slab::{IndexSlab, Slab2, Slab3};
+use crate::slab::{Slab2, Slab3};
+use crate::topology::NeighborTable;
 
 /// Interns per-subchannel transmitter sets into `u64` ids and maintains
 /// a per-subchannel cell-membership bitmask.
@@ -272,7 +273,7 @@ impl InterferenceCache {
     /// Ensure every non-empty subchannel column matches
     /// `(gain_gen, tracker id)`, recomputing stale columns in parallel
     /// (columns are disjoint rows of the slab). After this, `total(s, ue)`
-    /// is exactly `Self::direct_total(tracker, nbr, nbr_count[ue], lin_mw, ue, s)`.
+    /// is exactly `Self::direct_total(tracker, nbr, lin_mw, ue, s)`.
     ///
     /// The accumulation walks each UE's neighbor slots (ascending AP
     /// order) and adds the lanes whose AP is in the subchannel's
@@ -284,8 +285,7 @@ impl InterferenceCache {
         &mut self,
         gain_gen: u64,
         tracker: &TxSetTracker,
-        nbr: &IndexSlab,
-        nbr_count: &[u32],
+        nbr: &NeighborTable,
         lin_mw: &Slab3,
     ) {
         let ids = tracker.ids();
@@ -313,7 +313,7 @@ impl InterferenceCache {
                 return;
             }
             for (ue, slot) in col.iter_mut().enumerate() {
-                *slot = Self::direct_total(tracker, nbr, nbr_count[ue], lin_mw, ue, s);
+                *slot = Self::direct_total(tracker, nbr, lin_mw, ue, s);
             }
         });
         for (s, &id) in ids.iter().enumerate() {
@@ -340,14 +340,13 @@ impl InterferenceCache {
     /// ascending-AP order.
     pub fn direct_total(
         tracker: &TxSetTracker,
-        nbr: &IndexSlab,
-        count: u32,
+        nbr: &NeighborTable,
         lin_mw: &Slab3,
         ue: usize,
         s: usize,
     ) -> f64 {
         let mut total = 0.0;
-        for (sl, &ap) in nbr.row(ue, count as usize).iter().enumerate() {
+        for (sl, &ap) in nbr.candidates(ue).iter().enumerate() {
             if tracker.is_member(s, ap as usize) {
                 total += lin_mw.at(ue, sl, s);
             }

@@ -40,7 +40,7 @@ impl ImStrategy for CellFi {
                     if e.queued_bits(ue) == 0 || e.scenario.assoc[ue] == c {
                         continue;
                     }
-                    let snr_db = e.ul_snr_db.at(ue, sl as usize);
+                    let snr_db = e.ul_mean_dbm.at(ue, sl as usize) - e.ul_noise_dbm;
                     if prach::heard(Db(snr_db)) {
                         e.obs.tracer.emit(
                             now,
@@ -175,7 +175,7 @@ impl LteEngine {
             if self.scenario.assoc[ue] == cell {
                 own += 1;
                 heard += 1;
-            } else if prach::heard(Db(self.ul_snr_db.at(ue, sl as usize))) {
+            } else if prach::heard(Db(self.ul_mean_dbm.at(ue, sl as usize) - self.ul_noise_dbm)) {
                 heard += 1;
             }
         }

@@ -66,9 +66,8 @@ impl LteEngine {
             // Energy detect against everyone who radiated last subframe.
             // Only sensed interferers contribute: a culled AP-to-AP path
             // is below the energy-detect floor by construction.
-            let count = self.ap_nbr_count[c] as usize;
             let mut busy_mw = 0.0f64;
-            for (sl, &o) in self.ap_nbr.row(c, count).iter().enumerate() {
+            for (sl, &o) in self.scenario.nbr.interferers(c).iter().enumerate() {
                 if active_last[o as usize] {
                     busy_mw += Dbm(self.ap_mean_dbm.at(c, sl)).to_milliwatts().value();
                 }

@@ -13,7 +13,7 @@
 //! | [`x2_icic`]   | X2-coordinated sequential colouring                |
 //!
 //! Adding a sixth system is one new module: implement [`ImStrategy`],
-//! add an [`ImMode`] variant, and list it in [`strategy_for`]. The
+//! add an [`ImMode`] variant, and list it in `strategy_for`. The
 //! strategies are stateless unit structs — all per-run state (manager
 //! instances, LBT counters, the conflict graph) lives on the engine, so
 //! dispatch is a `&'static` lookup with no allocation.

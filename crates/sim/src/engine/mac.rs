@@ -37,9 +37,8 @@ impl LteEngine {
     /// below the floor by construction.
     fn control_sinr(&self, ue: usize) -> Db {
         let ap = self.scenario.assoc[ue];
-        let count = self.nbr_count[ue] as usize;
         let mut strongest_other = f64::NEG_INFINITY;
-        for (sl, &c) in self.nbr.row(ue, count).iter().enumerate() {
+        for (sl, &c) in self.scenario.nbr.candidates(ue).iter().enumerate() {
             let c = c as usize;
             if c != ap && self.cell_active(c) {
                 strongest_other =
@@ -93,8 +92,10 @@ impl LteEngine {
             // energy; every other system always allows).
             let may_transmit: Vec<bool> = im::strategy_for(self.config.mode).transmit_gate(self);
             // 1. Schedule every cell. UE lists and rate rows live in
-            // engine-owned scratch buffers, so the steady-state subframe
-            // loop allocates nothing here.
+            // engine-owned scratch buffers, but the subframe still
+            // allocates: `may_transmit`, `allocations`, and per cell the
+            // demand rows `Cell::schedule_downlink` clones and the
+            // vectors `Scheduler::allocate` builds.
             self.obs.profiler.begin(cellfi_obs::SpanId::MacSchedule);
             let mut allocations: Vec<Option<cellfi_lte::scheduler::Allocation>> =
                 vec![None; self.cells.len()];
@@ -152,8 +153,7 @@ impl LteEngine {
             self.interf.refresh(
                 self.gain_gen,
                 &self.tracker,
-                &self.nbr,
-                &self.nbr_count,
+                &self.scenario.nbr,
                 &self.lin_mw,
             );
             self.obs.profiler.end(cellfi_obs::SpanId::SinrCache);
@@ -341,10 +341,7 @@ impl LteEngine {
             // An interfering UE whose path to `cell` was culled is below
             // the floor by construction; the served UE's own cell is
             // always a candidate.
-            let Some(sl) = self
-                .nbr
-                .position(u, self.nbr_count[u] as usize, cell as u32)
-            else {
+            let Some(sl) = self.scenario.nbr.slot(u, cell) else {
                 continue;
             };
             let p = Dbm(self.ul_mean_dbm.at(u, sl) + offset + fade(u))
@@ -490,9 +487,8 @@ impl LteEngine {
         // is below the floor and cannot beat the serving cell by the
         // hysteresis. Update on ties (`!is_lt`) to keep `max_by`'s
         // last-maximal-element choice.
-        let count = self.nbr_count[ue] as usize;
         let mut best: Option<(usize, usize, f64)> = None;
-        for (sl, &c) in self.nbr.row(ue, count).iter().enumerate() {
+        for (sl, &c) in self.scenario.nbr.candidates(ue).iter().enumerate() {
             let c = c as usize;
             if !self.cell_active(c) {
                 continue;

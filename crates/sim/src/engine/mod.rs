@@ -44,7 +44,7 @@ mod tests;
 pub use im::laa::{LBT_CW, LBT_MCOT_SUBFRAMES, LBT_THRESHOLD_DBM};
 pub use system::{steady_state_bps, SimHarness, SystemEngine};
 
-use crate::slab::{IndexSlab, Slab2, Slab3};
+use crate::slab::{Slab2, Slab3};
 use crate::topology::Scenario;
 use cache::InterferenceCache;
 use cache::{CqiMemo, TxSetTracker};
@@ -63,7 +63,6 @@ use cellfi_types::rng::SeedSeq;
 use cellfi_types::time::Instant;
 use cellfi_types::units::Db;
 use cellfi_types::{ApId, SubchannelId, UeId};
-use neighbors::neighbor_slabs;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -92,21 +91,20 @@ pub enum ImMode {
     X2Icic,
 }
 
+/// Interference ground truth: a subchannel counts as interfered when
+/// concurrent foreign transmissions depress SINR at least this much
+/// below the clean SNR.
+const INTERFERENCE_MARGIN: Db = Db(3.0);
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct LteEngineConfig {
     /// Interference-management mode.
     pub mode: ImMode,
-    /// Channel bandwidth (paper: 5 MHz).
-    pub bandwidth: ChannelBandwidth,
     /// Sensing error model fed to CellFi (paper: 80 % detect, 2 % FP).
     pub sensing: ImperfectSensing,
     /// CellFi manager tuning.
     pub manager: cellfi_core::manager::ManagerConfig,
-    /// Interference ground truth: a subchannel counts as interfered when
-    /// concurrent foreign transmissions depress SINR at least this much
-    /// below the clean SNR.
-    pub interference_margin: Db,
 }
 
 impl LteEngineConfig {
@@ -114,10 +112,8 @@ impl LteEngineConfig {
     pub fn paper_default(mode: ImMode) -> LteEngineConfig {
         LteEngineConfig {
             mode,
-            bandwidth: ChannelBandwidth::Mhz5,
             sensing: ImperfectSensing::default(),
             manager: cellfi_core::manager::ManagerConfig::default(),
-            interference_margin: Db(3.0),
         }
     }
 }
@@ -164,30 +160,23 @@ pub struct LteEngine {
     epoch_retx: Vec<u64>,
 
     // ---- static link caches (positions never move within a run) ----
-    /// Neighbor-indirection table: row `ue` holds its candidate AP ids
-    /// ascending (the serving AP always present), padded to the uniform
-    /// `max_neighbors` stride shared with the `[ue][slot][s]` gain
-    /// slabs. Dense scenarios (no cull floor) make slot ≡ AP id.
-    nbr: IndexSlab,
-    /// Valid slot count per row of `nbr`.
-    nbr_count: Vec<u32>,
+    // Every `[ue][slot]` slab below is laid out behind the scenario's
+    // neighbor table: slot `sl` of UE `u` is `scenario.nbr.candidates(u)[sl]`,
+    // under the uniform `max_neighbors` stride. Dense scenarios (no cull
+    // floor) make slot ≡ AP id.
     /// The neighbor slot each UE's serving AP occupies (kept in lock
     /// step with `scenario.assoc` across handovers).
     serving_slot: Vec<u32>,
-    /// Per-AP interferer AP ids, slot-indexed like `nbr` — the LBT
-    /// sensing neighborhood.
-    ap_nbr: IndexSlab,
-    /// Valid slot count per row of `ap_nbr`.
-    ap_nbr_count: Vec<u32>,
     /// Mean downlink rx power (dBm) per `[ue][neighbor_slot]` at AP power.
     dl_mean_dbm: Slab2,
-    /// Mean uplink SNR (dB) per `[ue][neighbor_slot]` at UE power over
-    /// the channel (drives PRACH hearing).
-    ul_snr_db: Slab2,
+    /// Uplink noise floor (dBm) over the whole channel: a UE's mean
+    /// uplink SNR at a candidate AP is `ul_mean_dbm - ul_noise_dbm`
+    /// (drives PRACH hearing).
+    ul_noise_dbm: f64,
     /// Per-subchannel noise floor, mW.
     noise_mw: Vec<f64>,
     /// Per-subchannel interference threshold, mW: the interference power
-    /// above which SINR sits at least `interference_margin` below the
+    /// above which SINR sits at least `INTERFERENCE_MARGIN` below the
     /// clean SNR (`noise_mw[s] · (10^(margin/10) − 1)`, precomputed so
     /// the CQI scan's ground-truth test never leaves the linear domain).
     interf_thresh_mw: Vec<f64>,
@@ -231,8 +220,8 @@ pub struct LteEngine {
     /// Flat merge of `hit_scratch` in UE index order — the hit list the
     /// memo remembers for replay.
     scan_hits_scratch: Vec<(u32, u32, f64, f64)>,
-    /// MAC scheduling scratch buffers, reused across subframes so the
-    /// steady-state subframe loop allocates nothing.
+    /// MAC scheduling scratch buffers, reused across subframes (the
+    /// scheduler itself still allocates per call; see `step_subframe`).
     ue_scratch: Vec<UeId>,
     rates_scratch: Vec<Vec<f64>>,
     tx_scratch: Vec<Vec<usize>>,
@@ -318,7 +307,8 @@ impl LteEngine {
         // `aps`/`ues`/`assoc` after generation, so the engine never
         // trusts a possibly stale neighbor table.
         scenario.rebuild_index();
-        let grid = ResourceGrid::new(config.bandwidth);
+        // The paper's 5 MHz carrier.
+        let grid = ResourceGrid::new(ChannelBandwidth::Mhz5);
         let n_sub = grid.num_subchannels() as usize;
         let tdd = TddConfig::paper_default();
         let carrier = Earfcn::new(Band::Tvws, 100_500);
@@ -326,7 +316,6 @@ impl LteEngine {
             .map(|i| {
                 let mut cfg = CellConfig::paper_default(ApId::new(i as u32));
                 cfg.tx_power = scenario.config.ap_power;
-                cfg.bandwidth = config.bandwidth;
                 cfg.scheduler = SchedulerKind::ProportionalFair;
                 let mut c = Cell::new(cfg);
                 c.set_carrier(carrier, scenario.config.ue_power, Instant::ZERO);
@@ -350,8 +339,13 @@ impl LteEngine {
 
         // Static mean-gain matrices and the true conflict graph, all
         // slot-indexed through the neighbor tables.
-        let links = phy::LinkMatrices::build(&scenario, &config, &grid);
-        let (nbr, nbr_count, serving_slot, ap_nbr, ap_nbr_count) = neighbor_slabs(&scenario);
+        let links = phy::LinkMatrices::build(&scenario, &grid);
+        let serving_slot = neighbors::serving_slots(&scenario);
+        let ul_noise_dbm = scenario
+            .env
+            .noise
+            .floor(grid.bandwidth().bandwidth())
+            .value();
         let max_nbr = scenario.nbr.max_neighbors;
         // Downlink power is split across the carrier's RBs: a subchannel
         // receives only its share of the cell's total power.
@@ -362,7 +356,7 @@ impl LteEngine {
                     .value()
             })
             .collect();
-        let margin_lin = config.interference_margin.to_linear();
+        let margin_lin = INTERFERENCE_MARGIN.to_linear();
         let interf_thresh_mw: Vec<f64> = links
             .noise_mw
             .iter()
@@ -399,13 +393,9 @@ impl LteEngine {
             tx_last: vec![Vec::new(); n_sub],
             harq_drops: vec![0; n_ue],
             epoch_retx: vec![0; n_ap],
-            nbr,
-            nbr_count,
             serving_slot,
-            ap_nbr,
-            ap_nbr_count,
             dl_mean_dbm: links.dl_mean_dbm,
-            ul_snr_db: links.ul_snr_db,
+            ul_noise_dbm,
             noise_mw: links.noise_mw,
             interf_thresh_mw,
             split_db,

@@ -1,42 +1,24 @@
-//! Neighbor-indirection layer: packs the scenario's CSR candidate and
-//! interferer rows ([`crate::topology::NeighborTable`]) into the
-//! uniform-stride [`IndexSlab`] tables the PHY slabs are laid out
-//! behind. With the cull floor off the candidate rows are dense
+//! The engine's view of the scenario's neighbor table
+//! ([`crate::topology::NeighborTable`]): every `[ue][slot]` slab is laid
+//! out behind its CSR candidate rows, and PHY, MAC and IM walk those
+//! rows directly. With the cull floor off the candidate rows are dense
 //! (every AP, ascending), so neighbor slot ≡ global AP id and the
 //! engine reproduces the pre-culling layout bit for bit; a floor
 //! shrinks the middle slab axis to the near field.
 
 use super::LteEngine;
-use crate::slab::IndexSlab;
 use crate::topology::Scenario;
 
-/// Pack the scenario's CSR neighbor rows into the engine's uniform-
-/// stride indirection slabs (`u32::MAX` pads the unused tail slots; the
-/// count vectors bound every walk, so the padding is never read).
-pub(super) fn neighbor_slabs(
-    scenario: &Scenario,
-) -> (IndexSlab, Vec<u32>, Vec<u32>, IndexSlab, Vec<u32>) {
-    let n_ue = scenario.n_ues();
-    let n_ap = scenario.aps.len();
-    let mut nbr = IndexSlab::new(n_ue, scenario.nbr.max_neighbors, u32::MAX);
-    let mut nbr_count = vec![0u32; n_ue];
-    let mut serving_slot = vec![0u32; n_ue];
-    for u in 0..n_ue {
-        let row = scenario.nbr.candidates(u);
-        nbr.row_mut(u, row.len()).copy_from_slice(row);
-        nbr_count[u] = row.len() as u32;
-        serving_slot[u] = nbr
-            .position(u, row.len(), scenario.assoc[u] as u32)
-            .expect("serving AP is never culled") as u32;
-    }
-    let mut ap_nbr = IndexSlab::new(n_ap, scenario.nbr.max_ap_neighbors, u32::MAX);
-    let mut ap_nbr_count = vec![0u32; n_ap];
-    for (a, count) in ap_nbr_count.iter_mut().enumerate() {
-        let row = scenario.nbr.interferers(a);
-        ap_nbr.row_mut(a, row.len()).copy_from_slice(row);
-        *count = row.len() as u32;
-    }
-    (nbr, nbr_count, serving_slot, ap_nbr, ap_nbr_count)
+/// The neighbor slot each UE's serving AP occupies in its candidate row.
+pub(super) fn serving_slots(scenario: &Scenario) -> Vec<u32> {
+    (0..scenario.n_ues())
+        .map(|u| {
+            scenario
+                .nbr
+                .slot(u, scenario.assoc[u])
+                .expect("serving AP is never culled") as u32
+        })
+        .collect()
 }
 
 impl LteEngine {
@@ -53,7 +35,7 @@ impl LteEngine {
         let n_ap = self.scenario.aps.len() as u32;
         let now = self.now;
         for u in 0..self.scenario.n_ues() {
-            let kept = self.nbr_count[u];
+            let kept = self.scenario.nbr.candidates(u).len() as u32;
             self.obs.tracer.emit(
                 now,
                 cellfi_obs::Event::Cull {
@@ -65,21 +47,21 @@ impl LteEngine {
         }
     }
 
-    /// Rebuild the spatial index and the neighbor-indirection tables
-    /// from the current scenario placement, under the `spatial_build`
-    /// profiler span. Placement-preserving: the slab strides must not
-    /// change, so this re-derives the same tables construction built —
-    /// the bench harness drives it to cost the spatial layer explicitly.
+    /// Rebuild the spatial index and re-derive the serving slots from
+    /// the current scenario placement, under the `spatial_build`
+    /// profiler span. The bench harness drives it to cost the spatial
+    /// layer explicitly. It never rebuilds the slabs laid out behind the
+    /// neighbor rows, so it must preserve placement: only the
+    /// construction-time positions reproduce the rows those slabs use.
     pub fn rebuild_spatial(&mut self) {
         self.obs.profiler.begin(cellfi_obs::SpanId::SpatialBuild);
+        let max_neighbors = self.scenario.nbr.max_neighbors;
         self.scenario.rebuild_index();
-        let (nbr, nbr_count, serving_slot, ap_nbr, ap_nbr_count) = neighbor_slabs(&self.scenario);
-        debug_assert_eq!(nbr.cols(), self.nbr.cols(), "placement changed under us");
-        self.nbr = nbr;
-        self.nbr_count = nbr_count;
-        self.serving_slot = serving_slot;
-        self.ap_nbr = ap_nbr;
-        self.ap_nbr_count = ap_nbr_count;
+        debug_assert_eq!(
+            self.scenario.nbr.max_neighbors, max_neighbors,
+            "placement changed under us"
+        );
+        self.serving_slot = serving_slots(&self.scenario);
         self.obs.profiler.end(cellfi_obs::SpanId::SpatialBuild);
     }
 }

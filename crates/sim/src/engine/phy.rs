@@ -10,7 +10,7 @@
 //!
 //! Data layout: the hot tensors are flat strided slabs
 //! ([`crate::slab`]) indexed `[ue][neighbor_slot][s]` behind the
-//! engine's neighbor-indirection table ([`crate::slab::IndexSlab`]):
+//! scenario's neighbor table ([`crate::topology::NeighborTable`]):
 //! slot `sl` of UE `u` is its `sl`-th candidate AP in ascending id
 //! order, so dense (uncapped) tables reproduce the old `[ue][ap][s]`
 //! layout exactly while a cull floor shrinks the middle axis to the
@@ -24,7 +24,7 @@
 //! test compares against a precomputed linear margin threshold, so dB
 //! values are computed only for the rare interference-event trace.
 
-use super::{LteEngine, LteEngineConfig};
+use super::{LteEngine, INTERFERENCE_MARGIN};
 use crate::slab::Slab2;
 use crate::topology::Scenario;
 use cellfi_core::ConflictGraph;
@@ -42,9 +42,6 @@ use cellfi_types::{ApId, SubchannelId, UeId};
 pub(crate) struct LinkMatrices {
     /// Mean downlink rx power (dBm) per `[ue][neighbor_slot]` at AP power.
     pub dl_mean_dbm: Slab2,
-    /// Mean uplink SNR (dB) per `[ue][neighbor_slot]` at UE power over
-    /// the channel.
-    pub ul_snr_db: Slab2,
     /// Mean uplink rx power (dBm) per `[ue][neighbor_slot]` at full UE
     /// power.
     pub ul_mean_dbm: Slab2,
@@ -58,8 +55,8 @@ pub(crate) struct LinkMatrices {
 }
 
 impl LinkMatrices {
-    /// Build every static matrix for `scenario` under `config`.
-    pub fn build(scenario: &Scenario, config: &LteEngineConfig, grid: &ResourceGrid) -> Self {
+    /// Build every static matrix for `scenario` on `grid`.
+    pub fn build(scenario: &Scenario, grid: &ResourceGrid) -> Self {
         let n_sub = grid.num_subchannels() as usize;
         let n_ue = scenario.n_ues();
         let n_ap = scenario.aps.len();
@@ -70,7 +67,6 @@ impl LinkMatrices {
         // the slots are exactly the global AP indices, so values and
         // layout match the old `[ue][ap]` matrices byte for byte.
         let mut dl_mean_dbm = Slab2::new(n_ue, nbr.max_neighbors, f64::NEG_INFINITY);
-        let mut ul_snr_db = Slab2::new(n_ue, nbr.max_neighbors, f64::NEG_INFINITY);
         let mut ul_mean_dbm = Slab2::new(n_ue, nbr.max_neighbors, f64::NEG_INFINITY);
         for u in 0..n_ue {
             for (sl, &a) in nbr.candidates(u).iter().enumerate() {
@@ -80,17 +76,6 @@ impl LinkMatrices {
                     sl,
                     env.mean_rx_power(&scenario.aps[a], scenario.config.ap_power, &scenario.ues[u])
                         .value(),
-                );
-                ul_snr_db.set(
-                    u,
-                    sl,
-                    env.mean_snr(
-                        &scenario.ues[u],
-                        scenario.config.ue_power,
-                        &scenario.aps[a],
-                        config.bandwidth.bandwidth(),
-                    )
-                    .value(),
                 );
                 ul_mean_dbm.set(
                     u,
@@ -129,8 +114,7 @@ impl LinkMatrices {
         // false for everyone else) — so the edge set is unchanged in
         // dense mode and near-field-restricted under a cull floor.
         let mut conflict = ConflictGraph::new(n_ap);
-        let margin = config.interference_margin.value();
-        let slot_of = |u: usize, a: usize| nbr.candidates(u).binary_search(&(a as u32)).ok();
+        let margin = INTERFERENCE_MARGIN.value();
         for i in 0..n_ap {
             for &j in nbr.interferers(i) {
                 let j = j as usize;
@@ -142,7 +126,8 @@ impl LinkMatrices {
                     let ap = scenario.assoc[u];
                     let other = if ap == i { j } else { i };
                     // A culled victim link cannot witness a conflict.
-                    let (Some(ap_sl), Some(other_sl)) = (slot_of(u, ap), slot_of(u, other)) else {
+                    let (Some(ap_sl), Some(other_sl)) = (nbr.slot(u, ap), nbr.slot(u, other))
+                    else {
                         return false;
                     };
                     let s_mw = Dbm(dl_mean_dbm.at(u, ap_sl)).to_milliwatts().value();
@@ -163,7 +148,6 @@ impl LinkMatrices {
 
         LinkMatrices {
             dl_mean_dbm,
-            ul_snr_db,
             ul_mean_dbm,
             ap_mean_dbm,
             noise_mw,
@@ -209,9 +193,8 @@ impl LteEngine {
         // generation here so a rewritten row can never be replayed
         // through a stale interference column or memoized scan.
         self.gain_gen += 1;
-        for sl in 0..self.nbr_count[u] as usize {
-            let a = self.nbr.at(u, sl) as usize;
-            let base = self.dl_mean_dbm.at(u, sl) + self.power_offset_db[a];
+        for (sl, &a) in self.scenario.nbr.candidates(u).iter().enumerate() {
+            let base = self.dl_mean_dbm.at(u, sl) + self.power_offset_db[a as usize];
             for (slot, &split) in lane_db.iter_mut().zip(&self.split_db) {
                 *slot = base + split;
             }
@@ -254,14 +237,12 @@ impl LteEngine {
         // read.
         let scenario = &self.scenario;
         let static_mw = &self.static_mw;
-        let nbr = &self.nbr;
-        let nbr_count = &self.nbr_count;
         let now = self.now;
         crate::parallel::for_each_chunk(self.lin_mw.as_mut_slice(), block_len, 8, |u, ue_block| {
             let ue_node = scenario.ues[u].node;
-            let count = nbr_count[u] as usize;
-            for (sl, lane) in ue_block.chunks_exact_mut(n_sub).enumerate().take(count) {
-                let ap_node = scenario.aps[nbr.at(u, sl) as usize].node;
+            let lanes = ue_block.chunks_exact_mut(n_sub).enumerate();
+            for ((sl, lane), &a) in lanes.zip(scenario.nbr.candidates(u)) {
+                let ap_node = scenario.aps[a as usize].node;
                 scenario
                     .env
                     .fading
@@ -281,12 +262,11 @@ impl LteEngine {
     #[cfg_attr(not(test), allow(dead_code))]
     pub(super) fn sinr_db(&self, ue: usize, s: usize, tx_cells: &[usize]) -> f64 {
         let ap = self.scenario.assoc[ue];
-        let count = self.nbr_count[ue] as usize;
         let signal = self.lin_mw.at(ue, self.serving_slot[ue] as usize, s);
         let interference: f64 = tx_cells
             .iter()
             .filter(|&&c| c != ap)
-            .filter_map(|&c| self.nbr.position(ue, count, c as u32))
+            .filter_map(|&c| self.scenario.nbr.slot(ue, c))
             .map(|sl| self.lin_mw.at(ue, sl, s))
             .sum();
         10.0 * (signal / (interference + self.noise_mw[s])).log10()
@@ -314,8 +294,7 @@ impl LteEngine {
         self.interf.refresh(
             self.gain_gen,
             &self.tracker,
-            &self.nbr,
-            &self.nbr_count,
+            &self.scenario.nbr,
             &self.lin_mw,
         );
         self.obs.profiler.end(SpanId::SinrCache);
@@ -513,9 +492,8 @@ impl LteEngine {
     /// A culled scenario keeps the candidate set of the drop position.
     pub fn move_ue(&mut self, ue: usize, position: cellfi_types::geo::Point) {
         self.scenario.ues[ue].position = position;
-        let count = self.nbr_count[ue] as usize;
-        for sl in 0..count {
-            let a = self.nbr.at(ue, sl) as usize;
+        for (sl, &a) in self.scenario.nbr.candidates(ue).iter().enumerate() {
+            let a = a as usize;
             self.dl_mean_dbm.set(
                 ue,
                 sl,
@@ -540,19 +518,6 @@ impl LteEngine {
                     )
                     .value(),
             );
-            self.ul_snr_db.set(
-                ue,
-                sl,
-                self.scenario
-                    .env
-                    .mean_snr(
-                        &self.scenario.ues[ue],
-                        self.scenario.config.ue_power,
-                        &self.scenario.aps[a],
-                        self.config.bandwidth.bandwidth(),
-                    )
-                    .value(),
-            );
         }
         // Refresh the static and instantaneous gains for this UE
         // immediately (and invalidate interference columns and memoized
@@ -564,8 +529,8 @@ impl LteEngine {
         let mut lane = vec![0.0; n_sub];
         self.rebuild_static_row(ue, &mut lane);
         let ue_node = self.scenario.ues[ue].node;
-        for sl in 0..count {
-            let ap_node = self.scenario.aps[self.nbr.at(ue, sl) as usize].node;
+        for (sl, &a) in self.scenario.nbr.candidates(ue).iter().enumerate() {
+            let ap_node = self.scenario.aps[a as usize].node;
             self.scenario
                 .env
                 .fading

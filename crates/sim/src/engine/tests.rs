@@ -221,10 +221,7 @@ mod all {
                     )
                     .to_milliwatts()
                     .value();
-                let sl = e
-                    .nbr
-                    .position(u, e.nbr_count[u] as usize, a as u32)
-                    .expect("dense candidate set");
+                let sl = e.scenario.nbr.slot(u, a).expect("dense candidate set");
                 let cached = e.lin_mw.at(u, sl, sc.index());
                 assert!(
                     (direct - cached).abs() / direct < 1e-9,
@@ -274,13 +271,12 @@ mod all {
                 // cache keys on its id namespace, and ids from a foreign
                 // tracker could collide with already-cached columns.
                 e.tracker.observe(&tx);
-                e.interf.refresh(e.gain_gen, &e.tracker, &e.nbr, &e.nbr_count, &e.lin_mw);
+                e.interf.refresh(e.gain_gen, &e.tracker, &e.scenario.nbr, &e.lin_mw);
                 for (s, tx_s) in tx.iter().enumerate() {
                     for ue in 0..e.scenario.n_ues() {
                         let direct = InterferenceCache::direct_total(
                             &e.tracker,
-                            &e.nbr,
-                            e.nbr_count[ue],
+                            &e.scenario.nbr,
                             &e.lin_mw,
                             ue,
                             s,
@@ -312,7 +308,7 @@ mod all {
                         .collect::<Vec<f64>>()
                 };
                 let before = snapshot(&e.interf);
-                e.interf.refresh(e.gain_gen, &e.tracker, &e.nbr, &e.nbr_count, &e.lin_mw);
+                e.interf.refresh(e.gain_gen, &e.tracker, &e.scenario.nbr, &e.lin_mw);
                 prop_assert_eq!(before, snapshot(&e.interf));
             }
         }
@@ -467,6 +463,38 @@ mod all {
         }
     }
 
+    /// PRACH hearing reads each uplink SNR as the mean uplink power
+    /// minus one channel noise floor. That must equal the
+    /// `RadioEnvironment::mean_snr` reference bit for bit at every
+    /// (UE, neighbor slot), on a dense scenario and on the fig9metro
+    /// pocket drop, whose cull floor keeps only near-field APs.
+    #[test]
+    fn derived_uplink_snr_is_mean_snr_bit_for_bit() {
+        let pocket = crate::experiments::fig9metro::pocket_config();
+        for config in [ScenarioConfig::paper_default(6, 3), pocket] {
+            let e = engine(
+                Scenario::generate(config, SeedSeq::new(61)),
+                ImMode::CellFi,
+                61,
+            );
+            let s = &e.scenario;
+            if config.cull_floor_dbm.is_some() {
+                assert!(s.nbr.max_neighbors < s.aps.len(), "the floor must cull");
+            }
+            let bandwidth = e.grid.bandwidth().bandwidth();
+            for u in 0..s.n_ues() {
+                for (sl, &a) in s.nbr.candidates(u).iter().enumerate() {
+                    let reference = s
+                        .env
+                        .mean_snr(&s.ues[u], s.config.ue_power, &s.aps[a as usize], bandwidth)
+                        .value();
+                    let derived = e.ul_mean_dbm.at(u, sl) - e.ul_noise_dbm;
+                    assert_eq!(derived.to_bits(), reference.to_bits(), "ue {u} slot {sl}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn conflict_graph_reflects_geometry() {
         let e = engine(edge_scenario(), ImMode::Oracle, 21);
@@ -506,10 +534,7 @@ mod all {
                 let ue_node = e.scenario.ues[u].node;
                 for a in 0..e.scenario.aps.len() {
                     let ap_node = e.scenario.aps[a].node;
-                    let sl = e
-                        .nbr
-                        .position(u, e.nbr_count[u] as usize, a as u32)
-                        .expect("dense candidate set");
+                    let sl = e.scenario.nbr.slot(u, a).expect("dense candidate set");
                     for sc in 0..n_sub {
                         let db = e.dl_mean_dbm.at(u, sl) + e.power_offset_db[a] + e.split_db[sc];
                         let static_ref = Dbm(db).to_milliwatts().value();

@@ -92,6 +92,18 @@ pub fn metro_config(p: MetroPoint) -> ScenarioConfig {
     cfg
 }
 
+/// A pocket edition of the quick metro drop: same AP density, flat
+/// channel and received-power cull floor, shrunk to 36 APs × 2 clients
+/// on 2.4 km so a traced run can afford it. The floor is active, so the
+/// spatial index genuinely culls far links.
+pub fn pocket_config() -> ScenarioConfig {
+    let mut cfg = metro_config(QUICK[0]);
+    cfg.n_aps = 36;
+    cfg.clients_per_ap = 2;
+    cfg.area = 2_400.0;
+    cfg
+}
+
 /// Saturated-downlink capacity density at one point.
 fn run_point(p: MetroPoint, warmup: Instant, horizon: Instant, seeds: SeedSeq) -> PointOutcome {
     let scenario = Scenario::generate(metro_config(p), seeds.child("topo"));

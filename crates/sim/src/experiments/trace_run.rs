@@ -62,24 +62,11 @@ pub struct TraceOptions {
 /// Run experiment `name`'s topology with tracing enabled; `None` for
 /// unknown names.
 pub fn traced(name: &str, config: ExpConfig) -> Option<TraceOutput> {
-    traced_with(name, config, false)
+    traced_opts(name, config, &TraceOptions::default())
 }
 
-/// As [`traced`], with the detail stream (`sched`/`harq_retx` events
-/// and per-epoch histogram window snapshots) switched on or off.
-pub fn traced_with(name: &str, config: ExpConfig, detail: bool) -> Option<TraceOutput> {
-    traced_opts(
-        name,
-        config,
-        &TraceOptions {
-            detail,
-            ..TraceOptions::default()
-        },
-    )
-}
-
-/// As [`traced`], with the full option set: sampling, monitors, and the
-/// flight recorder, on top of the detail switch.
+/// As [`traced`], with the full option set: the detail stream,
+/// sampling, monitors, and the flight recorder.
 pub fn traced_opts(name: &str, config: ExpConfig, opts: &TraceOptions) -> Option<TraceOutput> {
     if !super::ALL.contains(&name) {
         return None;
@@ -207,18 +194,11 @@ fn large_scale(config: ExpConfig, name: &str) -> Scenario {
     Scenario::generate(ScenarioConfig::paper_default(4, 3), seeds.child("topo"))
 }
 
-/// A pocket edition of the fig9metro drop: same AP density, flat
-/// channel and received-power cull floor as
-/// [`super::fig9metro::metro_config`], shrunk to a map a traced run can
-/// afford. The floor is active, so the spatial index genuinely culls
-/// far links and the trace carries one `cull` event per client.
+/// The fig9metro pocket drop ([`super::fig9metro::pocket_config`]):
+/// the floor culls, so the trace carries one `cull` event per client.
 fn metro_culled(config: ExpConfig, name: &str) -> Scenario {
     let seeds = SeedSeq::new(config.seed).child("trace").child(name);
-    let mut cfg = super::fig9metro::metro_config(super::fig9metro::QUICK[0]);
-    cfg.n_aps = 36;
-    cfg.clients_per_ap = 2;
-    cfg.area = 2_400.0;
-    Scenario::generate(cfg, seeds.child("topo"))
+    Scenario::generate(super::fig9metro::pocket_config(), seeds.child("topo"))
 }
 
 /// The Fig 7 two-cell rooftop layout. The walk experiment itself has no

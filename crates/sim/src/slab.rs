@@ -13,8 +13,10 @@
 //! * `Slab3[i][j][k]` → `data[(i * d1 + j) * d2 + k]`
 //!
 //! The engine's conventions: link matrices are `Slab2` indexed
-//! `[ue][ap]` (or `[ap][ap]`), gain tensors are `Slab3` indexed
-//! `[ue][ap][subchannel]` so one (UE, AP) subchannel lane is contiguous.
+//! `[ue][neighbor_slot]` (or `[ap][interferer_slot]`), gain tensors are
+//! `Slab3` indexed `[ue][neighbor_slot][subchannel]` so one (UE, AP)
+//! subchannel lane is contiguous. Slot `sl` is the `sl`-th entry of the
+//! row in the scenario's [`crate::topology::NeighborTable`].
 
 /// A dense 2-D array of `f64` in one allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,75 +141,6 @@ impl Slab3 {
     }
 }
 
-/// A dense 2-D array of `u32` indices in one allocation: the engine's
-/// neighbor-indirection table. Row `ue` holds that UE's candidate-AP
-/// ids, one per neighbor slot, padded to a uniform `cols` stride so the
-/// table is layout-compatible with the `[ue][neighbor_slot][subchannel]`
-/// gain slabs ([`Slab3`] with `d1 == cols`). Rows are kept sorted
-/// ascending by the builder, so [`IndexSlab::position`] can binary-search
-/// a reverse mapping. All `ue * cols + slot` stride math lives here (see
-/// the `slab` lint rule).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexSlab {
-    data: Vec<u32>,
-    cols: usize,
-}
-
-impl IndexSlab {
-    /// A `rows × cols` index table filled with `fill`.
-    pub fn new(rows: usize, cols: usize, fill: u32) -> IndexSlab {
-        IndexSlab {
-            data: vec![fill; rows * cols],
-            cols,
-        }
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.data.len().checked_div(self.cols).unwrap_or(0)
-    }
-
-    /// Number of columns (the uniform slot stride).
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Element at `[i][j]`.
-    #[inline]
-    pub fn at(&self, i: usize, j: usize) -> u32 {
-        self.data[i * self.cols + j]
-    }
-
-    /// Store `v` at `[i][j]`.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: u32) {
-        self.data[i * self.cols + j] = v;
-    }
-
-    /// The first `len` slots of row `i` as a contiguous slice.
-    #[inline]
-    pub fn row(&self, i: usize, len: usize) -> &[u32] {
-        let base = i * self.cols;
-        &self.data[base..base + len]
-    }
-
-    /// The first `len` slots of row `i`, mutable.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize, len: usize) -> &mut [u32] {
-        let base = i * self.cols;
-        &mut self.data[base..base + len]
-    }
-
-    /// The slot holding `value` within the first `len` (ascending-
-    /// sorted) slots of row `i`, or `None` when the row does not contain
-    /// it — the reverse mapping from a global AP id to its neighbor
-    /// slot.
-    #[inline]
-    pub fn position(&self, i: usize, len: usize, value: u32) -> Option<usize> {
-        self.row(i, len).binary_search(&value).ok()
-    }
-}
-
 /// Fixed-width rows of `u64` bitmask words in one allocation: row `r`
 /// holds bits `0..bits_per_row`, bit `b` living at bit `b % 64` of word
 /// `b / 64`. The engine's per-subchannel transmitter-membership masks
@@ -293,22 +226,6 @@ mod tests {
         assert_eq!(s.rows(), 0);
         let t = Slab3::new(0, 2, 3, 0.0);
         assert_eq!(t.as_slice().len(), 0);
-    }
-
-    #[test]
-    fn index_slab_rows_and_reverse_lookup() {
-        let mut t = IndexSlab::new(2, 4, u32::MAX);
-        assert_eq!((t.rows(), t.cols()), (2, 4));
-        t.row_mut(0, 3).copy_from_slice(&[1, 4, 9]);
-        t.set(1, 0, 7);
-        assert_eq!(t.at(0, 1), 4);
-        assert_eq!(t.row(0, 3), &[1, 4, 9]);
-        assert_eq!(t.row(1, 1), &[7]);
-        assert_eq!(t.position(0, 3, 4), Some(1));
-        assert_eq!(t.position(0, 3, 9), Some(2));
-        assert_eq!(t.position(0, 3, 5), None);
-        // Padding past `len` is invisible to lookups.
-        assert_eq!(t.position(0, 3, u32::MAX), None);
     }
 
     #[test]

@@ -231,7 +231,7 @@ impl NeighborTable {
                 cursor[a as usize] += 1;
             }
         }
-        // Per-AP client partition (the `clients_of` CSR), same sort.
+        // Per-AP client partition (the `clients` CSR), same sort.
         let mut counts = vec![0u32; n_ap + 1];
         for &a in assoc {
             counts[a + 1] += 1;
@@ -268,6 +268,15 @@ impl NeighborTable {
         let lo = self.ue_offsets[u] as usize;
         let hi = self.ue_offsets[u + 1] as usize;
         &self.ue_aps[lo..hi]
+    }
+
+    /// The slot AP `ap` occupies in UE `u`'s candidate row, or `None`
+    /// when the row does not carry it: the one reverse mapping from a
+    /// global AP id to a neighbor slot (binary search over the
+    /// ascending row).
+    #[inline]
+    pub fn slot(&self, u: usize, ap: usize) -> Option<usize> {
+        self.candidates(u).binary_search(&(ap as u32)).ok()
     }
 
     /// AP `a`'s interferer AP ids, ascending, self excluded.
@@ -439,13 +448,6 @@ impl Scenario {
     pub fn n_ues(&self) -> usize {
         self.ues.len()
     }
-
-    /// Clients of one AP: a slice into the CSR partition built at
-    /// generation time (ascending UE index), replacing the old
-    /// O(n_ues)-scan-per-call.
-    pub fn clients_of(&self, ap: usize) -> &[u32] {
-        self.nbr.clients(ap)
-    }
 }
 
 #[cfg(test)]
@@ -509,9 +511,9 @@ mod tests {
     #[test]
     fn clients_of_partitions_everyone() {
         let s = scenario(6);
-        let total: usize = (0..s.aps.len()).map(|a| s.clients_of(a).len()).sum();
+        let total: usize = (0..s.aps.len()).map(|a| s.nbr.clients(a).len()).sum();
         assert_eq!(total, s.n_ues());
-        assert_eq!(s.clients_of(0).len(), 4);
+        assert_eq!(s.nbr.clients(0).len(), 4);
     }
 
     #[test]
@@ -578,8 +580,20 @@ mod tests {
             assert!(ues.windows(2).all(|w| w[0] < w[1]), "ascending UEs");
             for (&u, &slot) in ues.iter().zip(slots) {
                 assert_eq!(s.nbr.candidates(u as usize)[slot as usize], a as u32);
+                assert_eq!(s.nbr.slot(u as usize, a), Some(slot as usize));
             }
         }
+        // An AP outside a UE's row has no slot there.
+        let mut outside = 0;
+        for u in 0..s.n_ues() {
+            for a in 0..=s.aps.len() {
+                if !s.nbr.candidates(u).contains(&(a as u32)) {
+                    assert_eq!(s.nbr.slot(u, a), None, "ue {u} ap {a}");
+                    outside += 1;
+                }
+            }
+        }
+        assert!(outside > s.n_ues(), "the floor must cull some AP");
         // Every (ue, candidate) pair appears in exactly one listener row.
         let total: usize = (0..s.aps.len()).map(|a| s.nbr.listeners(a).0.len()).sum();
         let expect: usize = (0..s.n_ues()).map(|u| s.nbr.candidates(u).len()).sum();

@@ -80,8 +80,8 @@ impl SpectrumDatabase {
     /// Adopt a regulatory rule profile wholesale: lease validity, EIRP
     /// cap, polling cadence and the advertised ruleset identifier all
     /// come from `profile`. The historical defaults equal
-    /// [`RuleProfile::etsi`], so `with_profile(&RuleProfile::etsi())`
-    /// is a no-op.
+    /// [`RuleProfile::etsi`](crate::profile::RuleProfile::etsi), so
+    /// `with_profile(&RuleProfile::etsi())` is a no-op.
     pub fn with_profile(mut self, profile: &crate::profile::RuleProfile) -> SpectrumDatabase {
         self.lease_validity = profile.lease_validity;
         self.max_eirp_dbm = profile.max_eirp_dbm;

@@ -72,16 +72,6 @@ impl GeoLocation {
         }
     }
 
-    /// The generic client location derived from the AP's fix: same point,
-    /// uncertainty inflated to the cell radius.
-    pub fn generic_client(ap: Point, cell_radius: f64) -> GeoLocation {
-        GeoLocation {
-            x: ap.x,
-            y: ap.y,
-            uncertainty: cell_radius,
-        }
-    }
-
     /// As a plain point.
     pub fn point(&self) -> Point {
         Point::new(self.x, self.y)
@@ -218,14 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_client_location_inherits_ap_point() {
-        let ap = Point::new(100.0, 200.0);
-        let loc = GeoLocation::generic_client(ap, 1_000.0);
-        assert_eq!(loc.point(), ap);
-        assert_eq!(loc.uncertainty, 1_000.0);
-    }
-
-    #[test]
     fn grant_validity_window() {
         let g = SpectrumGrant {
             channel: ChannelId::new(30),
@@ -299,6 +281,24 @@ mod tests {
         // A truncated but syntactically plausible message also errors.
         assert!(AvailSpectrumResp::from_json("{}").is_err());
         assert!(InitResp::from_json("[1,2,3]").is_err());
+        // Numbers outside a field's integer range never become a grant:
+        // no lease that never expires, no channel 0 from -1, no
+        // truncated expiry.
+        let grant = |channel: &str, expires_us: &str| {
+            format!(
+                "{{\"grants\":[{{\"channel\":{channel},\"max_eirp_dbm\":36,\
+                 \"expires_us\":{expires_us}}}],\"response_time_us\":0}}"
+            )
+        };
+        assert!(AvailSpectrumResp::from_json(&grant("38", "1000000")).is_ok());
+        assert!(AvailSpectrumResp::from_json(&grant("38", "1e300")).is_err());
+        assert!(AvailSpectrumResp::from_json(&grant("-1", "1000000")).is_err());
+        assert!(AvailSpectrumResp::from_json(&grant("38", "2.75")).is_err());
+        // A negative polling cadence would make every query due.
+        let init = r#"{"max_polling_secs":-60,"ruleset":"ETSI-EN-301-598-1.1.1"}"#;
+        assert!(InitResp::from_json(init).is_err());
+        // Deep nesting is an error, not a stack overflow.
+        assert!(AvailSpectrumResp::from_json(&"[".repeat(10_000)).is_err());
     }
 
     #[test]

@@ -49,14 +49,6 @@ impl Point {
         }
     }
 
-    /// Midpoint between two points.
-    pub fn midpoint(self, other: Point) -> Point {
-        Point {
-            x: (self.x + other.x) / 2.0,
-            y: (self.y + other.y) / 2.0,
-        }
-    }
-
     /// True when the point lies inside the axis-aligned rectangle
     /// `[0, width] × [0, height]`.
     pub fn within(self, width: f64, height: f64) -> bool {
@@ -140,12 +132,6 @@ mod tests {
         let end = start.offset(0.7, Meters(850.0));
         assert!(close(start.distance(end).value(), 850.0));
         assert!(close(start.bearing_to(end), 0.7));
-    }
-
-    #[test]
-    fn midpoint_is_halfway() {
-        let m = Point::new(0.0, 0.0).midpoint(Point::new(10.0, 20.0));
-        assert!(close(m.x, 5.0) && close(m.y, 10.0));
     }
 
     #[test]

@@ -144,11 +144,6 @@ impl Meters {
     pub fn value(self) -> f64 {
         self.0
     }
-
-    /// Construct from kilometres.
-    pub fn from_km(km: f64) -> Meters {
-        Meters(km * 1000.0)
-    }
 }
 
 impl Add<Db> for Dbm {
@@ -284,67 +279,6 @@ pub fn db_slab_to_mw(db: &[f64], out: &mut [f64]) {
     }
 }
 
-/// A precomputed, quantized dB→linear lookup table.
-///
-/// Covers `[lo, hi]` in uniform steps; [`DbLinearLut::lookup`] snaps its
-/// argument to the nearest grid point and returns the precomputed
-/// `10^(grid/10)`. At grid points the result is bit-identical to
-/// [`Dbm::to_milliwatts`] (see the exactness test); between grid points the
-/// error is bounded by half a step in the dB domain.
-///
-/// Quantization contract: paths that feed golden reports or traces must
-/// stay bit-identical to the exact conversion and therefore use
-/// [`db_slab_to_mw`] / [`Dbm::to_milliwatts`]; the LUT is for estimate-only
-/// consumers (dashboards, admission heuristics) where a half-step dB error
-/// is acceptable. Routing a golden path through the LUT is a deliberate
-/// re-pin, never a silent swap.
-#[derive(Debug, Clone)]
-pub struct DbLinearLut {
-    lo: f64,
-    step: f64,
-    inv_step: f64,
-    table: Vec<f64>,
-}
-
-impl DbLinearLut {
-    /// Build a table covering `[lo, hi]` with the given step in dB.
-    pub fn new(lo: f64, hi: f64, step: f64) -> DbLinearLut {
-        assert!(
-            step > 0.0 && hi > lo,
-            "LUT grid must be ascending with positive step"
-        );
-        let n = ((hi - lo) / step).ceil() as usize + 1;
-        let table = (0..n)
-            .map(|i| Dbm(lo + i as f64 * step).to_milliwatts().value())
-            .collect();
-        DbLinearLut {
-            lo,
-            step,
-            inv_step: 1.0 / step,
-            table,
-        }
-    }
-
-    /// The dB value of grid point `i`.
-    pub fn grid_point(&self, i: usize) -> f64 {
-        self.lo + i as f64 * self.step
-    }
-
-    /// Number of grid points.
-    pub fn grid_len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Nearest-grid-point linear value for a dB-domain input; inputs outside
-    /// `[lo, hi]` clamp to the end points.
-    #[inline]
-    pub fn lookup(&self, db_value: f64) -> f64 {
-        let idx = ((db_value - self.lo) * self.inv_step).round();
-        let idx = (idx.max(0.0) as usize).min(self.table.len() - 1);
-        self.table[idx]
-    }
-}
-
 /// Sum a slice of power levels in the linear domain and return the total in
 /// dBm. This is the only correct way to aggregate interference power.
 ///
@@ -473,11 +407,6 @@ mod tests {
     }
 
     #[test]
-    fn meters_from_km() {
-        assert!(close(Meters::from_km(1.3).value(), 1300.0, 1e-9));
-    }
-
-    #[test]
     fn display_formats() {
         assert_eq!(format!("{}", Dbm(-93.25)), "-93.2 dBm");
         assert_eq!(format!("{}", Db(6.0)), "6.0 dB");
@@ -498,44 +427,6 @@ mod tests {
                 "slab kernel diverged from Dbm::to_milliwatts at {d} dBm"
             );
         }
-    }
-
-    #[test]
-    fn lut_is_exact_on_the_quantized_grid() {
-        // The LUT's contract: at every grid point the stored value is
-        // bit-identical to the exact powf conversion.
-        let lut = DbLinearLut::new(-150.0, 40.0, 0.25);
-        for i in 0..lut.grid_len() {
-            let g = lut.grid_point(i);
-            assert_eq!(
-                lut.lookup(g).to_bits(),
-                Dbm(g).to_milliwatts().value().to_bits(),
-                "LUT inexact at grid point {g} dB"
-            );
-        }
-    }
-
-    #[test]
-    fn lut_quantization_error_is_bounded_by_half_step() {
-        let step = 0.5;
-        let lut = DbLinearLut::new(-100.0, 30.0, step);
-        let mut x = -100.0;
-        while x <= 30.0 {
-            let approx = lut.lookup(x);
-            let exact_db = 10.0 * approx.log10();
-            assert!(
-                (exact_db - x).abs() <= step / 2.0 + 1e-9,
-                "quantization error at {x} dB"
-            );
-            x += 0.137;
-        }
-    }
-
-    #[test]
-    fn lut_clamps_out_of_range_inputs() {
-        let lut = DbLinearLut::new(-10.0, 10.0, 1.0);
-        assert_eq!(lut.lookup(-999.0), lut.lookup(-10.0));
-        assert_eq!(lut.lookup(999.0), lut.lookup(10.0));
     }
 
     #[test]

@@ -16,6 +16,11 @@ cargo build --workspace --release --offline
 echo "== tier1: clippy (deny warnings) =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== tier1: rustdoc (deny warnings) =="
+# A stale or private intra-doc link is a warning to rustdoc; denying
+# warnings keeps the docs' cross-references honest.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== tier1: cellfi-lint (deny-by-default, --json vs committed empty baseline) =="
 # The workspace ships lint-zero: any finding fails the run and prints
 # the report, and the machine-readable report must stay byte-identical

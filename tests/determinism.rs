@@ -91,41 +91,61 @@ fn engine_run_is_identical_for_any_thread_count() {
 /// The tracing contract extends the parallel-engine contract: per-entity
 /// event sinks merge in entity order, so the serialized event stream —
 /// not just the aggregate counters — is byte-identical whether the
-/// fan-out uses 1, 2 or 8 workers.
+/// fan-out uses 1, 2 or 8 workers. Two inputs: the paper topology, where
+/// every link is kept, and the fig9metro pocket drop (36 APs × 2 clients
+/// on 2.4 km under the metro cull floor), where the neighbor rows are a
+/// genuine near-field subset of the APs.
 #[test]
 fn trace_bytes_are_identical_for_any_thread_count() {
     use cellfi::obs::Tracer;
+    use cellfi::sim::experiments::fig9metro;
     use cellfi::sim::{parallel, ImMode, LteEngine, LteEngineConfig, Scenario, ScenarioConfig};
     use cellfi::types::rng::SeedSeq;
     use cellfi::types::time::Instant;
 
-    let run = |threads: usize| {
-        parallel::with_threads(threads, || {
-            let seeds = SeedSeq::new(4242).child("trace-determinism");
-            let scenario = Scenario::generate(ScenarioConfig::paper_default(4, 3), seeds);
-            let mut e = LteEngine::new(
-                scenario,
-                LteEngineConfig::paper_default(ImMode::CellFi),
-                seeds.child("engine"),
+    let paper = ScenarioConfig::paper_default(4, 3);
+    for (label, config) in [("paper", paper), ("culled", fig9metro::pocket_config())] {
+        let run = |threads: usize| {
+            parallel::with_threads(threads, || {
+                let seeds = SeedSeq::new(4242).child("trace-determinism");
+                let scenario = Scenario::generate(config, seeds);
+                if config.cull_floor_dbm.is_some() {
+                    assert!(
+                        scenario.nbr.max_neighbors < scenario.aps.len(),
+                        "the floor must cull"
+                    );
+                }
+                let mut e = LteEngine::new(
+                    scenario,
+                    LteEngineConfig::paper_default(ImMode::CellFi),
+                    seeds.child("engine"),
+                );
+                e.obs_mut().tracer = Tracer::new(true);
+                e.emit_cull_events();
+                e.backlog_all(u64::MAX / 4);
+                e.run_until(Instant::from_secs(2));
+                (
+                    e.obs().tracer.to_jsonl(),
+                    e.obs().metrics.snapshot_jsonl(e.now()),
+                )
+            })
+        };
+        let (serial_trace, serial_metrics) = run(1);
+        assert!(
+            !serial_trace.is_empty(),
+            "{label}: traced engine run emitted no events"
+        );
+        for threads in [2usize, 8] {
+            let (trace, metrics) = run(threads);
+            assert_eq!(
+                trace, serial_trace,
+                "{label}: trace bytes, threads={threads}"
             );
-            e.obs_mut().tracer = Tracer::new(true);
-            e.backlog_all(u64::MAX / 4);
-            e.run_until(Instant::from_secs(2));
-            (
-                e.obs().tracer.to_jsonl(),
-                e.obs().metrics.snapshot_jsonl(e.now()),
-            )
-        })
-    };
-    let (serial_trace, serial_metrics) = run(1);
-    assert!(
-        !serial_trace.is_empty(),
-        "traced engine run emitted no events"
-    );
-    for threads in [2usize, 8] {
-        let (trace, metrics) = run(threads);
-        assert_eq!(trace, serial_trace, "trace bytes, threads={threads}");
-        assert_eq!(metrics, serial_metrics, "metrics bytes, threads={threads}");
+            assert_eq!(
+                metrics, serial_metrics,
+                "{label}: metrics bytes, threads={threads}"
+            );
+        }
     }
 }
 

@@ -31,22 +31,19 @@ pub struct CellConfig {
     pub bandwidth: ChannelBandwidth,
     /// TDD uplink/downlink configuration.
     pub tdd: TddConfig,
-    /// Scheduler discipline.
-    pub scheduler: SchedulerKind,
     /// PRACH Zadoff–Chu root planned for this cell.
     pub prach_root: u32,
 }
 
 impl CellConfig {
     /// The paper's large-scale-evaluation cell: 30 dBm, 5 MHz, TDD
-    /// config 4, proportional fair.
+    /// config 4.
     pub fn paper_default(id: ApId) -> CellConfig {
         CellConfig {
             id,
             tx_power: Dbm(30.0),
             bandwidth: ChannelBandwidth::Mhz5,
             tdd: TddConfig::paper_default(),
-            scheduler: SchedulerKind::ProportionalFair,
             prach_root: 129 + id.0 % 100,
         }
     }
@@ -57,6 +54,8 @@ impl CellConfig {
 pub struct Cell {
     config: CellConfig,
     grid: ResourceGrid,
+    /// The standard proportional-fair scheduler (§4.3: CellFi leaves it
+    /// unmodified).
     scheduler: Scheduler,
     sib: Option<SystemInformation>,
     attached: Vec<UeId>,
@@ -72,7 +71,7 @@ impl Cell {
         let grid = ResourceGrid::new(config.bandwidth);
         let n = grid.num_subchannels() as usize;
         Cell {
-            scheduler: Scheduler::new(config.scheduler),
+            scheduler: Scheduler::new(SchedulerKind::ProportionalFair),
             grid,
             config,
             sib: None,

@@ -23,10 +23,10 @@
 //! * **PRACH** ([`prach`]) — Zadoff–Chu preambles and the paper's
 //!   low-complexity timing-free detector (§6.3.3), plus the −10 dB
 //!   detection-probability model used by the system simulations.
-//! * **Schedulers** ([`scheduler`]) — proportional-fair and round-robin
-//!   over an *allowed subchannel mask*, the interface CellFi's
-//!   interference manager drives ("we don't require any modifications of
-//!   the standard scheduler", §4.3).
+//! * **Scheduler** ([`scheduler`]) — proportional fair over an *allowed
+//!   subchannel mask*, the interface CellFi's interference manager
+//!   drives ("we don't require any modifications of the standard
+//!   scheduler", §4.3).
 //! * **Cells and UEs** ([`cell`], [`ue`]) — attach state machines, SIB
 //!   broadcast of uplink frequency/power ([`sib`]), EARFCN mapping
 //!   ([`earfcn`]).

@@ -24,7 +24,7 @@ pub enum SpanId {
     HarnessTick,
     /// One engine subframe (`step_subframe`).
     Subframe,
-    /// Proportional-fair downlink/uplink scheduling pass.
+    /// Proportional-fair downlink scheduling pass.
     MacSchedule,
     /// Memoized per-subchannel interference accumulation
     /// (`InterferenceCache::refresh`).

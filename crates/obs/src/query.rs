@@ -67,8 +67,9 @@ impl<'a> Line<'a> {
 }
 
 /// Parse one flat JSONL line into its fields. Returns `None` on anything
-/// that is not a flat object of numbers / plain strings / nulls / flat
-/// arrays.
+/// that is not a flat object of finite numbers / plain strings / nulls /
+/// flat arrays. Rust's `NaN` and `inf` spellings are not JSON, and the
+/// writers spell a non-finite value `null`.
 pub fn parse_line(line: &str) -> Option<Line<'_>> {
     let s = line.trim();
     let s = s.strip_prefix('{')?.strip_suffix('}')?;
@@ -94,7 +95,8 @@ pub fn parse_line(line: &str) -> Option<Line<'_>> {
                 .unwrap_or(rest.len())
                 .min(rest.find('}').unwrap_or(rest.len()));
             let text = &rest[..vend];
-            (FieldVal::Num(text.parse().ok()?, text), &rest[vend..])
+            let v = text.parse::<f64>().ok().filter(|v| v.is_finite())?;
+            (FieldVal::Num(v, text), &rest[vend..])
         };
         out.push((key, val));
         match tail.strip_prefix(',') {
@@ -190,6 +192,7 @@ pub struct Query {
 
 /// A group key that sorts numerically when numeric, lexically otherwise
 /// (numbers before strings, so mixed tables are still deterministic).
+/// Numeric ties fall back to the text, so distinct keys never merge.
 #[derive(Debug, Clone, PartialEq)]
 struct GroupKey(String);
 
@@ -198,7 +201,7 @@ impl Eq for GroupKey {}
 impl Ord for GroupKey {
     fn cmp(&self, other: &GroupKey) -> std::cmp::Ordering {
         match (self.0.parse::<f64>(), other.0.parse::<f64>()) {
-            (Ok(a), Ok(b)) => a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal),
+            (Ok(a), Ok(b)) => a.total_cmp(&b).then_with(|| self.0.cmp(&other.0)),
             (Ok(_), Err(_)) => std::cmp::Ordering::Less,
             (Err(_), Ok(_)) => std::cmp::Ordering::Greater,
             (Err(_), Err(_)) => self.0.cmp(&other.0),
@@ -230,8 +233,9 @@ struct GroupAcc {
 
 /// Run `query` over a JSONL trace, returning the result table.
 ///
-/// Errors (not panics) on unparseable lines, so a truncated trace file
-/// reports its line number instead of producing a silently wrong table.
+/// Errors (not panics) on unparseable lines and on a `"t"` that is not
+/// an unsigned integer, so a truncated or corrupt trace file reports its
+/// line number instead of producing a silently wrong table.
 pub fn run_query(input: &str, query: &Query) -> Result<String, String> {
     use std::collections::BTreeMap;
     let mut groups: BTreeMap<GroupKey, GroupAcc> = BTreeMap::new();
@@ -242,10 +246,12 @@ pub fn run_query(input: &str, query: &Query) -> Result<String, String> {
         }
         let fields =
             parse_line(line).ok_or_else(|| format!("line {}: unparseable: {line}", lineno + 1))?;
-        let tick = match fields.get("t") {
-            Some(FieldVal::Num(t, _)) => t as u64,
-            _ => continue, // not an event line (e.g. a sketch record)
+        let Some(t) = fields.get("t") else {
+            continue; // not an event line (e.g. a sketch record)
         };
+        let tick = t
+            .int()
+            .ok_or_else(|| format!("line {}: \"t\" is not a tick: {line}", lineno + 1))?;
         if query.tick_lo.is_some_and(|lo| tick < lo) || query.tick_hi.is_some_and(|hi| tick > hi) {
             continue;
         }
@@ -256,11 +262,10 @@ pub fn run_query(input: &str, query: &Query) -> Result<String, String> {
             continue;
         }
         if let Some(want) = query.entity {
-            let id = KindSpec::named(ev).and_then(|k| match fields.get(k.fields[0]) {
-                Some(FieldVal::Num(v, _)) => Some(v as u32),
-                _ => None,
-            });
-            if id != Some(want) {
+            let id = KindSpec::named(ev)
+                .and_then(|k| fields.get(k.fields[0]))
+                .and_then(|v| v.int());
+            if id != Some(u64::from(want)) {
                 continue;
             }
         }
@@ -327,7 +332,7 @@ fn aggregate(agg: &Agg, acc: &GroupAcc) -> String {
                 "-".to_owned()
             } else {
                 let mut v = acc.values.clone();
-                v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                v.sort_by(f64::total_cmp);
                 let rank = ((q * v.len() as f64).ceil() as usize).clamp(1, v.len());
                 format_num(v[rank - 1])
             }
@@ -493,6 +498,71 @@ mod tests {
         assert_eq!(line.get("n"), Some(FieldVal::Null));
         assert_eq!(line.get("missing"), None);
         assert_eq!(line.kind(), None, "no \"ev\" field: not an event line");
+    }
+
+    #[test]
+    fn entity_filter_matches_only_integer_ids() {
+        let q = Query {
+            kind: Some("hop".to_owned()),
+            entity: Some(0),
+            ..Query::default()
+        };
+        let trace: String = ["0", "-1", "0.7"]
+            .iter()
+            .map(|cell| format!("{{\"t\":1,\"ev\":\"hop\",\"cell\":{cell},\"from\":1,\"to\":2}}\n"))
+            .collect();
+        let out = run_query(&trace, &q).expect("query runs");
+        assert_eq!(out, "group\tn\tcount\nall\t1\t1\ntotal\t1\t1\n");
+    }
+
+    #[test]
+    fn non_finite_numbers_are_unparseable() {
+        for bad in ["NaN", "inf", "-inf", "infinity", "1e999"] {
+            let line = format!("{{\"t\":1,\"ev\":\"hop\",\"cell\":{bad},\"from\":1,\"to\":2}}");
+            assert_eq!(parse_line(&line), None, "{line}");
+            let trace = format!("{}\n{line}\n", TRACE.lines().next().expect("a line"));
+            let q = Query {
+                group_by: Some("cell".to_owned()),
+                ..Query::default()
+            };
+            let err = run_query(&trace, &q).expect_err("non-finite input");
+            assert!(err.starts_with("line 2: unparseable"), "{err}");
+        }
+    }
+
+    #[test]
+    fn group_keys_that_tie_numerically_stay_apart() {
+        // The string keys "NaN" and "nan" parse as floats. Read as
+        // `Equal`, their unordered compare with cell 0 would merge the
+        // groups; so would their equal values without the text tie-break.
+        let trace = "\
+{\"t\":1,\"ev\":\"hop\",\"cell\":0,\"from\":1,\"to\":2}
+{\"t\":2,\"ev\":\"hop\",\"cell\":\"NaN\",\"from\":1,\"to\":2}
+{\"t\":3,\"ev\":\"hop\",\"cell\":\"nan\",\"from\":1,\"to\":2}
+";
+        let q = Query {
+            group_by: Some("cell".to_owned()),
+            ..Query::default()
+        };
+        let out = run_query(trace, &q).expect("query runs");
+        assert_eq!(
+            out,
+            "cell\tn\tcount\n0\t1\t1\nNaN\t1\t1\nnan\t1\t1\ntotal\t3\t3\n"
+        );
+    }
+
+    #[test]
+    fn tick_must_be_an_unsigned_integer() {
+        let q = Query {
+            tick_lo: Some(0),
+            tick_hi: Some(0),
+            ..Query::default()
+        };
+        for t in ["-7", "0.5", "\"0\"", "null"] {
+            let trace = format!("{{\"t\":{t},\"ev\":\"hop\",\"cell\":0,\"from\":1,\"to\":2}}\n");
+            let err = run_query(&trace, &q).expect_err("bad tick");
+            assert!(err.starts_with("line 1: \"t\" is not a tick"), "{err}");
+        }
     }
 
     #[test]

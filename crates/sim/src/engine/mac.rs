@@ -4,9 +4,10 @@
 //! CQI-derived rates, transport blocks resolved against the *actual*
 //! SINR through per-UE HARQ with chase combining, and control-channel
 //! retention from neighbouring radios (the measured Fig 7(b) factor).
-//! Uplink: PF grants over the same masks with the §3.1 single-carrier
-//! power concentration. Mobility (A3 handover with X2 data forwarding)
-//! and the RRC radio-link-failure timers live here too.
+//! Uplink subframes are silent: downlink pauses and no cell transmits.
+//! The §3.1 uplink (TCP ACKs in a sliver of the channel) is modelled by
+//! `fig1`'s link-level loop, not here. Mobility (A3 handover with X2
+//! data forwarding) and the RRC radio-link-failure timers live here too.
 //!
 //! Whether a cell may transmit at all this subframe is the IM layer's
 //! call: the subframe loop asks the configured strategy's
@@ -17,7 +18,7 @@ use cellfi_lte::amc::Cqi;
 use cellfi_lte::control::signalling_retention;
 use cellfi_lte::harq::{HarqEntity, HarqOutcome};
 use cellfi_types::time::Duration;
-use cellfi_types::units::{Db, Dbm};
+use cellfi_types::units::Db;
 use cellfi_types::{SubchannelId, UeId};
 
 impl LteEngine {
@@ -247,11 +248,9 @@ impl LteEngine {
             self.tx_scratch = tx;
         } else {
             // Uplink subframe: GPS-synchronized TDD means downlink data
-            // pauses everywhere while the uplink runs. Uplink deliveries
-            // accumulate in `ul_delivered_bits` (the return value carries
-            // downlink deliveries only, which is what the web-workload
-            // consumers track).
-            let _ = self.step_uplink();
+            // pauses everywhere. The engine offers no uplink traffic
+            // (`fig1` holds the §3.1 uplink model), so every subchannel's
+            // transmitter set is empty.
             for row in self.tx_last.iter_mut() {
                 row.clear();
             }
@@ -314,168 +313,6 @@ impl LteEngine {
         self.obs.metrics.snapshot_window(self.now);
     }
 
-    /// Instantaneous uplink SINR (dB) at `cell` for its UE `ue` on
-    /// subchannel `s`, given all concurrently transmitting UEs and their
-    /// per-subchannel powers.
-    ///
-    /// `tx[s]` lists `(ue, per_sc_power_offset_db)` of UEs granted
-    /// subchannel `s` this subframe, where the offset is the
-    /// concentration term `−10·log10(granted_subchannels)`.
-    fn ul_sinr_db(&self, cell: usize, ue: usize, s: usize, tx: &[Vec<(usize, f64)>]) -> f64 {
-        let sc = SubchannelId::new(s as u32);
-        let fade = |u: usize| {
-            self.scenario
-                .env
-                .fading
-                .gain(
-                    self.scenario.ues[u].node,
-                    self.scenario.aps[cell].node,
-                    sc,
-                    self.now,
-                )
-                .value()
-        };
-        let mut signal = 0.0f64;
-        let mut interference = 0.0f64;
-        for &(u, offset) in &tx[s] {
-            // An interfering UE whose path to `cell` was culled is below
-            // the floor by construction; the served UE's own cell is
-            // always a candidate.
-            let Some(sl) = self.scenario.nbr.slot(u, cell) else {
-                continue;
-            };
-            let p = Dbm(self.ul_mean_dbm.at(u, sl) + offset + fade(u))
-                .to_milliwatts()
-                .value();
-            if u == ue {
-                signal = p;
-            } else {
-                interference += p;
-            }
-        }
-        10.0 * (signal / (interference + self.noise_mw[s])).log10()
-    }
-
-    /// Run one uplink subframe: each cell grants its allowed subchannels
-    /// to backlogged UEs (PF), UEs concentrate their 20 dBm across their
-    /// grants, and transport blocks resolve against UL-UL interference
-    /// through per-UE uplink HARQ. GPS-synchronized TDD (§4.1) means no
-    /// DL↔UL cross interference. Returns `(ue, bits)` deliveries.
-    fn step_uplink(&mut self) -> Vec<(usize, u64)> {
-        let n_sub = self.grid.num_subchannels() as usize;
-        let mut deliveries = Vec::new();
-        // 1. Grants per cell over its allowed mask.
-        let mut grants: Vec<Vec<usize>> = vec![Vec::new(); self.scenario.n_ues()];
-        for c in 0..self.cells.len() {
-            if !self.cell_active(c) {
-                continue;
-            }
-            let ues: Vec<UeId> = self.cells[c]
-                .attached_ues()
-                .iter()
-                .copied()
-                .filter(|u| self.ul_queue[u.index()] > 0)
-                .collect();
-            if ues.is_empty() {
-                continue;
-            }
-            // Rate estimate: sounding-based genie of the clean channel,
-            // assuming single-subchannel concentration (full power).
-            let demands: Vec<cellfi_lte::scheduler::UeDemand> = ues
-                .iter()
-                .map(|&u| {
-                    let rates = (0..n_sub)
-                        .map(|s| {
-                            let sc = SubchannelId::new(s as u32);
-                            let fade = self
-                                .scenario
-                                .env
-                                .fading
-                                .gain(
-                                    self.scenario.ues[u.index()].node,
-                                    self.scenario.aps[c].node,
-                                    sc,
-                                    self.now,
-                                )
-                                .value();
-                            // `c` is this UE's serving cell (it is
-                            // attached), so the slot is the serving slot.
-                            let snr = self
-                                .ul_mean_dbm
-                                .at(u.index(), self.serving_slot[u.index()] as usize)
-                                + fade
-                                - 10.0 * self.noise_mw[s].log10();
-                            let cqi = self.table.cqi_for_sinr(Db(snr));
-                            if cqi.usable() {
-                                self.table.efficiency(cqi) * self.grid.data_res_per_subframe(sc)
-                            } else {
-                                0.0
-                            }
-                        })
-                        .collect();
-                    cellfi_lte::scheduler::UeDemand {
-                        ue: u,
-                        backlog_bits: self.ul_queue[u.index()],
-                        rate_per_subchannel: rates,
-                    }
-                })
-                .collect();
-            let allowed = self.cells[c].allowed_mask().to_vec();
-            let alloc = self.ul_scheduler[c].allocate(&allowed, &demands);
-            for (s, assigned) in alloc.assignment.iter().enumerate() {
-                if let Some(u) = assigned {
-                    grants[u.index()].push(s);
-                }
-            }
-        }
-        // 2. Concentration offsets and the transmitter sets.
-        let mut tx: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_sub];
-        for (u, scs) in grants.iter().enumerate() {
-            if scs.is_empty() {
-                continue;
-            }
-            let offset = -10.0 * (scs.len() as f64).log10();
-            for &s in scs {
-                tx[s].push((u, offset));
-            }
-        }
-        // 3. Resolve per UE through uplink HARQ.
-        for (u, ue_grants) in grants.iter().enumerate() {
-            if ue_grants.is_empty() {
-                continue;
-            }
-            let cell = self.scenario.assoc[u];
-            let mean_linear = ue_grants
-                .iter()
-                .map(|&s| Db(self.ul_sinr_db(cell, u, s, &tx)).to_linear())
-                .sum::<f64>()
-                / ue_grants.len() as f64;
-            let eff_sinr = Db(10.0 * mean_linear.max(1e-12).log10());
-            let cqi = self.table.cqi_for_sinr(eff_sinr);
-            if !cqi.usable() {
-                continue;
-            }
-            let bits: f64 = ue_grants
-                .iter()
-                .map(|&s| {
-                    self.table.efficiency(cqi)
-                        * self.grid.data_res_per_subframe(SubchannelId::new(s as u32))
-                })
-                .sum();
-            let process = (self.now.as_millis() % 8) as usize;
-            let outcome = self.ul_harq[u].transmit(process, cqi, eff_sinr, &mut self.ue_rng[u]);
-            if let HarqOutcome::Ack { .. } = outcome {
-                let drained = (bits as u64).min(self.ul_queue[u]);
-                self.ul_queue[u] -= drained;
-                self.ul_delivered[u] += drained;
-                if drained > 0 {
-                    deliveries.push((u, drained));
-                }
-            }
-        }
-        deliveries
-    }
-
     /// A3-style handover check for one client: switch to a neighbour cell
     /// whose downlink is at least `hysteresis_db` stronger than the
     /// serving cell's. Queued downlink data is forwarded over X2 (the
@@ -516,7 +353,6 @@ impl LteEngine {
         // generation: memoized CQI scans keyed on the old serving cells
         // must miss from here on.
         self.harq[ue] = HarqEntity::new();
-        self.ul_harq[ue] = HarqEntity::new();
         self.assoc_gen += 1;
         self.handovers += 1;
         Some(best)

@@ -8,9 +8,10 @@
 //! * `phy` — the propagation substrate: static mean-gain matrices,
 //!   per-coherence-block fading refresh, the memoized per-subchannel
 //!   interference cache, and the CQI measurement scan.
-//! * `mac` — the LTE MAC: per-subframe PF scheduling + AMC + HARQ for
-//!   downlink and uplink, control-channel retention, and the
-//!   radio-link-failure / handover machinery.
+//! * `mac` — the LTE MAC: per-subframe downlink PF scheduling + AMC +
+//!   HARQ, control-channel retention, and the radio-link-failure /
+//!   handover machinery. Uplink subframes are silent; `fig1` holds the
+//!   uplink model.
 //! * [`im`] — one module per interference-management system behind the
 //!   [`im::ImStrategy`] trait: plain LTE, CellFi, the centralized
 //!   oracle, LAA listen-before-talk, and X2-coordinated ICIC. The
@@ -56,7 +57,6 @@ use cellfi_lte::cell::{Cell, CellConfig};
 use cellfi_lte::earfcn::{Band, Earfcn};
 use cellfi_lte::grid::{ChannelBandwidth, ResourceGrid};
 use cellfi_lte::harq::HarqEntity;
-use cellfi_lte::scheduler::SchedulerKind;
 use cellfi_lte::tdd::TddConfig;
 use cellfi_obs::Obs;
 use cellfi_types::rng::SeedSeq;
@@ -226,27 +226,15 @@ pub struct LteEngine {
     rates_scratch: Vec<Vec<f64>>,
     tx_scratch: Vec<Vec<usize>>,
     pairs_scratch: Vec<(u32, u32)>,
-    /// Consecutive epochs whose steady-state signature was unchanged.
-    quiescent_epochs: u64,
-    /// The previous epoch's `(total hops, interned sets, handovers)`.
-    last_epoch_sig: Option<(u64, u64, u64)>,
     /// True conflict graph (static; used by the oracle).
     conflict: ConflictGraph,
     /// Mean AP→AP rx power (dBm) per `[ap][interferer_slot]` at AP
     /// power — the LBT sensing input.
     ap_mean_dbm: Slab2,
-    /// Mean uplink rx power (dBm) per `[ue][neighbor_slot]` at *full* UE power; a UE
-    /// concentrating into fewer subchannels splits this across only its
-    /// granted ones (§3.1's single-carrier uplink advantage).
+    /// Mean uplink rx power (dBm) per `[ue][neighbor_slot]` at full UE
+    /// power over the whole channel: with `ul_noise_dbm`, the input of
+    /// PRACH hearing and nothing else.
     ul_mean_dbm: Slab2,
-    /// Uplink queues (bits) per UE.
-    ul_queue: Vec<u64>,
-    /// Uplink delivered bits per UE.
-    ul_delivered: Vec<u64>,
-    /// Uplink HARQ entity per UE.
-    ul_harq: Vec<HarqEntity>,
-    /// Uplink PF scheduler per cell (independent of the downlink one).
-    ul_scheduler: Vec<cellfi_lte::scheduler::Scheduler>,
     /// Total X2 messages exchanged (X2Icic mode): the explicit-
     /// coordination cost CellFi's passive sensing avoids.
     pub x2_messages: u64,
@@ -263,7 +251,7 @@ pub struct LteEngine {
     /// LAA listen-before-talk state per cell.
     lbt: Vec<LbtState>,
     /// Regulatory lease gate per cell: a cell with `lease_ok == false`
-    /// neither schedules downlink nor grants uplink, without tearing
+    /// neither schedules downlink nor radiates control, without tearing
     /// down its attached clients the way `Cell::radio_off` would — the
     /// chaos harness flips this as PAWS leases are lost and regained.
     lease_ok: Vec<bool>,
@@ -316,7 +304,6 @@ impl LteEngine {
             .map(|i| {
                 let mut cfg = CellConfig::paper_default(ApId::new(i as u32));
                 cfg.tx_power = scenario.config.ap_power;
-                cfg.scheduler = SchedulerKind::ProportionalFair;
                 let mut c = Cell::new(cfg);
                 c.set_carrier(carrier, scenario.config.ue_power, Instant::ZERO);
                 c
@@ -416,21 +403,9 @@ impl LteEngine {
             rates_scratch: Vec::new(),
             tx_scratch: Vec::new(),
             pairs_scratch: Vec::new(),
-            quiescent_epochs: 0,
-            last_epoch_sig: None,
             conflict: links.conflict,
             ap_mean_dbm: links.ap_mean_dbm,
             ul_mean_dbm: links.ul_mean_dbm,
-            ul_queue: vec![0; n_ue],
-            ul_delivered: vec![0; n_ue],
-            ul_harq: vec![HarqEntity::new(); n_ue],
-            ul_scheduler: (0..n_ap)
-                .map(|_| {
-                    cellfi_lte::scheduler::Scheduler::new(
-                        cellfi_lte::scheduler::SchedulerKind::ProportionalFair,
-                    )
-                })
-                .collect(),
             lbt: vec![LbtState::default(); n_ap],
             lease_ok: vec![true; n_ap],
             power_offset_db: vec![0.0; n_ap],
@@ -483,27 +458,6 @@ impl LteEngine {
         self.enqueued[ue] += bits;
     }
 
-    /// Enqueue uplink bits at a client.
-    pub fn enqueue_ul(&mut self, ue: usize, bits: u64) {
-        self.ul_queue[ue] += bits;
-    }
-
-    /// Uplink delivered bits per client.
-    pub fn ul_delivered_bits(&self) -> &[u64] {
-        &self.ul_delivered
-    }
-
-    /// Uplink bits still queued at a client.
-    pub fn ul_queued_bits(&self, ue: usize) -> u64 {
-        self.ul_queue[ue]
-    }
-
-    /// Per-client average uplink throughput in bps over the elapsed time.
-    pub fn ul_throughputs_bps(&self) -> Vec<f64> {
-        let t = self.now.as_secs_f64().max(1e-9);
-        self.ul_delivered.iter().map(|&b| b as f64 / t).collect()
-    }
-
     /// Give every client `bits` of backlog.
     pub fn backlog_all(&mut self, bits: u64) {
         for u in 0..self.scenario.n_ues() {
@@ -538,9 +492,9 @@ impl LteEngine {
     }
 
     /// Set a cell's regulatory lease gate. `false` silences the cell
-    /// (no downlink scheduling, no uplink grants, no control presence)
-    /// while keeping its attachments and queues intact, so regaining
-    /// the lease resumes service instantly.
+    /// (no downlink scheduling, no control presence) while keeping its
+    /// attachments and queues intact, so regaining the lease resumes
+    /// service instantly.
     pub fn set_lease_ok(&mut self, cell: usize, ok: bool) {
         if self.lease_ok[cell] != ok {
             self.lease_ok[cell] = ok;
@@ -593,14 +547,6 @@ impl LteEngine {
     /// with the memo off to drive the full scan every period.
     pub fn set_fast_path(&mut self, on: bool) {
         self.fast_path = on;
-    }
-
-    /// Consecutive interference-management epochs whose steady-state
-    /// signature — total manager hops, distinct transmitter sets seen,
-    /// handovers — was unchanged. Grows once hopping has converged and
-    /// associations are stable; any new hop, set, or handover resets it.
-    pub fn quiescent_epochs(&self) -> u64 {
-        self.quiescent_epochs
     }
 
     /// Run until `deadline`.
@@ -675,16 +621,5 @@ impl LteEngine {
         }
         self.dl_subframes_this_epoch = 0;
         self.recompute_retention();
-        // Quiescence detection: an epoch that hopped nothing, saw no new
-        // transmitter set, and moved no client left the system exactly
-        // where it was. Harnesses can stop on a run of such epochs.
-        let hops: u64 = self.managers.iter().map(|m| m.total_hops()).sum();
-        let sig = (hops, self.tracker.interned(), self.handovers);
-        if self.last_epoch_sig == Some(sig) {
-            self.quiescent_epochs += 1;
-        } else {
-            self.quiescent_epochs = 0;
-            self.last_epoch_sig = Some(sig);
-        }
     }
 }

@@ -38,14 +38,6 @@ pub trait SystemEngine {
     /// Number of clients in the scenario.
     fn n_ues(&self) -> usize;
 
-    /// Consecutive epochs the engine has reported an unchanged
-    /// steady-state signature (spectrum allocations, transmitter sets,
-    /// associations). Engines without the notion report 0, which never
-    /// triggers quiescence stopping in [`SimHarness`].
-    fn quiescent_epochs(&self) -> u64 {
-        0
-    }
-
     /// The engine's span profiler, if it carries one. [`SimHarness`]
     /// uses this to wrap each tick in a `harness_tick` span; engines
     /// without observability return `None` (the default) and the
@@ -74,10 +66,6 @@ impl SystemEngine for LteEngine {
 
     fn n_ues(&self) -> usize {
         self.scenario().n_ues()
-    }
-
-    fn quiescent_epochs(&self) -> u64 {
-        LteEngine::quiescent_epochs(self)
     }
 
     fn profiler_mut(&mut self) -> Option<&mut cellfi_obs::Profiler> {
@@ -141,28 +129,12 @@ pub struct SimHarness {
     pub tick: Duration,
     /// End of the run.
     pub horizon: Instant,
-    /// Stop early once the engine reports this many consecutive
-    /// quiescent epochs (see [`SystemEngine::quiescent_epochs`]).
-    /// `None` — the default — always runs to the horizon.
-    pub quiescence_stop: Option<u64>,
 }
 
 impl SimHarness {
     /// A harness stepping `tick` at a time until `horizon`.
     pub fn new(tick: Duration, horizon: Instant) -> SimHarness {
-        SimHarness {
-            tick,
-            horizon,
-            quiescence_stop: None,
-        }
-    }
-
-    /// Stop the run as soon as the engine has been quiescent for
-    /// `epochs` consecutive epochs (convergence-bounded runs: a driver
-    /// that only needs steady state can skip the settled tail).
-    pub fn stop_when_quiescent(mut self, epochs: u64) -> SimHarness {
-        self.quiescence_stop = Some(epochs);
-        self
+        SimHarness { tick, horizon }
     }
 
     /// Drive `e` to the horizon. Per tick: `offer` may enqueue traffic
@@ -208,11 +180,6 @@ impl SimHarness {
             }
             last = current;
             now = after;
-            if let Some(min_epochs) = self.quiescence_stop {
-                if e.quiescent_epochs() >= min_epochs {
-                    break;
-                }
-            }
         }
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! These lived inside the monolithic engine file before the layered
 //! split; they exercise cross-layer behaviour (scheduling against
-//! cached SINR, IM convergence, LBT duty cycles, uplink concentration),
-//! so they sit beside the layer modules rather than inside any one.
+//! cached SINR, IM convergence, LBT duty cycles, PRACH hearing), so
+//! they sit beside the layer modules rather than inside any one.
 
 #[cfg(test)]
 mod all {
@@ -388,81 +388,6 @@ mod all {
 
     use cellfi_propagation::antenna::Antenna;
 
-    #[test]
-    fn uplink_delivers_and_conserves() {
-        let mut s = small_scenario(1, 1, 41);
-        s.ues[0].position =
-            cellfi_types::geo::Point::new(s.aps[0].position.x + 150.0, s.aps[0].position.y);
-        let mut e = engine(s, ImMode::PlainLte, 43);
-        e.enqueue_ul(0, 2_000_000);
-        e.run_until(Instant::from_secs(3));
-        assert_eq!(
-            e.ul_delivered_bits()[0] + e.ul_queued_bits(0),
-            2_000_000,
-            "uplink conservation"
-        );
-        assert!(e.ul_delivered_bits()[0] > 1_500_000, "uplink barely moved");
-    }
-
-    #[test]
-    fn uplink_capacity_matches_tdd_share() {
-        // TDD config 4 gives the uplink 2 of 10 subframes: a backlogged
-        // near client should see roughly 0.2/0.77 of the downlink rate.
-        let mut s = small_scenario(1, 1, 45);
-        s.ues[0].position =
-            cellfi_types::geo::Point::new(s.aps[0].position.x + 100.0, s.aps[0].position.y);
-        let mut e = engine(s, ImMode::PlainLte, 47);
-        e.enqueue(0, u64::MAX / 4);
-        e.enqueue_ul(0, u64::MAX / 4);
-        e.run_until(Instant::from_secs(4));
-        let dl = e.throughputs_bps()[0];
-        let ul = e.ul_throughputs_bps()[0];
-        let ratio = ul / dl;
-        assert!(
-            (0.15..0.45).contains(&ratio),
-            "UL/DL ratio {ratio} (dl {dl}, ul {ul})"
-        );
-    }
-
-    #[test]
-    fn uplink_power_concentration_reaches_the_edge() {
-        // A cell-edge client (1 km, 20 dBm) cannot close the uplink if it
-        // spreads power across the carrier, but concentrating into one
-        // granted subchannel buys 10·log10(25/1) ≈ 14 dB — §3.1's uplink
-        // OFDMA advantage. The scheduler grants only what the small ACK
-        // stream needs, so the edge uplink still flows.
-        let mut s = small_scenario(1, 1, 49);
-        s.ues[0].position =
-            cellfi_types::geo::Point::new(s.aps[0].position.x + 950.0, s.aps[0].position.y);
-        let mut e = engine(s, ImMode::PlainLte, 51);
-        e.enqueue_ul(0, 100_000); // a thin ACK-like stream
-        e.run_until(Instant::from_secs(3));
-        assert!(
-            e.ul_delivered_bits()[0] >= 100_000,
-            "edge uplink failed: {} of 100000",
-            e.ul_delivered_bits()[0]
-        );
-    }
-
-    #[test]
-    fn uplink_respects_interference_management_masks() {
-        // Two CellFi cells: after convergence, concurrent uplinks use
-        // disjoint subchannels, so both UL flows progress.
-        let mut e = engine(edge_scenario(), ImMode::CellFi, 53);
-        e.backlog_all(u64::MAX / 4); // downlink load drives the IM epochs
-        for u in 0..2 {
-            e.enqueue_ul(u, 5_000_000);
-        }
-        e.run_until(Instant::from_secs(20));
-        for u in 0..2 {
-            assert!(
-                e.ul_delivered_bits()[u] > 1_000_000,
-                "ue {u} uplink starved: {}",
-                e.ul_delivered_bits()[u]
-            );
-        }
-    }
-
     /// PRACH hearing reads each uplink SNR as the mean uplink power
     /// minus one channel noise floor. That must equal the
     /// `RadioEnvironment::mean_snr` reference bit for bit at every
@@ -559,35 +484,5 @@ mod all {
                 }
             }
         }
-    }
-
-    /// Quiescence detection: a settled plain-LTE network (fixed masks,
-    /// no mobility, warmed transmitter sets) reports a growing run of
-    /// quiescent epochs, and a [`SimHarness`] configured with
-    /// `stop_when_quiescent` ends the run well before its horizon.
-    #[test]
-    fn quiescence_detected_and_harness_stops_early() {
-        use crate::engine::system::{SimHarness, SystemEngine};
-        use cellfi_types::time::Duration;
-        let mut e = engine(small_scenario(2, 1, 11), ImMode::PlainLte, 11);
-        assert_eq!(e.quiescent_epochs(), 0);
-        e.backlog_all(u64::MAX / 4);
-        e.run_until(Instant::from_secs(4));
-        assert!(
-            e.quiescent_epochs() >= 2,
-            "settled network never went quiescent: {}",
-            e.quiescent_epochs()
-        );
-
-        let mut e2 = engine(small_scenario(2, 1, 11), ImMode::PlainLte, 11);
-        e2.backlog_all(u64::MAX / 4);
-        let horizon = Instant::from_secs(60);
-        let h = SimHarness::new(Duration::from_millis(1), horizon).stop_when_quiescent(2);
-        h.run(&mut e2, &mut (), |_, _, _| {}, |_, _, _, _| {});
-        assert!(
-            SystemEngine::now(&e2) < horizon,
-            "quiescence stop never fired"
-        );
-        assert!(e2.quiescent_epochs() >= 2);
     }
 }

@@ -7,19 +7,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every cargo invocation below passes --locked: a dependency edit that
+# would rewrite Cargo.lock or benchmark/Cargo.lock fails the run instead
+# of silently changing the lockfile.
+
 echo "== tier1: format =="
 cargo fmt --all -- --check
 
 echo "== tier1: build (release) =="
-cargo build --workspace --release --offline
+cargo build --workspace --release --offline --locked
 
 echo "== tier1: clippy (deny warnings) =="
-cargo clippy --workspace --all-targets --offline -- -D warnings
+cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
 echo "== tier1: rustdoc (deny warnings) =="
 # A stale or private intra-doc link is a warning to rustdoc; denying
 # warnings keeps the docs' cross-references honest.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --locked
 
 echo "== tier1: cellfi-lint (deny-by-default, --json vs committed empty baseline) =="
 # The workspace ships lint-zero: any finding fails the run and prints
@@ -27,7 +31,7 @@ echo "== tier1: cellfi-lint (deny-by-default, --json vs committed empty baseline
 # to the committed empty-findings baseline, so a rule regression (or a
 # sneaky allowlist) cannot pass silently.
 LINT_TMP=$(mktemp)
-if ! cargo run -q -p cellfi-lint --offline -- --json > "$LINT_TMP"; then
+if ! cargo run -q -p cellfi-lint --offline --locked -- --json > "$LINT_TMP"; then
     cat "$LINT_TMP"
     rm -f "$LINT_TMP"
     exit 1
@@ -36,13 +40,13 @@ diff tests/goldens/lint_baseline.json "$LINT_TMP"
 rm -f "$LINT_TMP"
 
 echo "== tier1: test suite =="
-cargo test --workspace --offline -q
+cargo test --workspace --offline --locked -q
 
 echo "== tier1: determinism, CELLFI_THREADS=1 =="
-CELLFI_THREADS=1 cargo test --offline -q --test determinism
+CELLFI_THREADS=1 cargo test --offline --locked -q --test determinism
 
 echo "== tier1: determinism, CELLFI_THREADS=4 =="
-CELLFI_THREADS=4 cargo test --offline -q --test determinism
+CELLFI_THREADS=4 cargo test --offline --locked -q --test determinism
 
 echo "== tier1: trace smoke (byte-identical across thread counts and vs goldens) =="
 TRACE_TMP=$(mktemp -d)
@@ -139,11 +143,11 @@ echo "== tier1: benchmark output checks (goldens, invariants, kernels) =="
 # and every output invariant must hold, or cellfi-bench exits 1. The
 # traced paper run adds the per-layer path and the kernel checks. Rates
 # are not gated here; BENCHMARK.json compares them change against parent.
-BENCH="cargo run -q --release --offline --manifest-path benchmark/Cargo.toml --bin cellfi-bench --"
+BENCH="cargo run -q --release --offline --locked --manifest-path benchmark/Cargo.toml --bin cellfi-bench --"
 $BENCH all --seconds 0 > /dev/null
 $BENCH run paper_saturated --seconds 0 --trace > /dev/null
 
 echo "== tier1: benchmark test suite =="
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "== tier1: OK =="

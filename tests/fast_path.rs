@@ -20,7 +20,6 @@ use cellfi::types::time::Instant;
 #[derive(Debug, PartialEq, Eq)]
 struct RunOutcome {
     delivered: Vec<u64>,
-    ul_delivered: Vec<u64>,
     rrc_drops: Vec<u64>,
     handovers: u64,
     trace: String,
@@ -39,7 +38,6 @@ fn run(mode: ImMode, seed: u64, fast_path: bool, threads: usize) -> RunOutcome {
         e.set_fast_path(fast_path);
         e.obs_mut().tracer = Tracer::new(true);
         e.backlog_all(40_000_000);
-        e.enqueue_ul(0, 2_000_000);
         e.run_until(Instant::from_millis(1_200));
         // Perturb mid-run: both paths must agree through cache
         // invalidation, not just within a warmed steady state.
@@ -48,7 +46,6 @@ fn run(mode: ImMode, seed: u64, fast_path: bool, threads: usize) -> RunOutcome {
         e.run_until(Instant::from_millis(2_400));
         RunOutcome {
             delivered: e.delivered_bits().to_vec(),
-            ul_delivered: e.ul_delivered_bits().to_vec(),
             rrc_drops: e.rrc_drops.clone(),
             handovers: e.handovers,
             trace: e.obs().tracer.to_jsonl(),

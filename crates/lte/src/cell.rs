@@ -8,16 +8,23 @@
 //! struct only through its public, "standard" interfaces:
 //! [`Cell::set_carrier`] / [`Cell::radio_off`] and
 //! [`Cell::set_allowed_mask`].
+//!
+//! Per-UE state is a struct of arrays in attach order: the attach list,
+//! the downlink queue depths and the proportional-fair averages are
+//! three parallel `Vec`s, so [`Cell::schedule_downlink`] hands them to
+//! [`pf_allocate`] as slices. Attaching appends a UE with an empty queue
+//! and the PF default average of 1.0; detaching removes all three
+//! entries together, so a UE that leaves (a handover, a radio-off)
+//! starts afresh wherever it attaches next.
 
 use crate::earfcn::Earfcn;
 use crate::grid::{ChannelBandwidth, ResourceGrid};
-use crate::scheduler::{Allocation, Scheduler, SchedulerKind, UeDemand};
+use crate::scheduler::{pf_allocate, PF_ALPHA};
 use crate::sib::SystemInformation;
 use crate::tdd::TddConfig;
 use cellfi_types::time::Instant;
 use cellfi_types::units::Dbm;
 use cellfi_types::{ApId, UeId};
-use std::collections::BTreeMap;
 
 /// Static configuration of one cell.
 #[derive(Debug, Clone)]
@@ -54,13 +61,16 @@ impl CellConfig {
 pub struct Cell {
     config: CellConfig,
     grid: ResourceGrid,
-    /// The standard proportional-fair scheduler (§4.3: CellFi leaves it
-    /// unmodified).
-    scheduler: Scheduler,
     sib: Option<SystemInformation>,
+    /// Attached UEs in attach order; the index into this list is the row
+    /// of `queues`, `pf_avg` and every scheduling input.
     attached: Vec<UeId>,
-    /// Downlink queue per UE, bits. BTreeMap for deterministic iteration.
-    queues: BTreeMap<UeId, u64>,
+    /// Downlink queue depth per attached UE, bits.
+    queues: Vec<u64>,
+    /// Proportional-fair average served bits per subframe per attached
+    /// UE, the PF denominator (§4.3: CellFi leaves the scheduler
+    /// unmodified).
+    pf_avg: Vec<f64>,
     /// Interference-management mask: which subchannels may be scheduled.
     allowed: Vec<bool>,
 }
@@ -71,12 +81,12 @@ impl Cell {
         let grid = ResourceGrid::new(config.bandwidth);
         let n = grid.num_subchannels() as usize;
         Cell {
-            scheduler: Scheduler::new(SchedulerKind::ProportionalFair),
             grid,
             config,
             sib: None,
             attached: Vec::new(),
-            queues: BTreeMap::new(),
+            queues: Vec::new(),
+            pf_avg: Vec::new(),
             allowed: vec![true; n],
         }
     }
@@ -113,10 +123,9 @@ impl Cell {
     /// of its clients will stop transmitting instantly" (§4.2).
     pub fn radio_off(&mut self) {
         self.sib = None;
-        for ue in self.attached.drain(..) {
-            self.scheduler.forget(ue);
-        }
+        self.attached.clear();
         self.queues.clear();
+        self.pf_avg.clear();
     }
 
     /// Attach a UE (after its RACH completes). No-op if already attached.
@@ -124,15 +133,23 @@ impl Cell {
         assert!(self.radio_on(), "cannot attach to a cell with radio off");
         if !self.attached.contains(&ue) {
             self.attached.push(ue);
-            self.queues.entry(ue).or_insert(0);
+            self.queues.push(0);
+            self.pf_avg.push(1.0);
         }
     }
 
-    /// Detach a UE.
+    /// Detach a UE, dropping its queue and PF average.
     pub fn detach(&mut self, ue: UeId) {
-        self.attached.retain(|&u| u != ue);
-        self.queues.remove(&ue);
-        self.scheduler.forget(ue);
+        if let Some(i) = self.row(ue) {
+            self.attached.remove(i);
+            self.queues.remove(i);
+            self.pf_avg.remove(i);
+        }
+    }
+
+    /// Attach-order row of `ue`, if attached.
+    fn row(&self, ue: UeId) -> Option<usize> {
+        self.attached.iter().position(|&u| u == ue)
     }
 
     /// Attached UEs in attach order.
@@ -143,21 +160,18 @@ impl Cell {
     /// Number of *active* clients: attached UEs with queued traffic. This
     /// is the `N_i` of the share calculation (§5.2).
     pub fn active_clients(&self) -> usize {
-        self.attached
-            .iter()
-            .filter(|u| self.queues.get(u).copied().unwrap_or(0) > 0)
-            .count()
+        self.queues.iter().filter(|&&q| q > 0).count()
     }
 
     /// Enqueue downlink data for a UE (bits).
     pub fn enqueue(&mut self, ue: UeId, bits: u64) {
-        assert!(self.attached.contains(&ue), "enqueue for unattached {ue}");
-        *self.queues.get_mut(&ue).expect("attached UEs have queues") += bits;
+        let i = self.row(ue).expect("enqueue only targets attached UEs");
+        self.queues[i] += bits;
     }
 
-    /// Bits queued for a UE.
+    /// Bits queued for a UE (0 if not attached).
     pub fn queued_bits(&self, ue: UeId) -> u64 {
-        self.queues.get(&ue).copied().unwrap_or(0)
+        self.row(ue).map_or(0, |i| self.queues[i])
     }
 
     /// Total queued bits. Saturating: experiment harnesses backlog every
@@ -165,7 +179,7 @@ impl Cell {
     /// backlogged clients sums past `u64::MAX`; callers only compare the
     /// total against zero, and a saturated total cannot reach zero.
     pub fn total_queued_bits(&self) -> u64 {
-        self.queues.values().fold(0u64, |a, &b| a.saturating_add(b))
+        self.queues.iter().fold(0u64, |a, &b| a.saturating_add(b))
     }
 
     /// Install the interference-management subchannel mask.
@@ -183,42 +197,42 @@ impl Cell {
         &self.allowed
     }
 
-    /// Run the scheduler for one downlink subframe. `rates[i][s]` is the
-    /// achievable bits for attached UE `i` (attach order) on subchannel
-    /// `s` this subframe, as derived from its latest CQI report by the
-    /// caller (the system engine owns SINR computation).
-    pub fn schedule_downlink(&mut self, rates: &[Vec<f64>]) -> Allocation {
-        assert_eq!(rates.len(), self.attached.len(), "one rate row per UE");
-        let demands: Vec<UeDemand> = self
-            .attached
-            .iter()
-            .zip(rates)
-            .map(|(&ue, r)| UeDemand {
-                ue,
-                backlog_bits: self.queued_bits(ue),
-                rate_per_subchannel: r.clone(),
-            })
-            .collect();
-        self.scheduler.allocate(&self.allowed, &demands)
+    /// Run the proportional-fair scheduler for one downlink subframe:
+    /// the one place the mask, the backlogs and the PF averages meet.
+    ///
+    /// `rates` is row-major `[ue][subchannel]` in attach order: row `i`
+    /// holds the achievable bits of [`Cell::attached_ues`]`[i]` on each
+    /// subchannel this subframe, as derived from its latest CQI report by
+    /// the caller (the system engine owns SINR computation).
+    /// `remaining_scratch` is caller-owned working space for the
+    /// backlogs. `assignment[s]` receives the attach-order row scheduled
+    /// on subchannel `s`, or [`crate::scheduler::UNASSIGNED`].
+    // cellfi-lint: hot
+    pub fn schedule_downlink(
+        &self,
+        rates: &[f64],
+        remaining_scratch: &mut Vec<f64>,
+        assignment: &mut [u32],
+    ) {
+        remaining_scratch.clear();
+        remaining_scratch.extend(self.queues.iter().map(|&q| q as f64));
+        pf_allocate(
+            &self.allowed,
+            rates,
+            remaining_scratch,
+            &self.pf_avg,
+            assignment,
+        );
     }
 
     /// Record delivery of `bits` to `ue` (dequeues and feeds the PF
     /// average). Returns the bits actually drained (≤ queue depth).
     pub fn deliver(&mut self, ue: UeId, bits: u64) -> u64 {
-        let q = self
-            .queues
-            .get_mut(&ue)
-            .expect("delivery only targets attached UEs");
-        let drained = bits.min(*q);
-        *q -= drained;
-        self.scheduler.record_served(ue, drained as f64);
+        let i = self.row(ue).expect("delivery only targets attached UEs");
+        let drained = bits.min(self.queues[i]);
+        self.queues[i] -= drained;
+        self.pf_avg[i] = (1.0 - PF_ALPHA) * self.pf_avg[i] + PF_ALPHA * drained as f64;
         drained
-    }
-
-    /// Feed a zero-service observation for UEs not served this subframe
-    /// (keeps the PF average honest).
-    pub fn record_unserved(&mut self, ue: UeId) {
-        self.scheduler.record_served(ue, 0.0);
     }
 }
 
@@ -226,6 +240,7 @@ impl Cell {
 mod tests {
     use super::*;
     use crate::earfcn::{Band, Earfcn};
+    use crate::scheduler::UNASSIGNED;
 
     fn carrier() -> Earfcn {
         Earfcn::new(Band::Tvws, 100_500)
@@ -312,10 +327,12 @@ mod tests {
         mask[3] = true;
         mask[7] = true;
         c.set_allowed_mask(mask);
-        let rates = vec![vec![100.0; n]];
-        let alloc = c.schedule_downlink(&rates);
-        assert_eq!(alloc.used_count(), 2);
-        assert!(alloc.assignment[3].is_some() && alloc.assignment[7].is_some());
+        let rates = vec![100.0; n];
+        let mut assignment = vec![0; n];
+        c.schedule_downlink(&rates, &mut Vec::new(), &mut assignment);
+        let used = assignment.iter().filter(|&&r| r != UNASSIGNED).count();
+        assert_eq!(used, 2);
+        assert!(assignment[3] == 0 && assignment[7] == 0);
     }
 
     #[test]
@@ -340,5 +357,226 @@ mod tests {
         c.detach(UeId::new(1));
         assert_eq!(c.queued_bits(UeId::new(1)), 0);
         assert!(c.attached_ues().is_empty());
+    }
+
+    /// `Cell`'s slice scheduler against the keyed oracle it replaced: a
+    /// [`Scheduler`] beside keyed queues, driven through the same
+    /// history of attaches, detaches (`forget`), enqueues, deliveries
+    /// and radio-offs.
+    mod differential {
+        use super::*;
+        use crate::scheduler::{Scheduler, SchedulerKind, UeDemand};
+        use proptest::collection;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        const N_SUB: usize = 13;
+        const MAX_UES: u32 = 8;
+
+        struct Oracle {
+            attached: Vec<UeId>,
+            queues: BTreeMap<UeId, u64>,
+            scheduler: Scheduler,
+        }
+
+        impl Oracle {
+            fn new() -> Oracle {
+                Oracle {
+                    attached: Vec::new(),
+                    queues: BTreeMap::new(),
+                    scheduler: Scheduler::new(SchedulerKind::ProportionalFair),
+                }
+            }
+
+            fn attach(&mut self, ue: UeId) {
+                if !self.attached.contains(&ue) {
+                    self.attached.push(ue);
+                    self.queues.insert(ue, 0);
+                }
+            }
+
+            fn detach(&mut self, ue: UeId) {
+                self.attached.retain(|&u| u != ue);
+                self.queues.remove(&ue);
+                self.scheduler.forget(ue);
+            }
+
+            fn radio_off(&mut self) {
+                for ue in self.attached.drain(..) {
+                    self.scheduler.forget(ue);
+                }
+                self.queues.clear();
+            }
+
+            fn enqueue(&mut self, ue: UeId, bits: u64) {
+                *self.queues.get_mut(&ue).expect("attached UEs have queues") += bits;
+            }
+
+            fn deliver(&mut self, ue: UeId, bits: u64) -> u64 {
+                let q = self.queues.get_mut(&ue).expect("attached UEs have queues");
+                let drained = bits.min(*q);
+                *q -= drained;
+                self.scheduler.record_served(ue, drained as f64);
+                drained
+            }
+
+            fn schedule(&mut self, mask: &[bool], rates: &[f64]) -> Vec<Option<UeId>> {
+                let demands: Vec<UeDemand> = self
+                    .attached
+                    .iter()
+                    .zip(rates.chunks_exact(N_SUB))
+                    .map(|(&ue, row)| UeDemand {
+                        ue,
+                        backlog_bits: self.queues[&ue],
+                        rate_per_subchannel: row.to_vec(),
+                    })
+                    .collect();
+                self.scheduler.allocate(mask, &demands).assignment
+            }
+        }
+
+        /// One step of a cell's history. UEs already attached are
+        /// addressed by `pick % attached`, so most steps touch one.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Attach(u32),
+            Detach(usize),
+            Enqueue(usize, u64),
+            Deliver(usize, u64),
+            RadioOff,
+            /// Schedule both, compare, then deliver each served UE's
+            /// granted bits where `acks` says its block decoded, the
+            /// way the engine does.
+            Subframe {
+                mask: Vec<bool>,
+                rates: Vec<f64>,
+                acks: Vec<bool>,
+            },
+        }
+
+        /// Rates come from a small discrete set with 0, so PF ties and
+        /// undecodable subchannels are common.
+        const RATES: [f64; 4] = [0.0, 100.0, 250.0, 500.0];
+        const BACKLOGS: [u64; 6] = [0, 1, 300, 2_000, 50_000, u64::MAX / 4];
+        /// Deliveries, half of them empty: the PF average decays on an
+        /// ACK that drains nothing, and below 1.0 only the metric's
+        /// `max(1.0)` floor keeps such a UE tied with a fresh one.
+        const DELIVERIES: [u64; 6] = [0, 0, 0, 100, 2_000, 60_000];
+
+        fn arb_op() -> impl Strategy<Value = Op> {
+            let n = MAX_UES as usize;
+            (
+                (0u8..24, 0..MAX_UES, 0..BACKLOGS.len(), 0..DELIVERIES.len()),
+                (
+                    collection::vec(any::<bool>(), N_SUB),
+                    collection::vec(0..RATES.len(), n * N_SUB),
+                    collection::vec(any::<bool>(), n),
+                ),
+            )
+                .prop_map(|((kind, u, b, d), (mask, rates, acks))| match kind {
+                    0..=2 => Op::Attach(u),
+                    3 => Op::Detach(u as usize),
+                    4..=6 => Op::Enqueue(u as usize, BACKLOGS[b]),
+                    7..=10 => Op::Deliver(u as usize, DELIVERIES[d]),
+                    11 => Op::RadioOff,
+                    _ => Op::Subframe {
+                        mask,
+                        rates: rates.iter().map(|&i| RATES[i]).collect(),
+                        acks,
+                    },
+                })
+        }
+
+        /// 0–8 attached UEs with their initial backlogs.
+        fn arb_start() -> impl Strategy<Value = Vec<u64>> {
+            collection::vec(0..BACKLOGS.len(), 0..MAX_UES as usize + 1)
+                .prop_map(|ix| ix.iter().map(|&i| BACKLOGS[i]).collect())
+        }
+
+        proptest! {
+            #[test]
+            fn slice_scheduler_matches_keyed_oracle(
+                start in arb_start(),
+                ops in collection::vec(arb_op(), 0..60),
+            ) {
+                let mut cell = on_cell();
+                let mut oracle = Oracle::new();
+                for (u, &backlog) in start.iter().enumerate() {
+                    let ue = UeId::new(u as u32);
+                    cell.attach(ue);
+                    cell.enqueue(ue, backlog);
+                    oracle.attach(ue);
+                    oracle.enqueue(ue, backlog);
+                }
+                let mut remaining = Vec::new();
+                let mut assignment = vec![UNASSIGNED; N_SUB];
+                for op in ops {
+                    let picked = |pick: usize| {
+                        let n = oracle.attached.len();
+                        (n > 0).then(|| oracle.attached[pick % n])
+                    };
+                    match op {
+                        Op::Attach(u) => {
+                            cell.attach(UeId::new(u));
+                            oracle.attach(UeId::new(u));
+                        }
+                        Op::Detach(pick) => {
+                            if let Some(ue) = picked(pick) {
+                                cell.detach(ue);
+                                oracle.detach(ue);
+                            }
+                        }
+                        Op::Enqueue(pick, bits) => {
+                            if let Some(ue) = picked(pick) {
+                                cell.enqueue(ue, bits);
+                                oracle.enqueue(ue, bits);
+                            }
+                        }
+                        Op::Deliver(pick, bits) => {
+                            if let Some(ue) = picked(pick) {
+                                let drained = cell.deliver(ue, bits);
+                                prop_assert_eq!(drained, oracle.deliver(ue, bits));
+                            }
+                        }
+                        Op::RadioOff => {
+                            cell.radio_off();
+                            oracle.radio_off();
+                            cell.set_carrier(carrier(), Dbm(20.0), Instant::ZERO);
+                        }
+                        Op::Subframe { mask, rates, acks } => {
+                            cell.set_allowed_mask(mask.clone());
+                            let rates = &rates[..cell.attached_ues().len() * N_SUB];
+                            cell.schedule_downlink(rates, &mut remaining, &mut assignment);
+                            let expected = oracle.schedule(&mask, rates);
+                            let attached = cell.attached_ues().to_vec();
+                            let got: Vec<Option<UeId>> = assignment
+                                .iter()
+                                .map(|&r| (r != UNASSIGNED).then(|| attached[r as usize]))
+                                .collect();
+                            prop_assert_eq!(&got, &expected);
+                            let rows = attached.iter().zip(rates.chunks_exact(N_SUB));
+                            for (i, (&ue, row)) in rows.enumerate() {
+                                let bits: f64 = assignment
+                                    .iter()
+                                    .zip(row)
+                                    .filter(|&(&r, _)| r as usize == i)
+                                    .map(|(_, &rate)| rate)
+                                    .sum();
+                                if bits > 0.0 && acks[i] {
+                                    prop_assert_eq!(
+                                        cell.deliver(ue, bits as u64),
+                                        oracle.deliver(ue, bits as u64)
+                                    );
+                                }
+                            }
+                        }
+                    }
+                    prop_assert_eq!(cell.attached_ues(), &oracle.attached[..]);
+                    for &ue in &oracle.attached {
+                        prop_assert_eq!(cell.queued_bits(ue), oracle.queues[&ue]);
+                    }
+                }
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Downlink schedulers over an allowed-subchannel mask.
+//! Downlink proportional-fair scheduling over an allowed-subchannel mask.
 //!
 //! CellFi deliberately does *not* modify the LTE scheduler: "once the
 //! interference management component decides which resource block a
@@ -8,13 +8,101 @@
 //! proportional fair (the common vendor default), operating only on
 //! subchannels enabled in the mask supplied each subframe.
 //!
-//! The scheduler also produces the bookkeeping CellFi's bucket updates
-//! need: which UE was served on which subchannel (the engine aggregates
-//! this into `frac_j`, the fraction of time client `j` was scheduled on a
-//! subchannel during the last epoch, §5.3).
+//! It comes in two forms with one behaviour:
+//!
+//! * [`pf_allocate`] — the pure function the simulator runs every
+//!   subframe. It reads dense slices (the mask, a row-major
+//!   `[ue][subchannel]` rate block, the PF averages) and writes one row
+//!   index per subchannel into a caller-owned buffer, so a subframe
+//!   neither allocates nor looks anything up by key. The per-UE state it
+//!   reads lives in [`crate::cell::Cell`], in attach order.
+//! * [`Scheduler`] with [`UeDemand`] / [`Allocation`] — the keyed
+//!   reference implementation, kept as the differential oracle for
+//!   [`pf_allocate`] and as the API `cellfi-bench`'s
+//!   `lte.scheduler.pf_allocate_ns` kernel times.
+//!
+//! The engine aggregates the assignments into `frac_j`, the fraction of
+//! time client `j` was scheduled on a subchannel during the last epoch,
+//! for CellFi's bucket updates (§5.3).
 
 use cellfi_types::UeId;
 use std::collections::BTreeMap;
+
+/// EWMA smoothing factor of the PF average (standard PF window ≈ 100
+/// subframes).
+pub const PF_ALPHA: f64 = 0.01;
+
+/// [`pf_allocate`]'s marker for a subchannel nobody was scheduled on.
+pub const UNASSIGNED: u32 = u32::MAX;
+
+/// Allocate the allowed subchannels of one downlink subframe among a
+/// cell's UEs, in place.
+///
+/// Row `i` of every input is the cell's `i`-th UE: `rates` is
+/// row-major `[ue][subchannel]` (achievable bits this subframe, 0 where
+/// the UE cannot decode), `remaining` starts at each UE's backlog and is
+/// drawn down as subchannels are handed out, and `avg` holds the PF
+/// averages. `assignment[s]` receives the row scheduled on subchannel
+/// `s`, or [`UNASSIGNED`].
+///
+/// Each allowed subchannel goes to the UE with the largest
+/// `rate / max(avg, 1)` among those with backlog left and a usable rate;
+/// the first maximum in row order wins ties. UEs are never assigned more
+/// capacity than their backlog needs, so trailing subchannels are
+/// released to other UEs — the §5.2 "scheduler will later automatically
+/// assign these to its other clients" behaviour.
+// cellfi-lint: hot
+pub fn pf_allocate(
+    allowed: &[bool],
+    rates: &[f64],
+    remaining: &mut [f64],
+    avg: &[f64],
+    assignment: &mut [u32],
+) {
+    let n_sub = allowed.len();
+    assert_eq!(
+        assignment.len(),
+        n_sub,
+        "one assignment slot per subchannel"
+    );
+    assert_eq!(avg.len(), remaining.len(), "one PF average per UE");
+    assert_eq!(
+        rates.len(),
+        remaining.len() * n_sub,
+        "one rate row of n_sub entries per UE"
+    );
+    assignment.fill(UNASSIGNED);
+    if n_sub == 0 {
+        return;
+    }
+    for (s, slot) in assignment.iter_mut().enumerate() {
+        if !allowed[s] {
+            continue;
+        }
+        let mut best: Option<(usize, f64, f64)> = None;
+        for (i, (row, (&left, &a))) in rates
+            .chunks_exact(n_sub)
+            .zip(remaining.iter().zip(avg))
+            .enumerate()
+        {
+            if left <= 0.0 {
+                continue;
+            }
+            let rate = row[s];
+            if rate <= 0.0 {
+                continue;
+            }
+            let metric = rate / a.max(1.0);
+            if best.is_none_or(|(_, m, _)| metric > m) {
+                best = Some((i, metric, rate));
+            }
+        }
+        if let Some((i, _, rate)) = best {
+            *slot = i as u32;
+            remaining[i] -= rate;
+        }
+    }
+}
 
 /// Scheduler discipline. Proportional fair is the only one; the enum
 /// stays because `cellfi-bench`'s `lte.scheduler.pf_allocate_ns` kernel
@@ -52,7 +140,9 @@ impl Allocation {
     }
 }
 
-/// A downlink scheduler instance (one per cell).
+/// The keyed reference PF scheduler (one per cell): [`pf_allocate`]'s
+/// oracle. It keeps its PF averages in a map by [`UeId`], defaulting to
+/// 1.0 for a UE it has not seen or has forgotten.
 #[derive(Debug, Clone)]
 pub struct Scheduler {
     /// EWMA of served rate per UE (bits/subframe), the PF denominator.
@@ -67,7 +157,7 @@ impl Scheduler {
         let SchedulerKind::ProportionalFair = kind;
         Scheduler {
             avg_rate: BTreeMap::new(),
-            alpha: 0.01,
+            alpha: PF_ALPHA,
         }
     }
 

@@ -29,30 +29,30 @@ pub const LBT_CW: u32 = 15;
 pub struct Laa;
 
 impl ImStrategy for Laa {
-    fn transmit_gate(&self, e: &mut LteEngine) -> Vec<bool> {
-        e.lbt_gate()
+    fn transmit_gate(&self, e: &mut LteEngine) {
+        e.lbt_gate();
     }
 
     fn run_epoch(&self, _e: &mut LteEngine) {}
 }
 
 impl LteEngine {
-    /// LAA listen-before-talk gate: returns which cells may transmit
-    /// this subframe, updating TXOP and backoff state. Sensing uses the
-    /// transmitter set of the previous subframe (energy detect at the
-    /// AP), so the long-range mismatch between sensing and interference
-    /// footprints plays out exactly as it does for CSMA.
-    fn lbt_gate(&mut self) -> Vec<bool> {
-        let n = self.cells.len();
+    /// LAA listen-before-talk gate: writes which cells may transmit this
+    /// subframe into `gate_scratch`, updating TXOP and backoff state.
+    /// Sensing uses the transmitter set of the previous subframe (energy
+    /// detect at the AP), so the long-range mismatch between sensing and
+    /// interference footprints plays out exactly as it does for CSMA.
+    // cellfi-lint: hot
+    fn lbt_gate(&mut self) {
         // Who was transmitting last subframe (any subchannel)?
-        let mut active_last = vec![false; n];
+        self.active_last_scratch.fill(false);
         for cells in &self.tx_last {
             for &c in cells {
-                active_last[c] = true;
+                self.active_last_scratch[c] = true;
             }
         }
-        let mut grant = vec![false; n];
-        for (c, granted) in grant.iter_mut().enumerate() {
+        for (c, granted) in self.gate_scratch.iter_mut().enumerate() {
+            *granted = false;
             if self.cells[c].total_queued_bits() == 0 {
                 // Idle cells release any TXOP and keep a fresh backoff.
                 self.lbt[c].txop_remaining = 0;
@@ -68,7 +68,7 @@ impl LteEngine {
             // is below the energy-detect floor by construction.
             let mut busy_mw = 0.0f64;
             for (sl, &o) in self.scenario.nbr.interferers(c).iter().enumerate() {
-                if active_last[o as usize] {
+                if self.active_last_scratch[o as usize] {
                     busy_mw += Dbm(self.ap_mean_dbm.at(c, sl)).to_milliwatts().value();
                 }
             }
@@ -86,6 +86,5 @@ impl LteEngine {
             self.lbt[c].backoff = self.lbt_rng[c].gen_range(0..=LBT_CW);
             *granted = true;
         }
-        grant
     }
 }

@@ -35,11 +35,13 @@ use super::{ImMode, LteEngine};
 /// policy layer and may read any measurement state and rewrite the
 /// cells' allowed masks.
 pub trait ImStrategy {
-    /// Which cells may transmit this downlink subframe. The default —
-    /// every cell — is right for every system except LAA, whose
-    /// listen-before-talk contention gates transmission per subframe.
-    fn transmit_gate(&self, e: &mut LteEngine) -> Vec<bool> {
-        vec![true; e.cells.len()]
+    /// Decide which cells may transmit this downlink subframe, writing
+    /// one flag per cell into the engine's gate buffer in place. The
+    /// default — every cell — is right for every system except LAA,
+    /// whose listen-before-talk contention gates transmission per
+    /// subframe.
+    fn transmit_gate(&self, e: &mut LteEngine) {
+        e.gate_scratch.fill(true);
     }
 
     /// The per-epoch interference-management decision: observe the

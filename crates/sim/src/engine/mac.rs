@@ -4,6 +4,9 @@
 //! CQI-derived rates, transport blocks resolved against the *actual*
 //! SINR through per-UE HARQ with chase combining, and control-channel
 //! retention from neighbouring radios (the measured Fig 7(b) factor).
+//! One pass per downlink subframe does all of it over dense slices and
+//! engine-owned `*_scratch` buffers, so a steady-state subframe
+//! allocates only the delivery list it returns.
 //! Uplink subframes are silent: downlink pauses and no cell transmits.
 //! The §3.1 uplink (TCP ACKs in a sliver of the channel) is modelled by
 //! `fig1`'s link-level loop, not here. Mobility (A3 handover with X2
@@ -13,13 +16,26 @@
 //! call: the subframe loop asks the configured strategy's
 //! `transmit_gate` (only LAA gates; every other system always allows).
 
-use super::{im, LteEngine};
+use super::{im, LteEngine, N_CQI};
 use cellfi_lte::amc::Cqi;
 use cellfi_lte::control::signalling_retention;
 use cellfi_lte::harq::{HarqEntity, HarqOutcome};
+use cellfi_lte::scheduler::UNASSIGNED;
 use cellfi_types::time::Duration;
 use cellfi_types::units::Db;
-use cellfi_types::{SubchannelId, UeId};
+use cellfi_types::UeId;
+
+/// Bits one subchannel carries this subframe at `cqi`, given its row
+/// of the `eff_re` table, the TDD downlink capacity and the UE's
+/// control-channel retention. Zero at CQI 0.
+#[inline]
+fn rate(eff_re: &[f64; N_CQI], cqi: Cqi, dl_capacity: f64, retention: f64) -> f64 {
+    if cqi.usable() {
+        eff_re[usize::from(cqi.0)] * dl_capacity * retention
+    } else {
+        0.0
+    }
+}
 
 impl LteEngine {
     /// Radio-link-failure timer: this long with no decodable subchannel
@@ -69,183 +85,36 @@ impl LteEngine {
         if self.now < self.outage_until[ue] {
             return 0.0;
         }
-        let cqi = self.ue_cqi[ue][s];
-        if !cqi.usable() {
-            return 0.0;
+        rate(
+            &self.eff_re[s],
+            self.ue_cqi[ue][s],
+            dl_capacity,
+            self.retention[ue],
+        )
+    }
+
+    /// [`Self::rate_bits`] of one UE on every subchannel, into `row`.
+    // cellfi-lint: hot
+    fn rate_row(&self, ue: usize, dl_capacity: f64, row: &mut [f64]) {
+        if self.now < self.outage_until[ue] {
+            row.fill(0.0);
+            return;
         }
-        self.table.efficiency(cqi)
-            * self.grid.data_res_per_subframe(SubchannelId::new(s as u32))
-            * dl_capacity
-            * self.retention[ue]
+        let retention = self.retention[ue];
+        for ((r, eff_re), &cqi) in row.iter_mut().zip(&self.eff_re).zip(&self.ue_cqi[ue]) {
+            *r = rate(eff_re, cqi, dl_capacity, retention);
+        }
     }
 
     /// Run one subframe. Returns `(ue, bits)` deliveries.
     pub fn step_subframe(&mut self) -> Vec<(usize, u64)> {
         self.obs.profiler.begin(cellfi_obs::SpanId::Subframe);
         self.refresh_fading();
-        let n_sub = self.grid.num_subchannels() as usize;
-        let mut deliveries = Vec::new();
         let dl_capacity = self.tdd.dl_capacity(self.now);
-        if dl_capacity > 0.0 {
+        let deliveries = if dl_capacity > 0.0 {
             self.dl_subframes_this_epoch += 1;
-            // 0. The IM layer decides who may transmit this subframe
-            // (LAA's listen-before-talk gates on last subframe's sensed
-            // energy; every other system always allows).
-            let may_transmit: Vec<bool> = im::strategy_for(self.config.mode).transmit_gate(self);
-            // 1. Schedule every cell. UE lists and rate rows live in
-            // engine-owned scratch buffers, but the subframe still
-            // allocates: `may_transmit`, `allocations`, and per cell the
-            // demand rows `Cell::schedule_downlink` clones and the
-            // vectors `Scheduler::allocate` builds.
-            self.obs.profiler.begin(cellfi_obs::SpanId::MacSchedule);
-            let mut allocations: Vec<Option<cellfi_lte::scheduler::Allocation>> =
-                vec![None; self.cells.len()];
-            let mut ues = std::mem::take(&mut self.ue_scratch);
-            let mut rates = std::mem::take(&mut self.rates_scratch);
-            for c in 0..self.cells.len() {
-                if !may_transmit[c] {
-                    continue;
-                }
-                if !self.cell_active(c) || self.cells[c].total_queued_bits() == 0 {
-                    continue;
-                }
-                ues.clear();
-                ues.extend_from_slice(self.cells[c].attached_ues());
-                if rates.len() < ues.len() {
-                    rates.resize_with(ues.len(), Vec::new);
-                }
-                for (row, ue) in rates.iter_mut().zip(&ues) {
-                    row.clear();
-                    row.extend((0..n_sub).map(|s| self.rate_bits(ue.index(), s, dl_capacity)));
-                }
-                allocations[c] = Some(self.cells[c].schedule_downlink(&rates[..ues.len()]));
-            }
-            self.ue_scratch = ues;
-            self.rates_scratch = rates;
-            self.obs.profiler.end(cellfi_obs::SpanId::MacSchedule);
-            // 2. Per-subchannel transmitter sets (scratch-backed rows).
-            let mut tx = std::mem::take(&mut self.tx_scratch);
-            if tx.len() != n_sub {
-                tx.resize_with(n_sub, Vec::new);
-            }
-            for row in tx.iter_mut() {
-                row.clear();
-            }
-            for (c, alloc) in allocations.iter().enumerate() {
-                if let Some(a) = alloc {
-                    let mut scheduled_any = false;
-                    for (s, assigned) in a.assignment.iter().enumerate() {
-                        if assigned.is_some() {
-                            tx[s].push(c);
-                            scheduled_any = true;
-                        }
-                    }
-                    if scheduled_any {
-                        self.epoch_cell_sched[c] += 1;
-                    }
-                }
-            }
-            // 3. Resolve transport blocks per UE through HARQ. The
-            // transmitter sets just built are exactly next subframe's
-            // `tx_last`, so warming the interference cache here makes the
-            // upcoming CQI scan a cache hit as well.
-            self.tracker.observe(&tx);
-            self.obs.profiler.begin(cellfi_obs::SpanId::SinrCache);
-            self.interf.refresh(
-                self.gain_gen,
-                &self.tracker,
-                &self.scenario.nbr,
-                &self.lin_mw,
-            );
-            self.obs.profiler.end(cellfi_obs::SpanId::SinrCache);
-            let mut pairs = std::mem::take(&mut self.pairs_scratch);
-            for (c, alloc) in allocations.iter().enumerate() {
-                let Some(a) = alloc else { continue };
-                // Group the cell's grants by UE. A stable sort keeps
-                // subchannels ascending within each UE group and UEs
-                // ascending overall — the iteration order of the
-                // BTreeMap this replaces (an allocation holds at most
-                // n_sub pairs, well inside the sort's no-alloc
-                // insertion-sort regime).
-                pairs.clear();
-                for (s, assigned) in a.assignment.iter().enumerate() {
-                    if let Some(ue) = assigned {
-                        pairs.push((ue.index() as u32, s as u32));
-                    }
-                }
-                pairs.sort_by_key(|&(ue, _)| ue);
-                let mut i = 0;
-                while i < pairs.len() {
-                    let ue = pairs[i].0 as usize;
-                    let mut j = i + 1;
-                    while j < pairs.len() && pairs[j].0 == pairs[i].0 {
-                        j += 1;
-                    }
-                    let scs = &pairs[i..j];
-                    i = j;
-                    let mean_linear = scs
-                        .iter()
-                        .map(|&(_, s)| {
-                            let s = s as usize;
-                            // The serving cell `c` transmits on `s` by
-                            // construction; its share of the cached total
-                            // is the signal itself.
-                            let signal = self.lin_mw.at(ue, self.serving_slot[ue] as usize, s);
-                            let interference = (self.interf.total(s, ue) - signal).max(0.0);
-                            signal / (interference + self.noise_mw[s])
-                        })
-                        .sum::<f64>()
-                        / scs.len() as f64;
-                    let eff_sinr = Db(10.0 * mean_linear.max(1e-12).log10());
-                    let cqi = scs
-                        .iter()
-                        .map(|&(_, s)| self.ue_cqi[ue][s as usize])
-                        .max()
-                        .unwrap_or(Cqi::OUT_OF_RANGE);
-                    if !cqi.usable() {
-                        continue;
-                    }
-                    let bits: f64 = scs
-                        .iter()
-                        .map(|&(_, s)| self.rate_bits(ue, s as usize, dl_capacity))
-                        .sum();
-                    let process = (self.now.as_millis() % 8) as usize;
-                    let outcome =
-                        self.harq[ue].transmit(process, cqi, eff_sinr, &mut self.ue_rng[ue]);
-                    for &(_, s) in scs {
-                        self.epoch[ue].sched_subframes[s as usize] += 1;
-                    }
-                    match outcome {
-                        HarqOutcome::Ack { .. } => {
-                            let drained = self.cells[c].deliver(UeId::new(ue as u32), bits as u64);
-                            self.delivered[ue] += drained;
-                            if drained > 0 {
-                                deliveries.push((ue, drained));
-                            }
-                        }
-                        HarqOutcome::Nack => {
-                            if self.obs.detail {
-                                self.obs.tracer.emit(
-                                    self.now,
-                                    cellfi_obs::Event::HarqRetx {
-                                        ue: ue as u32,
-                                        cell: c as u32,
-                                        process: process as u32,
-                                    },
-                                );
-                                self.obs.metrics.inc("harq_retx", ue as u32, 1);
-                                self.epoch_retx[c] += 1;
-                            }
-                        }
-                        HarqOutcome::Dropped => {
-                            self.harq_drops[ue] += 1;
-                        }
-                    }
-                }
-            }
-            self.pairs_scratch = pairs;
-            std::mem::swap(&mut self.tx_last, &mut tx);
-            self.tx_scratch = tx;
+            self.downlink_pass(dl_capacity);
+            self.delivery_scratch.clone()
         } else {
             // Uplink subframe: GPS-synchronized TDD means downlink data
             // pauses everywhere. The engine offers no uplink traffic
@@ -255,7 +124,8 @@ impl LteEngine {
                 row.clear();
             }
             self.tracker.observe(&self.tx_last);
-        }
+            Vec::new()
+        };
 
         self.now += Duration::SUBFRAME;
 
@@ -277,6 +147,163 @@ impl LteEngine {
         }
         self.obs.profiler.end(cellfi_obs::SpanId::Subframe);
         deliveries
+    }
+
+    /// The MAC work of one downlink subframe: gate, schedule every cell,
+    /// build the transmitter sets, and resolve transport blocks through
+    /// HARQ into `delivery_scratch`. It reads dense slices and writes
+    /// only engine-owned buffers, so a steady-state subframe allocates
+    /// nothing here.
+    // cellfi-lint: hot
+    fn downlink_pass(&mut self, dl_capacity: f64) {
+        let n_sub = self.grid.num_subchannels() as usize;
+        self.delivery_scratch.clear();
+        // 0. The IM layer decides who may transmit this subframe
+        // (LAA's listen-before-talk gates on last subframe's sensed
+        // energy; every other system always allows).
+        im::strategy_for(self.config.mode).transmit_gate(self);
+        // 1. Schedule every gated, active, backlogged cell into its row
+        // of `assignment_scratch` (attach-order UE rows; `UNASSIGNED`
+        // for every subchannel of a cell that does not schedule). Rate
+        // rows go into one flat `[ue][subchannel]` buffer reused across
+        // cells.
+        self.obs.profiler.begin(cellfi_obs::SpanId::MacSchedule);
+        let mut assignment_scratch = std::mem::take(&mut self.assignment_scratch);
+        let mut rate_rows_scratch = std::mem::take(&mut self.rate_rows_scratch);
+        let mut remaining_scratch = std::mem::take(&mut self.remaining_scratch);
+        for (c, assignment) in assignment_scratch.chunks_exact_mut(n_sub).enumerate() {
+            let cell = &self.cells[c];
+            if !self.gate_scratch[c] || !self.cell_active(c) || cell.total_queued_bits() == 0 {
+                assignment.fill(UNASSIGNED);
+                continue;
+            }
+            let ues = cell.attached_ues();
+            rate_rows_scratch.resize(ues.len() * n_sub, 0.0);
+            for (row, ue) in rate_rows_scratch.chunks_exact_mut(n_sub).zip(ues) {
+                self.rate_row(ue.index(), dl_capacity, row);
+            }
+            cell.schedule_downlink(&rate_rows_scratch, &mut remaining_scratch, assignment);
+        }
+        self.rate_rows_scratch = rate_rows_scratch;
+        self.remaining_scratch = remaining_scratch;
+        self.obs.profiler.end(cellfi_obs::SpanId::MacSchedule);
+        // 2. Per-subchannel transmitter sets.
+        let mut tx_scratch = std::mem::take(&mut self.tx_scratch);
+        for row in tx_scratch.iter_mut() {
+            row.clear();
+        }
+        for (c, assignment) in assignment_scratch.chunks_exact(n_sub).enumerate() {
+            let mut scheduled_any = false;
+            for (s, &row) in assignment.iter().enumerate() {
+                if row != UNASSIGNED {
+                    tx_scratch[s].push(c);
+                    scheduled_any = true;
+                }
+            }
+            if scheduled_any {
+                self.epoch_cell_sched[c] += 1;
+            }
+        }
+        // 3. Resolve transport blocks per UE through HARQ. The
+        // transmitter sets just built are exactly next subframe's
+        // `tx_last`, so warming the interference cache here makes the
+        // upcoming CQI scan a cache hit as well.
+        self.tracker.observe(&tx_scratch);
+        self.obs.profiler.begin(cellfi_obs::SpanId::SinrCache);
+        self.interf.refresh(
+            self.gain_gen,
+            &self.tracker,
+            &self.scenario.nbr,
+            &self.lin_mw,
+        );
+        self.obs.profiler.end(cellfi_obs::SpanId::SinrCache);
+        let mut pairs_scratch = std::mem::take(&mut self.pairs_scratch);
+        for (c, assignment) in assignment_scratch.chunks_exact(n_sub).enumerate() {
+            // Group the cell's grants by UE. A stable sort keeps
+            // subchannels ascending within each UE group and UEs
+            // ascending overall (an allocation holds at most n_sub
+            // pairs, well inside the sort's no-alloc insertion-sort
+            // regime).
+            pairs_scratch.clear();
+            let ues = self.cells[c].attached_ues();
+            for (s, &row) in assignment.iter().enumerate() {
+                if row != UNASSIGNED {
+                    pairs_scratch.push((ues[row as usize].index() as u32, s as u32));
+                }
+            }
+            pairs_scratch.sort_by_key(|&(ue, _)| ue);
+            let mut i = 0;
+            while i < pairs_scratch.len() {
+                let ue = pairs_scratch[i].0 as usize;
+                let mut j = i + 1;
+                while j < pairs_scratch.len() && pairs_scratch[j].0 == pairs_scratch[i].0 {
+                    j += 1;
+                }
+                let scs = &pairs_scratch[i..j];
+                i = j;
+                let mean_linear = scs
+                    .iter()
+                    .map(|&(_, s)| {
+                        let s = s as usize;
+                        // The serving cell `c` transmits on `s` by
+                        // construction; its share of the cached total
+                        // is the signal itself.
+                        let signal = self.lin_mw.at(ue, self.serving_slot[ue] as usize, s);
+                        let interference = (self.interf.total(s, ue) - signal).max(0.0);
+                        signal / (interference + self.noise_mw[s])
+                    })
+                    .sum::<f64>()
+                    / scs.len() as f64;
+                let eff_sinr = Db(10.0 * mean_linear.max(1e-12).log10());
+                let cqi = scs
+                    .iter()
+                    .map(|&(_, s)| self.ue_cqi[ue][s as usize])
+                    .max()
+                    .unwrap_or(Cqi::OUT_OF_RANGE);
+                if !cqi.usable() {
+                    continue;
+                }
+                let bits: f64 = scs
+                    .iter()
+                    .map(|&(_, s)| self.rate_bits(ue, s as usize, dl_capacity))
+                    .sum();
+                let process = (self.now.as_millis() % 8) as usize;
+                let outcome = self.harq[ue].transmit(process, cqi, eff_sinr, &mut self.ue_rng[ue]);
+                for &(_, s) in scs {
+                    self.epoch[ue].sched_subframes[s as usize] += 1;
+                }
+                match outcome {
+                    HarqOutcome::Ack { .. } => {
+                        let drained = self.cells[c].deliver(UeId::new(ue as u32), bits as u64);
+                        self.delivered[ue] += drained;
+                        if drained > 0 {
+                            self.delivery_scratch.push((ue, drained));
+                        }
+                    }
+                    HarqOutcome::Nack => {
+                        if self.obs.detail {
+                            self.obs.tracer.emit(
+                                self.now,
+                                cellfi_obs::Event::HarqRetx {
+                                    ue: ue as u32,
+                                    cell: c as u32,
+                                    process: process as u32,
+                                },
+                            );
+                            self.obs.metrics.inc("harq_retx", ue as u32, 1);
+                            self.epoch_retx[c] += 1;
+                        }
+                    }
+                    HarqOutcome::Dropped => {
+                        self.harq_drops[ue] += 1;
+                    }
+                }
+            }
+        }
+        self.pairs_scratch = pairs_scratch;
+        self.assignment_scratch = assignment_scratch;
+        std::mem::swap(&mut self.tx_last, &mut tx_scratch);
+        self.tx_scratch = tx_scratch;
     }
 
     /// Detail-stream epoch bookkeeping: one `sched` event per cell with
@@ -342,6 +369,8 @@ impl LteEngine {
         }
         let ueid = UeId::new(ue as u32);
         let pending = self.cells[serving].queued_bits(ueid);
+        // Detaching drops the UE's queue and PF average at the old cell;
+        // attaching starts a fresh average at the new one.
         self.cells[serving].detach(ueid);
         self.cells[best].attach(ueid);
         if pending > 0 {

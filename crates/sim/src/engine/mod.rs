@@ -57,6 +57,7 @@ use cellfi_lte::cell::{Cell, CellConfig};
 use cellfi_lte::earfcn::{Band, Earfcn};
 use cellfi_lte::grid::{ChannelBandwidth, ResourceGrid};
 use cellfi_lte::harq::HarqEntity;
+use cellfi_lte::scheduler::UNASSIGNED;
 use cellfi_lte::tdd::TddConfig;
 use cellfi_obs::Obs;
 use cellfi_types::rng::SeedSeq;
@@ -90,6 +91,9 @@ pub enum ImMode {
     /// in [`LteEngine::x2_messages`].
     X2Icic,
 }
+
+/// Number of CQI indices, 0 (out of range) through 15.
+const N_CQI: usize = Cqi::MAX.0 as usize + 1;
 
 /// Interference ground truth: a subchannel counts as interfered when
 /// concurrent foreign transmissions depress SINR at least this much
@@ -132,7 +136,10 @@ pub struct LteEngine {
     config: LteEngineConfig,
     grid: ResourceGrid,
     tdd: TddConfig,
-    table: CqiTable,
+    /// Information bits one subchannel carries per subframe at each CQI,
+    /// `[subchannel][cqi]`: `efficiency(cqi) · data_res_per_subframe(s)`,
+    /// zero at CQI 0. Every scheduled rate reads it (`rate_bits`).
+    eff_re: Vec<[f64; N_CQI]>,
     cells: Vec<Cell>,
     managers: Vec<InterferenceManager>,
     now: Instant,
@@ -220,12 +227,27 @@ pub struct LteEngine {
     /// Flat merge of `hit_scratch` in UE index order — the hit list the
     /// memo remembers for replay.
     scan_hits_scratch: Vec<(u32, u32, f64, f64)>,
-    /// MAC scheduling scratch buffers, reused across subframes (the
-    /// scheduler itself still allocates per call; see `step_subframe`).
-    ue_scratch: Vec<UeId>,
-    rates_scratch: Vec<Vec<f64>>,
+    /// Which cells may transmit this downlink subframe, filled in place
+    /// by the IM strategy's `transmit_gate`.
+    gate_scratch: Vec<bool>,
+    /// LAA sensing input: which cells transmitted on any subchannel last
+    /// subframe.
+    active_last_scratch: Vec<bool>,
+    /// The downlink allocation, `[cell][subchannel]`: the attach-order
+    /// row of the UE scheduled there, or `UNASSIGNED`.
+    assignment_scratch: Vec<u32>,
+    /// One cell's rate rows, row-major `[ue][subchannel]` in attach
+    /// order, refilled for each scheduled cell.
+    rate_rows_scratch: Vec<f64>,
+    /// The PF scheduler's remaining-backlog working space.
+    remaining_scratch: Vec<f64>,
+    /// Per-subchannel transmitter sets being built (swapped with
+    /// `tx_last` at the end of each downlink subframe).
     tx_scratch: Vec<Vec<usize>>,
+    /// One cell's `(ue, subchannel)` grants, grouped by UE.
     pairs_scratch: Vec<(u32, u32)>,
+    /// This subframe's `(ue, bits)` deliveries.
+    delivery_scratch: Vec<(usize, u64)>,
     /// True conflict graph (static; used by the oracle).
     conflict: ConflictGraph,
     /// Mean AP→AP rx power (dBm) per `[ap][interferer_slot]` at AP
@@ -343,6 +365,16 @@ impl LteEngine {
                     .value()
             })
             .collect();
+        let eff_re: Vec<[f64; N_CQI]> = (0..n_sub)
+            .map(|s| {
+                let res = grid.data_res_per_subframe(SubchannelId::new(s as u32));
+                let mut row = [0.0; N_CQI];
+                for e in CqiTable.entries() {
+                    row[usize::from(e.cqi.0)] = e.efficiency * res;
+                }
+                row
+            })
+            .collect();
         let margin_lin = INTERFERENCE_MARGIN.to_linear();
         let interf_thresh_mw: Vec<f64> = links
             .noise_mw
@@ -353,7 +385,7 @@ impl LteEngine {
         let mut engine = LteEngine {
             grid,
             tdd,
-            table: CqiTable,
+            eff_re,
             cells,
             managers,
             now: Instant::ZERO,
@@ -399,10 +431,14 @@ impl LteEngine {
             any_usable_scratch: vec![false; n_ue],
             hit_scratch: vec![Vec::new(); n_ue],
             scan_hits_scratch: Vec::new(),
-            ue_scratch: Vec::new(),
-            rates_scratch: Vec::new(),
-            tx_scratch: Vec::new(),
+            gate_scratch: vec![true; n_ap],
+            active_last_scratch: vec![false; n_ap],
+            assignment_scratch: vec![UNASSIGNED; n_ap * n_sub],
+            rate_rows_scratch: Vec::new(),
+            remaining_scratch: Vec::new(),
+            tx_scratch: vec![Vec::new(); n_sub],
             pairs_scratch: Vec::new(),
+            delivery_scratch: Vec::new(),
             conflict: links.conflict,
             ap_mean_dbm: links.ap_mean_dbm,
             ul_mean_dbm: links.ul_mean_dbm,

@@ -485,4 +485,43 @@ mod all {
             }
         }
     }
+
+    /// A handover into a busy cell: UE 0 moves next to the next AP
+    /// while every UE is backlogged, and the new cell's PF scheduler
+    /// must treat it as a fresh UE (average 1.0), not carry over the
+    /// average it built up at its old cell. The per-UE totals are pinned
+    /// from the keyed-scheduler implementation; carrying the average
+    /// across the handover changes them.
+    #[test]
+    fn handover_into_a_busy_cell_restarts_pf_state() {
+        use cellfi_types::geo::Point;
+        let pinned: [(u64, [u64; 12]); 2] = [
+            (
+                3,
+                [
+                    2_648_319, 420_580, 1_267_032, 5_353_933, 566_924, 32_315, 1_225_429,
+                    1_239_084, 608_106, 3_035_599, 340_239, 1_581_253,
+                ],
+            ),
+            (
+                11,
+                [
+                    3_581_125, 1_160_197, 16_268, 951_626, 5_729, 311_548, 513_625, 0, 224_973,
+                    403_319, 821_287, 535_570,
+                ],
+            ),
+        ];
+        for (seed, delivered) in pinned {
+            let s = Scenario::generate(ScenarioConfig::paper_default(3, 4), SeedSeq::new(seed));
+            let mut e = engine(s, ImMode::PlainLte, seed);
+            e.backlog_all(u64::MAX / 4);
+            e.run_until(Instant::from_millis(800));
+            let target = (e.scenario().assoc[0] + 1) % 3;
+            let ap = e.scenario().aps[target].position;
+            e.move_ue(0, Point::new(ap.x + 30.0, ap.y + 30.0));
+            assert_eq!(e.check_handover(0, 3.0), Some(target), "seed {seed}");
+            e.run_until(Instant::from_millis(1_600));
+            assert_eq!(e.delivered_bits(), &delivered, "seed {seed}");
+        }
+    }
 }

@@ -138,14 +138,27 @@ METRO_RSS_KB=$(cat "$TRACE_TMP/metro_rss_kb")
 echo "fig9metro max RSS: ${METRO_RSS_KB} KB (ceiling ${METRO_RSS_CEILING_KB} KB)"
 [ "$METRO_RSS_KB" -le "$METRO_RSS_CEILING_KB" ]
 
-echo "== tier1: benchmark output checks (goldens, invariants, kernels) =="
+echo "== tier1: benchmark output checks (goldens, invariants, kernels, allocations) =="
 # One zero-length pass of every benchmark workload: the seed-1 goldens
 # and every output invariant must hold, or cellfi-bench exits 1. The
 # traced paper run adds the per-layer path and the kernel checks. Rates
 # are not gated here; BENCHMARK.json compares them change against parent.
 BENCH="cargo run -q --release --offline --locked --manifest-path benchmark/Cargo.toml --bin cellfi-bench --"
 $BENCH all --seconds 0 > /dev/null
-$BENCH run paper_saturated --seconds 0 --trace > /dev/null
+$BENCH run paper_saturated --seconds 0 --trace > "$TRACE_TMP/bench_traced.jsonl"
+# Heap allocations per subframe on the traced paper run. The MAC pass
+# reuses engine-owned buffers, so what remains is the delivery list
+# step_subframe returns; a per-subframe allocation creeping back into
+# the loop pushes the count past the ceiling. It is a count, not a
+# timing, so host noise cannot flake it.
+ALLOCS_PER_SF_MAX=3
+ALLOCS_PER_SF=$(tail -n 1 "$TRACE_TMP/bench_traced.jsonl" | python3 -c '
+import json, sys
+print(json.load(sys.stdin)["metrics"]["engine.allocs_per_sf"]["value"])
+')
+echo "paper_saturated engine.allocs_per_sf: ${ALLOCS_PER_SF} (ceiling ${ALLOCS_PER_SF_MAX})"
+python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
+    "$ALLOCS_PER_SF" "$ALLOCS_PER_SF_MAX"
 
 echo "== tier1: benchmark test suite =="
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml

@@ -5,7 +5,7 @@
 use cellfi::im::manager::{ClientEpochStats, EpochInput, InterferenceManager, ManagerConfig};
 use cellfi::lte::cell::{Cell, CellConfig};
 use cellfi::lte::earfcn::{Band, Earfcn};
-use cellfi::lte::scheduler::Allocation;
+use cellfi::lte::scheduler::UNASSIGNED;
 use cellfi::spectrum::client::DatabaseClient;
 use cellfi::spectrum::database::SpectrumDatabase;
 use cellfi::spectrum::paws::GeoLocation;
@@ -90,18 +90,23 @@ fn full_pipeline_from_database_to_scheduled_bits() {
     cell.set_allowed_mask(decision.mask.clone());
 
     // 5. The stock scheduler serves within the mask and bits flow.
-    let rates: Vec<Vec<f64>> = (0..2).map(|_| vec![800.0; n_sub as usize]).collect();
-    let alloc: Allocation = cell.schedule_downlink(&rates);
-    assert!(alloc.used_count() > 0 && alloc.used_count() <= 6);
-    for (s, assigned) in alloc.assignment.iter().enumerate() {
-        if assigned.is_some() {
+    // Rates are one row-major [ue][subchannel] block in attach order.
+    let n = n_sub as usize;
+    let rates = vec![800.0; 2 * n];
+    let mut assignment = vec![UNASSIGNED; n];
+    cell.schedule_downlink(&rates, &mut Vec::new(), &mut assignment);
+    let used = assignment.iter().filter(|&&row| row != UNASSIGNED).count();
+    assert!(used > 0 && used <= 6);
+    for (s, &row) in assignment.iter().enumerate() {
+        if row != UNASSIGNED {
             assert!(decision.mask[s], "scheduled outside the IM mask");
         }
     }
     let before = cell.total_queued_bits();
-    for (s, assigned) in alloc.assignment.iter().enumerate() {
-        if let Some(ue) = assigned {
-            cell.deliver(*ue, rates[0][s] as u64);
+    for (s, &row) in assignment.iter().enumerate() {
+        if row != UNASSIGNED {
+            let ue = cell.attached_ues()[row as usize];
+            cell.deliver(ue, rates[s] as u64);
         }
     }
     assert!(cell.total_queued_bits() < before, "no bits delivered");

@@ -46,7 +46,8 @@
 //!   check closures run every armed tick and are held to the same bar.
 //! * **`parallel`** — byte-identical replay across `CELLFI_THREADS`.
 //!   Closures passed to the `parallel::for_each_chunk` /
-//!   `for_each_row` / `map_indexed` fan-outs must not mutate captured
+//!   `for_each_ragged` / `for_each_row` / `map_indexed` fan-outs (the
+//!   last closure argument is the worker) must not mutate captured
 //!   state (cross-chunk writes alias between workers) or reach for
 //!   scheduling-dependent synchronization (`Mutex`, atomics,
 //!   `unsafe`); trace events inside them must go through a forked
@@ -68,7 +69,9 @@
 //! * **`cachegen`** — generation-keyed caches never serve stale data.
 //!   A fn that writes slab gain state (`self.lin_mw` /
 //!   `self.static_mw` / `self.dl_mean_dbm` through a mutating
-//!   accessor) must bump `gain_gen` in the same fn, and a write to the
+//!   accessor, a wholesale `=`, or an index assignment such as
+//!   `self.dl_mean_dbm[link] = …`) must bump `gain_gen` in the same
+//!   fn, and a write to the
 //!   association table (`…assoc[ue] = …`) must bump `assoc_gen` — the
 //!   `(generation, set_id)` keys of `TxSetTracker` /
 //!   `InterferenceCache` / `CqiMemo` only invalidate when the
@@ -220,7 +223,12 @@ const EMIT_ALLOC_MARKERS: &[&str] = &[
 
 /// The deterministic fan-out helpers whose worker closures the
 /// `parallel` rule audits (see `crates/sim/src/parallel.rs`).
-const FAN_OUT: &[&str] = &["for_each_chunk", "for_each_row", "map_indexed"];
+const FAN_OUT: &[&str] = &[
+    "for_each_chunk",
+    "for_each_ragged",
+    "for_each_row",
+    "map_indexed",
+];
 
 /// Identifiers that imply scheduling-dependent shared state inside a
 /// fan-out closure. `Atomic*` is matched by prefix.
@@ -246,6 +254,9 @@ const PARALLEL_MODULE: &str = "crates/sim/src/parallel.rs";
 /// Slab gain state: writes through these `self` fields feed the
 /// `(gain_gen, …)` cache keys.
 const GAIN_FIELDS: &[&str] = &["lin_mw", "static_mw", "dl_mean_dbm"];
+
+/// Assignment operators that make `place[index] <op> …` a write.
+const INDEX_WRITE_OPS: &[&str] = &["=", "+=", "-=", "*=", "/="];
 
 /// Mutating accessors through which slab state is written.
 const GAIN_MUT_METHODS: &[&str] = &[
@@ -1004,8 +1015,9 @@ fn check_cachegen(sink: &mut Sink) {
                 continue;
             }
             let s = toks[k].text(masked);
-            // `self.<gain field>.<mutating accessor>(…)` or a wholesale
-            // `self.<gain field> = …` replacement.
+            // `self.<gain field>.<mutating accessor>(…)`, a wholesale
+            // `self.<gain field> = …` replacement, or an index write
+            // `self.<gain field>[link] = …` into a per-link array.
             if s == "self"
                 && toks.get(k + 1).is_some_and(|t| t.is(masked, "."))
                 && toks
@@ -1018,6 +1030,7 @@ fn check_cachegen(sink: &mut Sink) {
                         .is_some_and(|t| GAIN_MUT_METHODS.contains(&t.text(masked)))
                         .then_some(k + 4),
                     Some("=") => Some(k + 2),
+                    Some("[") => index_write(toks, masked, k + 3).then_some(k + 2),
                     _ => None,
                 };
                 if let Some(site) = write {
@@ -1025,19 +1038,13 @@ fn check_cachegen(sink: &mut Sink) {
                 }
             }
             // `….assoc[ue] = …` association rewrites.
-            if s == "assoc" && k > 0 && toks[k - 1].is(masked, ".") {
-                if let Some(close) = toks
-                    .get(k + 1)
-                    .filter(|t| t.is(masked, "["))
-                    .and_then(|_| parse::match_delim(toks, masked, k + 1))
-                {
-                    let writes = toks
-                        .get(close + 1)
-                        .is_some_and(|t| t.is(masked, "=") || t.is(masked, "+="));
-                    if writes {
-                        assoc_sites.push(k);
-                    }
-                }
+            if s == "assoc"
+                && k > 0
+                && toks[k - 1].is(masked, ".")
+                && toks.get(k + 1).is_some_and(|t| t.is(masked, "["))
+                && index_write(toks, masked, k + 1)
+            {
+                assoc_sites.push(k);
             }
         }
         if !gain_sites.is_empty() && !bumps("gain_gen") {
@@ -1069,6 +1076,14 @@ fn check_cachegen(sink: &mut Sink) {
             }
         }
     }
+}
+
+/// Whether the index group opening at `open` (`[`) is the target of an
+/// assignment: `…[i] = …`, `…[i] += …` and the other compound forms.
+fn index_write(toks: &[Token], masked: &str, open: usize) -> bool {
+    parse::match_delim(toks, masked, open)
+        .and_then(|close| toks.get(close + 1))
+        .is_some_and(|t| INDEX_WRITE_OPS.contains(&t.text(masked)))
 }
 
 /// lint-allow: every directive must be well-formed, reasoned, and used.

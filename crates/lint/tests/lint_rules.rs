@@ -397,6 +397,28 @@ fn parallel_flags_captured_mutation_in_fanout_closures() {
 }
 
 #[test]
+fn parallel_audits_the_worker_closure_of_a_ragged_fanout() {
+    // The row-boundary closure comes first; the worker is the last
+    // closure argument, and its captured writes are flagged.
+    let f = lint_core(
+        "fn s(rows: &mut [f64], ends: &[usize], out: &mut Vec<f64>) {\n\
+         \x20   for_each_ragged(rows, 4, ends.len(), |g| ends[g], 8, |_g, group| {\n\
+         \x20       out.push(group[0]);\n\
+         \x20   });\n\
+         }\n",
+    );
+    assert_eq!(rules(&f), ["parallel"], "{f:?}");
+    let f = lint_core(
+        "fn s(rows: &mut [f64], ends: &[usize]) {\n\
+         \x20   for_each_ragged(rows, 4, ends.len(), |g| ends[g], 8, |_g, group| {\n\
+         \x20       group.fill(1.0);\n\
+         \x20   });\n\
+         }\n",
+    );
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
 fn parallel_accepts_chunk_local_writes_and_locals() {
     let f = lint_core(
         "fn s(rows: &mut [f64]) {\n\
@@ -616,6 +638,39 @@ fn cachegen_flags_gain_writes_without_a_generation_bump() {
          }\n",
     );
     assert_eq!(rules(&f), ["cachegen"], "{f:?}");
+}
+
+#[test]
+fn cachegen_flags_index_writes_into_per_link_gain_arrays() {
+    // Per-link arrays are written by index, not through an accessor.
+    let f = lint_core(
+        "impl Engine {\n\
+         \x20   fn set_mean(&mut self, link: usize, v: f64) {\n\
+         \x20       self.dl_mean_dbm[link] = v;\n\
+         \x20   }\n\
+         \x20   fn nudge(&mut self, link: usize) {\n\
+         \x20       self.dl_mean_dbm[link] -= 3.0;\n\
+         \x20   }\n\
+         }\n",
+    );
+    assert_eq!(rules(&f), ["cachegen", "cachegen"], "{f:?}");
+    // Bumped in the same fn, a read or comparison, and a per-link array
+    // outside the gain state all pass.
+    let f = lint_core(
+        "impl Engine {\n\
+         \x20   fn set_mean(&mut self, link: usize, v: f64) {\n\
+         \x20       self.gain_gen += 1;\n\
+         \x20       self.dl_mean_dbm[link] = v;\n\
+         \x20   }\n\
+         \x20   fn is_silent(&self, link: usize) -> bool {\n\
+         \x20       self.dl_mean_dbm[link] == f64::NEG_INFINITY\n\
+         \x20   }\n\
+         \x20   fn set_uplink(&mut self, link: usize, v: f64) {\n\
+         \x20       self.ul_mean_dbm[link] = v;\n\
+         \x20   }\n\
+         }\n",
+    );
+    assert!(f.is_empty(), "{f:?}");
 }
 
 #[test]

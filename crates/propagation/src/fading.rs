@@ -74,6 +74,12 @@ impl BlockFading {
         BlockFading::new(seeds, FadingKind::Rayleigh, Duration::from_millis(100))
     }
 
+    /// Whether the process is [`FadingKind::None`]: every power gain is
+    /// exactly 1.0 at every instant.
+    pub fn is_disabled(&self) -> bool {
+        matches!(self.kind, FadingKind::None)
+    }
+
     /// The coherence block length.
     pub fn coherence(&self) -> Duration {
         self.coherence
@@ -82,7 +88,7 @@ impl BlockFading {
     /// Power gain in dB for the given link (symmetric node pair),
     /// subchannel and instant.
     pub fn gain(&self, a: u32, b: u32, subchannel: SubchannelId, now: Instant) -> Db {
-        if matches!(self.kind, FadingKind::None) {
+        if self.is_disabled() {
             return Db::ZERO;
         }
         Db(10.0 * self.power(a, b, subchannel, now).max(1e-12).log10())
@@ -92,7 +98,7 @@ impl BlockFading {
     /// draw sequence is shared with [`BlockFading::gain`]; `None` fading
     /// reports exactly 1.0.
     pub fn power(&self, a: u32, b: u32, subchannel: SubchannelId, now: Instant) -> f64 {
-        if matches!(self.kind, FadingKind::None) {
+        if self.is_disabled() {
             return 1.0;
         }
         let key = self
@@ -107,7 +113,7 @@ impl BlockFading {
     /// used by the engine's flat-lane fading refresh. Bit-identical to
     /// per-subchannel `power` calls.
     pub fn fill_power_lane(&self, a: u32, b: u32, now: Instant, out: &mut [f64]) {
-        if matches!(self.kind, FadingKind::None) {
+        if self.is_disabled() {
             out.fill(1.0);
             return;
         }
@@ -200,6 +206,7 @@ mod tests {
     #[test]
     fn disabled_is_zero_db() {
         let f = BlockFading::disabled(SeedSeq::new(1));
+        assert!(f.is_disabled() && !rayleigh().is_disabled());
         assert_eq!(
             f.gain(0, 1, SubchannelId::new(0), Instant::from_millis(3)),
             Db::ZERO

@@ -14,7 +14,7 @@
 //! interference events re-applied in the same order the parallel scan
 //! would have emitted them.
 
-use crate::slab::{Slab2, Slab3};
+use crate::slab::Slab2;
 use crate::topology::NeighborTable;
 
 /// Interns per-subchannel transmitter sets into `u64` ids and maintains
@@ -268,8 +268,8 @@ impl InterferenceCache {
     /// (columns are disjoint rows of the slab). After this, `total(s, ue)`
     /// is exactly `Self::direct_total(tracker, nbr, lin_mw, ue, s)`.
     ///
-    /// The accumulation walks each UE's neighbor slots (ascending AP
-    /// order) and adds the lanes whose AP is in the subchannel's
+    /// The accumulation walks each UE's links (ascending AP order) and
+    /// adds the lanes whose AP is in the subchannel's
     /// transmitter mask — with dense tables that is the old ascending
     /// `tx[s]` sum term for term; under a cull floor, transmitters
     /// outside the UE's candidate row contribute nothing (their received
@@ -279,7 +279,7 @@ impl InterferenceCache {
         gain_gen: u64,
         tracker: &TxSetTracker,
         nbr: &NeighborTable,
-        lin_mw: &Slab3,
+        lin_mw: &Slab2,
     ) {
         let ids = tracker.ids();
         self.current.copy_from_slice(ids);
@@ -329,19 +329,19 @@ impl InterferenceCache {
 
     /// The unmemoized accumulation the cache must always agree with:
     /// total power at `ue` on subchannel `s` over the transmitters in
-    /// `tracker`'s mask, read through the UE's neighbor slots in
-    /// ascending-AP order.
+    /// `tracker`'s mask, read through the UE's links in ascending-AP
+    /// order.
     pub fn direct_total(
         tracker: &TxSetTracker,
         nbr: &NeighborTable,
-        lin_mw: &Slab3,
+        lin_mw: &Slab2,
         ue: usize,
         s: usize,
     ) -> f64 {
         let mut total = 0.0;
-        for (sl, &ap) in nbr.candidates(ue).iter().enumerate() {
+        for (link, &ap) in nbr.links(ue).zip(nbr.candidates(ue)) {
             if tracker.is_member(s, ap as usize) {
-                total += lin_mw.at(ue, sl, s);
+                total += lin_mw.at(link, s);
             }
         }
         total

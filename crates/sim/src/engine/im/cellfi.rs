@@ -40,7 +40,8 @@ impl ImStrategy for CellFi {
                     if e.queued_bits(ue) == 0 || e.scenario.assoc[ue] == c {
                         continue;
                     }
-                    let snr_db = e.ul_mean_dbm.at(ue, sl as usize) - e.ul_noise_dbm;
+                    let link = e.scenario.nbr.links(ue).start + sl as usize;
+                    let snr_db = e.ul_mean_dbm[link] - e.ul_noise_dbm;
                     if prach::heard(Db(snr_db)) {
                         e.obs.tracer.emit(
                             now,
@@ -175,8 +176,11 @@ impl LteEngine {
             if self.scenario.assoc[ue] == cell {
                 own += 1;
                 heard += 1;
-            } else if prach::heard(Db(self.ul_mean_dbm.at(ue, sl as usize) - self.ul_noise_dbm)) {
-                heard += 1;
+            } else {
+                let link = self.scenario.nbr.links(ue).start + sl as usize;
+                if prach::heard(Db(self.ul_mean_dbm[link] - self.ul_noise_dbm)) {
+                    heard += 1;
+                }
             }
         }
         (own, heard)

@@ -67,9 +67,10 @@ impl LteEngine {
             // Only sensed interferers contribute: a culled AP-to-AP path
             // is below the energy-detect floor by construction.
             let mut busy_mw = 0.0f64;
-            for (sl, &o) in self.scenario.nbr.interferers(c).iter().enumerate() {
+            let nbr = &self.scenario.nbr;
+            for (link, &o) in nbr.interferer_links(c).zip(nbr.interferers(c)) {
                 if self.active_last_scratch[o as usize] {
-                    busy_mw += Dbm(self.ap_mean_dbm.at(c, sl)).to_milliwatts().value();
+                    busy_mw += Dbm(self.ap_mean_dbm[link]).to_milliwatts().value();
                 }
             }
             let busy = 10.0 * busy_mw.max(1e-30).log10() >= LBT_THRESHOLD_DBM;

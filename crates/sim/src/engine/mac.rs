@@ -54,17 +54,18 @@ impl LteEngine {
     /// below the floor by construction.
     fn control_sinr(&self, ue: usize) -> Db {
         let ap = self.scenario.assoc[ue];
+        let nbr = &self.scenario.nbr;
         let mut strongest_other = f64::NEG_INFINITY;
-        for (sl, &c) in self.scenario.nbr.candidates(ue).iter().enumerate() {
+        for (link, &c) in nbr.links(ue).zip(nbr.candidates(ue)) {
             let c = c as usize;
             if c != ap && self.cell_active(c) {
                 strongest_other =
-                    strongest_other.max(self.dl_mean_dbm.at(ue, sl) + self.power_offset_db[c]);
+                    strongest_other.max(self.dl_mean_dbm[link] + self.power_offset_db[c]);
             }
         }
         if strongest_other.is_finite() {
             Db(
-                self.dl_mean_dbm.at(ue, self.serving_slot[ue] as usize) + self.power_offset_db[ap]
+                self.dl_mean_dbm[self.serving_link(ue)] + self.power_offset_db[ap]
                     - strongest_other,
             )
         } else {
@@ -241,6 +242,7 @@ impl LteEngine {
                 }
                 let scs = &pairs_scratch[i..j];
                 i = j;
+                let serving = self.serving_link(ue);
                 let mean_linear = scs
                     .iter()
                     .map(|&(_, s)| {
@@ -248,7 +250,7 @@ impl LteEngine {
                         // The serving cell `c` transmits on `s` by
                         // construction; its share of the cached total
                         // is the signal itself.
-                        let signal = self.lin_mw.at(ue, self.serving_slot[ue] as usize, s);
+                        let signal = self.lin_mw.at(serving, s);
                         let interference = (self.interf.total(s, ue) - signal).max(0.0);
                         signal / (interference + self.noise_mw[s])
                     })
@@ -352,18 +354,19 @@ impl LteEngine {
         // hysteresis. Update on ties (`!is_lt`) to keep `max_by`'s
         // last-maximal-element choice.
         let mut best: Option<(usize, usize, f64)> = None;
+        let first = self.scenario.nbr.links(ue).start;
         for (sl, &c) in self.scenario.nbr.candidates(ue).iter().enumerate() {
             let c = c as usize;
             if !self.cell_active(c) {
                 continue;
             }
-            let dbm = self.dl_mean_dbm.at(ue, sl);
+            let dbm = self.dl_mean_dbm[first + sl];
             if best.is_none_or(|(_, _, b)| !dbm.total_cmp(&b).is_lt()) {
                 best = Some((c, sl, dbm));
             }
         }
         let (best, best_slot, best_dbm) = best?;
-        let serving_dbm = self.dl_mean_dbm.at(ue, self.serving_slot[ue] as usize);
+        let serving_dbm = self.dl_mean_dbm[self.serving_link(ue)];
         if best == serving || best_dbm < serving_dbm + hysteresis_db {
             return None;
         }

@@ -45,7 +45,7 @@ mod tests;
 pub use im::laa::{LBT_CW, LBT_MCOT_SUBFRAMES, LBT_THRESHOLD_DBM};
 pub use system::{steady_state_bps, SimHarness, SystemEngine};
 
-use crate::slab::{Slab2, Slab3};
+use crate::slab::Slab2;
 use crate::topology::Scenario;
 use cache::InterferenceCache;
 use cache::{CqiMemo, TxSetTracker};
@@ -167,15 +167,16 @@ pub struct LteEngine {
     epoch_retx: Vec<u64>,
 
     // ---- static link caches (positions never move within a run) ----
-    // Every `[ue][slot]` slab below is laid out behind the scenario's
-    // neighbor table: slot `sl` of UE `u` is `scenario.nbr.candidates(u)[sl]`,
-    // under the uniform `max_neighbors` stride. Dense scenarios (no cull
-    // floor) make slot ≡ AP id.
+    // Every per-link array below is indexed by link id: link
+    // `scenario.nbr.links(u).start + sl` pairs UE `u` with
+    // `scenario.nbr.candidates(u)[sl]` (AP-to-AP arrays use
+    // `interferer_links` the same way). They hold exactly the links the
+    // cull keeps; dense scenarios (no cull floor) make slot ≡ AP id.
     /// The neighbor slot each UE's serving AP occupies (kept in lock
     /// step with `scenario.assoc` across handovers).
     serving_slot: Vec<u32>,
-    /// Mean downlink rx power (dBm) per `[ue][neighbor_slot]` at AP power.
-    dl_mean_dbm: Slab2,
+    /// Mean downlink rx power (dBm) per link at AP power.
+    dl_mean_dbm: Vec<f64>,
     /// Uplink noise floor (dBm) over the whole channel: a UE's mean
     /// uplink SNR at a candidate AP is `ul_mean_dbm - ul_noise_dbm`
     /// (drives PRACH hearing).
@@ -192,14 +193,17 @@ pub struct LteEngine {
     /// power. A function of the resource grid alone, hoisted out of
     /// every gain rebuild.
     split_db: Vec<f64>,
-    /// Static linear rx power (mW) per `[ue][neighbor_slot][sc]`: mean
-    /// gain + EIRP offset + power split, precombined through one batched
-    /// dB→linear pass. Rebuilt only when a UE moves or an EIRP offset
-    /// changes.
-    static_mw: Slab3,
-    /// Instantaneous linear rx power (mW) per `[ue][neighbor_slot][sc]`:
-    /// `static_mw × fading power`, refreshed per fading coherence block.
-    lin_mw: Slab3,
+    /// Static linear rx power (mW) per `[link][sc]`: mean gain + EIRP
+    /// offset + power split, precombined through one batched dB→linear
+    /// pass. Rebuilt only when a UE moves or an EIRP offset changes.
+    /// Empty when the scenario's fading process is disabled: `lin_mw`
+    /// then holds the static gains itself.
+    static_mw: Slab2,
+    /// Instantaneous linear rx power (mW) per `[link][sc]`, the one
+    /// gain slab every reader uses: `static_mw × fading power`,
+    /// refreshed per fading coherence block, or without fading the
+    /// static gains, written once and never refreshed.
+    lin_mw: Slab2,
     fading_block: u64,
     /// Generation counter for `lin_mw`: bumped whenever any cached gain
     /// changes (fading block roll, client move) so dependent caches can
@@ -250,13 +254,13 @@ pub struct LteEngine {
     delivery_scratch: Vec<(usize, u64)>,
     /// True conflict graph (static; used by the oracle).
     conflict: ConflictGraph,
-    /// Mean AP→AP rx power (dBm) per `[ap][interferer_slot]` at AP
-    /// power — the LBT sensing input.
-    ap_mean_dbm: Slab2,
-    /// Mean uplink rx power (dBm) per `[ue][neighbor_slot]` at full UE
-    /// power over the whole channel: with `ul_noise_dbm`, the input of
-    /// PRACH hearing and nothing else.
-    ul_mean_dbm: Slab2,
+    /// Mean AP→AP rx power (dBm) per interferer link at AP power — the
+    /// LBT sensing input.
+    ap_mean_dbm: Vec<f64>,
+    /// Mean uplink rx power (dBm) per link at full UE power over the
+    /// whole channel: with `ul_noise_dbm`, the input of PRACH hearing
+    /// and nothing else.
+    ul_mean_dbm: Vec<f64>,
     /// Total X2 messages exchanged (X2Icic mode): the explicit-
     /// coordination cost CellFi's passive sensing avoids.
     pub x2_messages: u64,
@@ -355,7 +359,13 @@ impl LteEngine {
             .noise
             .floor(grid.bandwidth().bandwidth())
             .value();
-        let max_nbr = scenario.nbr.max_neighbors;
+        // Link-indexed gain slabs; one slab when nothing fades.
+        let n_links = scenario.nbr.n_links();
+        let n_static = if scenario.env.fading.is_disabled() {
+            0
+        } else {
+            n_links
+        };
         // Downlink power is split across the carrier's RBs: a subchannel
         // receives only its share of the cell's total power.
         let split_db: Vec<f64> = (0..n_sub)
@@ -418,8 +428,8 @@ impl LteEngine {
             noise_mw: links.noise_mw,
             interf_thresh_mw,
             split_db,
-            static_mw: Slab3::new(n_ue, max_nbr, n_sub, 0.0),
-            lin_mw: Slab3::new(n_ue, max_nbr, n_sub, 0.0),
+            static_mw: Slab2::new(n_static, n_sub, 0.0),
+            lin_mw: Slab2::new(n_links, n_sub, 0.0),
             fading_block: u64::MAX,
             gain_gen: 0,
             assoc_gen: 0,
@@ -552,7 +562,8 @@ impl LteEngine {
             self.power_offset_db[cell] = offset_db;
             // Fold the new offset into the static gains, then invalidate
             // the fading block so the next refresh rebuilds `lin_mw`
-            // even mid-coherence-block.
+            // even mid-coherence-block (without fading, the rebuild
+            // wrote `lin_mw` itself).
             self.rebuild_static();
             self.fading_block = u64::MAX;
             self.recompute_retention();
@@ -575,7 +586,7 @@ impl LteEngine {
     /// channel — used by experiments for binning by link quality.
     pub fn ue_snr(&self, ue: usize) -> Db {
         let noise_total: f64 = self.noise_mw.iter().sum();
-        Db(self.dl_mean_dbm.at(ue, self.serving_slot[ue] as usize) - 10.0 * noise_total.log10())
+        Db(self.dl_mean_dbm[self.serving_link(ue)] - 10.0 * noise_total.log10())
     }
 
     /// Enable or disable the steady-state CQI fast path (on by default).

@@ -9,23 +9,25 @@
 //! the same per-subchannel decodability the CQI reports measure).
 //!
 //! Data layout: the hot tensors are flat strided slabs
-//! ([`crate::slab`]) indexed `[ue][neighbor_slot][s]` behind the
-//! scenario's neighbor table ([`crate::topology::NeighborTable`]):
-//! slot `sl` of UE `u` is its `sl`-th candidate AP in ascending id
-//! order, so dense (uncapped) tables reproduce the old `[ue][ap][s]`
-//! layout exactly while a cull floor shrinks the middle axis to the
-//! near field. The gain pipeline is linear-domain end to end —
-//! `static_mw[ue][slot][s]` precombines mean gain, EIRP offset and the
+//! ([`crate::slab`]) indexed `[link][s]`, where a link is one (UE,
+//! candidate AP) pair of the scenario's neighbor table
+//! ([`crate::topology::NeighborTable::links`]). A UE's links follow its
+//! candidate APs in ascending id order, so dense (uncapped) tables
+//! reproduce the old `[ue][ap][s]` layout exactly, while under a cull
+//! floor the slabs hold only the links the cull keeps, with no padding
+//! to the longest row. The gain pipeline is linear-domain end to end —
+//! `static_mw[link][s]` precombines mean gain, EIRP offset and the
 //! per-subchannel power split through one batched `10^(x/10)` pass
 //! (rebuilt only when those inputs change), and a fading refresh is just
-//! `static_mw × fading_power` over contiguous lanes. The CQI scan never
+//! `static_mw × fading_power` over contiguous lanes. Without a fading
+//! process there is one gain slab: the rebuild writes the static gains
+//! straight into `lin_mw`, which no refresh touches. The CQI scan never
 //! leaves the linear domain either: CQI comes from the bisected
 //! [`cellfi_lte::amc::LinearCqiMap`] boundaries and the interference
 //! test compares against a precomputed linear margin threshold, so dB
 //! values are computed only for the rare interference-event trace.
 
 use super::{LteEngine, INTERFERENCE_MARGIN};
-use crate::slab::Slab2;
 use crate::topology::Scenario;
 use cellfi_core::ConflictGraph;
 use cellfi_lte::grid::ResourceGrid;
@@ -40,14 +42,13 @@ use cellfi_types::{ApId, SubchannelId, UeId};
 /// through [`LteEngine::move_ue`], which patches the affected row), so
 /// the per-link means and the true conflict graph are computed once.
 pub(crate) struct LinkMatrices {
-    /// Mean downlink rx power (dBm) per `[ue][neighbor_slot]` at AP power.
-    pub dl_mean_dbm: Slab2,
-    /// Mean uplink rx power (dBm) per `[ue][neighbor_slot]` at full UE
-    /// power.
-    pub ul_mean_dbm: Slab2,
-    /// Mean AP→AP rx power (dBm) per `[ap][interferer_slot]` at AP
-    /// power — the LBT sensing input.
-    pub ap_mean_dbm: Slab2,
+    /// Mean downlink rx power (dBm) per link at AP power.
+    pub dl_mean_dbm: Vec<f64>,
+    /// Mean uplink rx power (dBm) per link at full UE power.
+    pub ul_mean_dbm: Vec<f64>,
+    /// Mean AP→AP rx power (dBm) per interferer link at AP power — the
+    /// LBT sensing input.
+    pub ap_mean_dbm: Vec<f64>,
     /// Per-subchannel noise floor, mW.
     pub noise_mw: Vec<f64>,
     /// True conflict graph from mean gains.
@@ -58,45 +59,27 @@ impl LinkMatrices {
     /// Build every static matrix for `scenario` on `grid`.
     pub fn build(scenario: &Scenario, grid: &ResourceGrid) -> Self {
         let n_sub = grid.num_subchannels() as usize;
-        let n_ue = scenario.n_ues();
         let n_ap = scenario.aps.len();
         let env = &scenario.env;
         let nbr = &scenario.nbr;
-        // Slot-indexed link matrices: column `sl` of row `u` is the UE's
-        // `sl`-th candidate AP (ascending). With dense neighbor tables
-        // the slots are exactly the global AP indices, so values and
-        // layout match the old `[ue][ap]` matrices byte for byte.
-        let mut dl_mean_dbm = Slab2::new(n_ue, nbr.max_neighbors, f64::NEG_INFINITY);
-        let mut ul_mean_dbm = Slab2::new(n_ue, nbr.max_neighbors, f64::NEG_INFINITY);
-        for u in 0..n_ue {
-            for (sl, &a) in nbr.candidates(u).iter().enumerate() {
-                let a = a as usize;
-                dl_mean_dbm.set(
-                    u,
-                    sl,
-                    env.mean_rx_power(&scenario.aps[a], scenario.config.ap_power, &scenario.ues[u])
-                        .value(),
-                );
-                ul_mean_dbm.set(
-                    u,
-                    sl,
-                    env.mean_rx_power(&scenario.ues[u], scenario.config.ue_power, &scenario.aps[a])
-                        .value(),
-                );
+        // Links ascend by UE, then by candidate slot (ascending AP id),
+        // so pushing in that order puts every value at its link id.
+        let mut dl_mean_dbm = Vec::with_capacity(nbr.n_links());
+        let mut ul_mean_dbm = Vec::with_capacity(nbr.n_links());
+        for (u, ue) in scenario.ues.iter().enumerate() {
+            for &a in nbr.candidates(u) {
+                let ap = &scenario.aps[a as usize];
+                dl_mean_dbm.push(env.mean_rx_power(ap, scenario.config.ap_power, ue).value());
+                ul_mean_dbm.push(env.mean_rx_power(ue, scenario.config.ue_power, ap).value());
             }
         }
-        let mut ap_mean_dbm = Slab2::new(n_ap, nbr.max_ap_neighbors, f64::NEG_INFINITY);
-        for a in 0..n_ap {
-            for (sl, &b) in nbr.interferers(a).iter().enumerate() {
-                ap_mean_dbm.set(
-                    a,
-                    sl,
-                    env.mean_rx_power(
-                        &scenario.aps[b as usize],
-                        scenario.config.ap_power,
-                        &scenario.aps[a],
-                    )
-                    .value(),
+        let mut ap_mean_dbm = Vec::with_capacity(nbr.n_interferer_links());
+        for (a, ap) in scenario.aps.iter().enumerate() {
+            for &b in nbr.interferers(a) {
+                let other = &scenario.aps[b as usize];
+                ap_mean_dbm.push(
+                    env.mean_rx_power(other, scenario.config.ap_power, ap)
+                        .value(),
                 );
             }
         }
@@ -130,8 +113,9 @@ impl LinkMatrices {
                     else {
                         return false;
                     };
-                    let s_mw = Dbm(dl_mean_dbm.at(u, ap_sl)).to_milliwatts().value();
-                    let i_mw = Dbm(dl_mean_dbm.at(u, other_sl)).to_milliwatts().value();
+                    let first = nbr.links(u).start;
+                    let s_mw = Dbm(dl_mean_dbm[first + ap_sl]).to_milliwatts().value();
+                    let i_mw = Dbm(dl_mean_dbm[first + other_sl]).to_milliwatts().value();
                     // Full-channel signal/interference powers against the
                     // full-channel noise floor (the per-subchannel power
                     // split cancels out of the ratio).
@@ -184,21 +168,30 @@ fn rlf_tick(
 }
 
 impl LteEngine {
-    /// Rebuild the static linear-gain slab for one UE row:
-    /// `static_mw[ue][slot][s] = 10^((mean + offset + split)/10)` through
-    /// the batched conversion kernel, over the UE's candidate neighbor
-    /// slots. `lane_db` is an `n_sub` scratch.
+    /// Rebuild the static linear gains of one UE's links:
+    /// `static_mw[link][s] = 10^((mean + offset + split)/10)` through
+    /// the batched conversion kernel. Without a fading process the
+    /// instantaneous gains are the static ones, so they go straight into
+    /// `lin_mw`, the slab the readers use. `lane_db` is an `n_sub`
+    /// scratch.
     pub(super) fn rebuild_static_row(&mut self, u: usize, lane_db: &mut [f64]) {
-        // The static slab feeds every downstream gain cache; bump the
+        // The static gains feed every downstream gain cache; bump the
         // generation here so a rewritten row can never be replayed
         // through a stale interference column or memoized scan.
         self.gain_gen += 1;
-        for (sl, &a) in self.scenario.nbr.candidates(u).iter().enumerate() {
-            let base = self.dl_mean_dbm.at(u, sl) + self.power_offset_db[a as usize];
+        let fading_off = self.scenario.env.fading.is_disabled();
+        let nbr = &self.scenario.nbr;
+        for (link, &a) in nbr.links(u).zip(nbr.candidates(u)) {
+            let base = self.dl_mean_dbm[link] + self.power_offset_db[a as usize];
             for (slot, &split) in lane_db.iter_mut().zip(&self.split_db) {
                 *slot = base + split;
             }
-            db_slab_to_mw(lane_db, self.static_mw.lane_mut(u, sl));
+            let lane = if fading_off {
+                self.lin_mw.row_mut(link)
+            } else {
+                self.static_mw.row_mut(link)
+            };
+            db_slab_to_mw(lane_db, lane);
         }
     }
 
@@ -214,9 +207,14 @@ impl LteEngine {
     /// rolls: per lane, draw the fading power and multiply into the
     /// precombined static gains. All dB→linear math happened at static
     /// rebuild time, so the per-block work is one RNG draw and one
-    /// multiply per element over contiguous lanes.
+    /// multiply per element over contiguous lanes. Without a fading
+    /// process nothing rolls: `lin_mw` already holds the static gains,
+    /// and the generation (hence every cache keyed on it) stays put.
     // cellfi-lint: hot
     pub(super) fn refresh_fading(&mut self) {
+        if self.scenario.env.fading.is_disabled() {
+            return;
+        }
         let coherence = self.scenario.env.fading.coherence();
         let block = self.now.as_micros() / coherence.as_micros();
         if block == self.fading_block {
@@ -225,33 +223,39 @@ impl LteEngine {
         self.fading_block = block;
         self.gain_gen += 1;
         let n_sub = self.grid.num_subchannels() as usize;
-        let block_len = self.lin_mw.block_len();
-        if block_len == 0 {
-            return; // no UEs or no candidates: nothing to refresh
+        if self.lin_mw.as_slice().is_empty() {
+            return; // no links: nothing to refresh
         }
         self.obs.profiler.begin(SpanId::FadingScan);
-        // Per-UE blocks of the tensor are disjoint and the fading
-        // process is a pure function of (nodes, subchannel, time), so
-        // the refresh fans out across UE blocks. Only the valid neighbor
-        // slots are refreshed; padding lanes stay zero and are never
-        // read.
+        // One UE's lanes are a contiguous run of rows, disjoint from
+        // every other UE's, and the fading process is a pure function
+        // of (nodes, subchannel, time), so the refresh fans out across
+        // whole UEs, split at their link boundaries.
         let scenario = &self.scenario;
+        let nbr = &scenario.nbr;
         let static_mw = &self.static_mw;
         let now = self.now;
-        crate::parallel::for_each_chunk(self.lin_mw.as_mut_slice(), block_len, 8, |u, ue_block| {
-            let ue_node = scenario.ues[u].node;
-            let lanes = ue_block.chunks_exact_mut(n_sub).enumerate();
-            for ((sl, lane), &a) in lanes.zip(scenario.nbr.candidates(u)) {
-                let ap_node = scenario.aps[a as usize].node;
-                scenario
-                    .env
-                    .fading
-                    .fill_power_lane(ap_node, ue_node, now, lane);
-                for (v, &st) in lane.iter_mut().zip(static_mw.lane(u, sl)) {
-                    *v = st * (*v).max(1e-12);
+        crate::parallel::for_each_ragged(
+            self.lin_mw.as_mut_slice(),
+            n_sub,
+            scenario.n_ues(),
+            |u| nbr.links(u).end,
+            8,
+            |u, ue_lanes| {
+                let ue_node = scenario.ues[u].node;
+                let lanes = ue_lanes.chunks_exact_mut(n_sub).zip(nbr.links(u));
+                for ((lane, link), &a) in lanes.zip(nbr.candidates(u)) {
+                    let ap_node = scenario.aps[a as usize].node;
+                    scenario
+                        .env
+                        .fading
+                        .fill_power_lane(ap_node, ue_node, now, lane);
+                    for (v, &st) in lane.iter_mut().zip(static_mw.row(link)) {
+                        *v = st * (*v).max(1e-12);
+                    }
                 }
-            }
-        });
+            },
+        );
         self.obs.profiler.end(SpanId::FadingScan);
     }
 
@@ -262,12 +266,13 @@ impl LteEngine {
     #[cfg_attr(not(test), allow(dead_code))]
     pub(super) fn sinr_db(&self, ue: usize, s: usize, tx_cells: &[usize]) -> f64 {
         let ap = self.scenario.assoc[ue];
-        let signal = self.lin_mw.at(ue, self.serving_slot[ue] as usize, s);
+        let first = self.scenario.nbr.links(ue).start;
+        let signal = self.lin_mw.at(self.serving_link(ue), s);
         let interference: f64 = tx_cells
             .iter()
             .filter(|&&c| c != ap)
             .filter_map(|&c| self.scenario.nbr.slot(ue, c))
-            .map(|sl| self.lin_mw.at(ue, sl, s))
+            .map(|sl| self.lin_mw.at(first + sl, s))
             .sum();
         10.0 * (signal / (interference + self.noise_mw[s])).log10()
     }
@@ -355,6 +360,7 @@ impl LteEngine {
         let interf_thresh_mw = &self.interf_thresh_mw;
         let linmap = &self.linmap;
         let assoc = &self.scenario.assoc;
+        let nbr = &self.scenario.nbr;
         let serving_slot = &self.serving_slot;
         let cells = &self.cells;
         let now = self.now;
@@ -414,13 +420,10 @@ impl LteEngine {
             let ap = assoc[ue];
             let mut any_usable = false;
             let ids = tracker.ids();
-            // The serving lane lives at the UE's serving neighbor slot;
-            // transmitter membership stays keyed by global AP id.
-            for (s, &signal) in lin_mw
-                .lane(ue, serving_slot[ue] as usize)
-                .iter()
-                .enumerate()
-            {
+            // The serving lane is the UE's link at its serving neighbor
+            // slot; transmitter membership stays keyed by global AP id.
+            let serving = nbr.links(ue).start + serving_slot[ue] as usize;
+            for (s, &signal) in lin_mw.row(serving).iter().enumerate() {
                 // The cached column totals every transmitter including
                 // the serving cell; remove its share to get interference.
                 let own = if tracker.is_member(s, ap) {
@@ -492,32 +495,16 @@ impl LteEngine {
     /// A culled scenario keeps the candidate set of the drop position.
     pub fn move_ue(&mut self, ue: usize, position: cellfi_types::geo::Point) {
         self.scenario.ues[ue].position = position;
-        for (sl, &a) in self.scenario.nbr.candidates(ue).iter().enumerate() {
-            let a = a as usize;
-            self.dl_mean_dbm.set(
-                ue,
-                sl,
-                self.scenario
-                    .env
-                    .mean_rx_power(
-                        &self.scenario.aps[a],
-                        self.scenario.config.ap_power,
-                        &self.scenario.ues[ue],
-                    )
-                    .value(),
-            );
-            self.ul_mean_dbm.set(
-                ue,
-                sl,
-                self.scenario
-                    .env
-                    .mean_rx_power(
-                        &self.scenario.ues[ue],
-                        self.scenario.config.ue_power,
-                        &self.scenario.aps[a],
-                    )
-                    .value(),
-            );
+        let scenario = &self.scenario;
+        let (env, client) = (&scenario.env, &scenario.ues[ue]);
+        for (link, &a) in scenario.nbr.links(ue).zip(scenario.nbr.candidates(ue)) {
+            let ap = &scenario.aps[a as usize];
+            self.dl_mean_dbm[link] = env
+                .mean_rx_power(ap, scenario.config.ap_power, client)
+                .value();
+            self.ul_mean_dbm[link] = env
+                .mean_rx_power(client, scenario.config.ue_power, ap)
+                .value();
         }
         // Refresh the static and instantaneous gains for this UE
         // immediately (and invalidate interference columns and memoized
@@ -528,17 +515,21 @@ impl LteEngine {
         let n_sub = self.grid.num_subchannels() as usize;
         let mut lane = vec![0.0; n_sub];
         self.rebuild_static_row(ue, &mut lane);
+        if self.scenario.env.fading.is_disabled() {
+            return; // the rebuild wrote the gains the readers use
+        }
+        let nbr = &self.scenario.nbr;
         let ue_node = self.scenario.ues[ue].node;
-        for (sl, &a) in self.scenario.nbr.candidates(ue).iter().enumerate() {
+        for (link, &a) in nbr.links(ue).zip(nbr.candidates(ue)) {
             let ap_node = self.scenario.aps[a as usize].node;
             self.scenario
                 .env
                 .fading
                 .fill_power_lane(ap_node, ue_node, self.now, &mut lane);
-            let static_lane = self.static_mw.lane(ue, sl);
+            let static_lane = self.static_mw.row(link);
             for ((v, &p), &st) in self
                 .lin_mw
-                .lane_mut(ue, sl)
+                .row_mut(link)
                 .iter_mut()
                 .zip(&lane)
                 .zip(static_lane)

@@ -222,7 +222,7 @@ mod all {
                     .to_milliwatts()
                     .value();
                 let sl = e.scenario.nbr.slot(u, a).expect("dense candidate set");
-                let cached = e.lin_mw.at(u, sl, sc.index());
+                let cached = e.lin_mw.at(e.scenario.nbr.links(u).start + sl, sc.index());
                 assert!(
                     (direct - cached).abs() / direct < 1e-9,
                     "cache mismatch ue {u} ap {a}"
@@ -287,7 +287,7 @@ mod all {
                             "total mismatch s={s} ue={ue}: cached {cached} direct {direct}"
                         );
                         let ap = e.scenario.assoc[ue];
-                        let signal = e.lin_mw.at(ue, e.serving_slot[ue] as usize, s);
+                        let signal = e.lin_mw.at(e.serving_link(ue), s);
                         let own = if tx_s.contains(&ap) { signal } else { 0.0 };
                         let from_cache = 10.0
                             * (signal / ((cached - own).max(0.0) + e.noise_mw[s])).log10();
@@ -408,13 +408,13 @@ mod all {
             }
             let bandwidth = e.grid.bandwidth().bandwidth();
             for u in 0..s.n_ues() {
-                for (sl, &a) in s.nbr.candidates(u).iter().enumerate() {
+                for (link, &a) in s.nbr.links(u).zip(s.nbr.candidates(u)) {
                     let reference = s
                         .env
                         .mean_snr(&s.ues[u], s.config.ue_power, &s.aps[a as usize], bandwidth)
                         .value();
-                    let derived = e.ul_mean_dbm.at(u, sl) - e.ul_noise_dbm;
-                    assert_eq!(derived.to_bits(), reference.to_bits(), "ue {u} slot {sl}");
+                    let derived = e.ul_mean_dbm[link] - e.ul_noise_dbm;
+                    assert_eq!(derived.to_bits(), reference.to_bits(), "ue {u} link {link}");
                 }
             }
         }
@@ -428,18 +428,32 @@ mod all {
 
     /// The flat-slab gain pipeline (batched dB→linear kernel over
     /// contiguous lanes, lane-filled fading draws) must be *bit*
-    /// identical to the naive nested-Vec reference that computes each
-    /// element independently: `Dbm(mean + offset + split).to_milliwatts()
-    /// × fading_power.max(1e-12)`. Exercised after mid-run fading rolls,
+    /// identical to the naive reference that computes each element
+    /// independently: `Dbm(mean + offset + split).to_milliwatts() ×
+    /// fading_power.max(1e-12)`. Exercised after mid-run fading rolls,
     /// an EIRP offset change, and a client move, so every slab rebuild
-    /// path is covered.
+    /// path is covered. Inputs: dense paper drops with fading on, where
+    /// every candidate row holds every AP, and the culled fig9metro
+    /// pocket drop with fading off (one gain slab) and on, where
+    /// candidate rows differ in length. The gain slabs must hold exactly
+    /// the kept links, no padding.
     #[test]
     fn flat_slab_matches_nested_vec_reference() {
         use cellfi_types::geo::Point;
         use cellfi_types::units::Dbm;
-        for seed in [3u64, 29, 71] {
-            let mut cfg = ScenarioConfig::paper_default(3, 2);
-            cfg.fading = true;
+        let mut paper = ScenarioConfig::paper_default(3, 2);
+        paper.fading = true;
+        let pocket = crate::experiments::fig9metro::pocket_config();
+        let mut pocket_fading = pocket;
+        pocket_fading.fading = true;
+        let inputs = [
+            (paper, 3u64),
+            (paper, 29),
+            (paper, 71),
+            (pocket, 3),
+            (pocket_fading, 29),
+        ];
+        for (cfg, seed) in inputs {
             let s = Scenario::generate(cfg, SeedSeq::new(seed));
             let mut e = engine(s, ImMode::CellFi, seed ^ 0x51ab);
             e.backlog_all(10_000_000);
@@ -450,25 +464,55 @@ mod all {
                                                    // so the engine re-derives `lin_mw` from the new statics.
             e.run_until(Instant::from_millis(142));
             let n_sub = e.grid.num_subchannels() as usize;
+            let scen = &e.scenario;
+            let fading = !scen.env.fading.is_disabled();
+            assert_eq!(fading, cfg.fading);
+            let kept: usize = (0..scen.n_ues())
+                .map(|u| scen.nbr.candidates(u).len())
+                .sum();
+            if cfg.cull_floor_dbm.is_some() {
+                assert!(
+                    kept < scen.n_ues() * scen.nbr.max_neighbors,
+                    "the pocket drop's rows must differ in length (seed {seed})"
+                );
+            }
+            assert_eq!(e.lin_mw.as_slice().len(), kept * n_sub, "seed {seed}");
+            let n_static = if fading { kept * n_sub } else { 0 };
+            assert_eq!(
+                e.static_mw.as_slice().len(),
+                n_static,
+                "one gain slab without fading (seed {seed})"
+            );
             // Reconstruct the instant of the current fading block so the
             // per-element draws land in the same coherence window the
-            // engine's last refresh used.
-            let coherence = e.scenario.env.fading.coherence();
-            let t_block = Instant::from_micros(e.fading_block * coherence.as_micros());
-            for u in 0..e.scenario.n_ues() {
-                let ue_node = e.scenario.ues[u].node;
-                for a in 0..e.scenario.aps.len() {
-                    let ap_node = e.scenario.aps[a].node;
-                    let sl = e.scenario.nbr.slot(u, a).expect("dense candidate set");
+            // engine's last refresh used (without fading, every instant
+            // draws exactly 1.0).
+            let coherence = scen.env.fading.coherence();
+            let t_block = if fading {
+                Instant::from_micros(e.fading_block * coherence.as_micros())
+            } else {
+                e.now
+            };
+            for u in 0..scen.n_ues() {
+                let ue_node = scen.ues[u].node;
+                for (link, &a) in scen.nbr.links(u).zip(scen.nbr.candidates(u)) {
+                    let a = a as usize;
+                    let ap_node = scen.aps[a].node;
+                    let mean = scen
+                        .env
+                        .mean_rx_power(&scen.aps[a], scen.config.ap_power, &scen.ues[u])
+                        .value();
                     for sc in 0..n_sub {
-                        let db = e.dl_mean_dbm.at(u, sl) + e.power_offset_db[a] + e.split_db[sc];
+                        let db = mean + e.power_offset_db[a] + e.split_db[sc];
                         let static_ref = Dbm(db).to_milliwatts().value();
-                        assert_eq!(
-                            static_ref.to_bits(),
-                            e.static_mw.at(u, sl, sc).to_bits(),
-                            "static slab diverges at ue {u} ap {a} sc {sc} (seed {seed})"
-                        );
-                        let p = e.scenario.env.fading.power(
+                        if fading {
+                            assert_eq!(
+                                static_ref.to_bits(),
+                                e.static_mw.at(link, sc).to_bits(),
+                                "static slab diverges at ue {u} ap {a} sc {sc} (seed {seed})"
+                            );
+                        }
+                        let p = scen.env.fading.power(
                             ap_node,
                             ue_node,
                             SubchannelId::new(sc as u32),
@@ -477,13 +521,43 @@ mod all {
                         let lin_ref = static_ref * p.max(1e-12);
                         assert_eq!(
                             lin_ref.to_bits(),
-                            e.lin_mw.at(u, sl, sc).to_bits(),
+                            e.lin_mw.at(link, sc).to_bits(),
                             "instantaneous slab diverges at ue {u} ap {a} sc {sc} (seed {seed})"
                         );
                     }
                 }
             }
         }
+    }
+
+    /// `rebuild_spatial` re-derives the neighbor rows but never the
+    /// per-link arrays laid out behind them, so it must refuse a
+    /// placement that changes a row, in release builds too. Unchanged
+    /// positions pass; a UE carried out of its near field panics.
+    #[test]
+    #[should_panic(expected = "link ids never move under an engine")]
+    fn rebuild_spatial_refuses_a_changed_row() {
+        let s = Scenario::generate(
+            crate::experiments::fig9metro::pocket_config(),
+            SeedSeq::new(61),
+        );
+        let mut e = engine(s, ImMode::CellFi, 61);
+        e.rebuild_spatial();
+        let s = e.scenario();
+        let here = s.ues[0].position;
+        let far = (0..s.aps.len())
+            .max_by(|&a, &b| {
+                let d = |x: usize| s.aps[x].position.distance(here).value();
+                d(a).total_cmp(&d(b))
+            })
+            .expect("the pocket drop always has APs");
+        assert!(
+            s.nbr.slot(0, far).is_none(),
+            "premise: the farthest AP is culled from UE 0's row"
+        );
+        let target = s.aps[far].position;
+        e.move_ue(0, target);
+        e.rebuild_spatial();
     }
 
     /// A handover into a busy cell: UE 0 moves next to the next AP

@@ -152,12 +152,10 @@ where
 
 /// Parallel in-place update of a flat slab split at fixed `chunk_len`
 /// boundaries: `f(c, chunk)` receives chunk index `c` and the mutable
-/// sub-slice `data[c*chunk_len..(c+1)*chunk_len]`. This is the strided
-/// analogue of [`for_each_row`] for slab-backed tensors: the data is one
-/// contiguous allocation and workers take whole chunks, so a chunk index
-/// maps to a semantic row (e.g. one UE's gain block) for any thread
-/// count. `data.len()` must be a multiple of `chunk_len`. Chunks smaller
-/// than `min_chunks_per_thread` per worker stay serial.
+/// sub-slice `data[c*chunk_len..(c+1)*chunk_len]`. The fixed-width case
+/// of [`for_each_ragged`] (one `chunk_len`-element row per group).
+/// `data.len()` must be a multiple of `chunk_len`. Chunks smaller than
+/// `min_chunks_per_thread` per worker stay serial.
 pub fn for_each_chunk<F>(data: &mut [f64], chunk_len: usize, min_chunks_per_thread: usize, f: F)
 where
     F: Fn(usize, &mut [f64]) + Sync,
@@ -169,30 +167,60 @@ where
         "slab length must divide into whole chunks"
     );
     let n = data.len() / chunk_len;
+    for_each_ragged(data, chunk_len, n, |c| c + 1, min_chunks_per_thread, f);
+}
+
+/// Parallel in-place update of a flat slab of `width`-element rows split
+/// into `n_groups` consecutive groups of varying length: group `g` covers
+/// rows `end(g - 1)..end(g)` (group 0 starts at row 0), and the last
+/// group ends at the end of `data`. `f(g, group)` receives the group
+/// index and its rows as one mutable slice. This is the strided analogue
+/// of [`for_each_row`] for slab-backed tensors whose semantic rows differ
+/// in length (e.g. one UE's gain lanes, one per candidate AP): workers
+/// take whole runs of groups, so a group index maps to the same rows for
+/// any thread count. Fewer than `min_groups_per_thread` groups per
+/// worker stay serial.
+pub fn for_each_ragged<E, F>(
+    data: &mut [f64],
+    width: usize,
+    n_groups: usize,
+    end: E,
+    min_groups_per_thread: usize,
+    f: F,
+) where
+    E: Fn(usize) -> usize + Sync,
+    F: Fn(usize, &mut [f64]) + Sync,
+{
+    let start = |g: usize| if g == 0 { 0 } else { end(g - 1) };
+    assert_eq!(
+        start(n_groups) * width,
+        data.len(),
+        "row groups must tile the slab"
+    );
     let threads = configured_threads()
-        .min(n / min_chunks_per_thread.max(1))
+        .min(n_groups / min_groups_per_thread.max(1))
         .max(1);
-    if threads <= 1 {
-        for (c, chunk) in data.chunks_exact_mut(chunk_len).enumerate() {
-            f(c, chunk);
+    // Groups `lo..hi` over the span that holds exactly their rows.
+    let run = |lo: usize, hi: usize, mut span: &mut [f64]| {
+        for g in lo..hi {
+            let (group, rest) = std::mem::take(&mut span).split_at_mut((end(g) - start(g)) * width);
+            span = rest;
+            f(g, group);
         }
+    };
+    if threads <= 1 {
+        run(0, n_groups, data);
         return;
     }
     std::thread::scope(|scope| {
-        let f = &f;
+        let run = &run;
         let mut rest = data;
-        let mut start = 0;
-        for (lo, hi) in chunk_bounds(n, threads) {
-            let (span, tail) = rest.split_at_mut((hi - lo) * chunk_len);
+        for (lo, hi) in chunk_bounds(n_groups, threads) {
+            let (span, tail) = rest.split_at_mut((start(hi) - start(lo)) * width);
             rest = tail;
-            scope.spawn(move || {
-                with_threads(1, || {
-                    for (j, chunk) in span.chunks_exact_mut(chunk_len).enumerate() {
-                        f(start + j, chunk);
-                    }
-                })
-            });
-            start = hi;
+            // Row work is a leaf: nested helpers inside `f` must not
+            // re-spawn on top of an already-saturated fan-out.
+            scope.spawn(move || with_threads(1, || run(lo, hi, span)));
         }
     });
 }
@@ -269,6 +297,38 @@ mod tests {
             });
             assert_eq!(par, serial, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn for_each_ragged_hands_each_group_its_rows_at_any_thread_count() {
+        // Groups of 3, 0, 1, 5, 2, 0 and 4 rows, two elements wide.
+        let ends = [3usize, 3, 4, 9, 11, 11, 15];
+        let width = 2;
+        let mut expect = Vec::new();
+        let mut first = 0;
+        for (g, &end) in ends.iter().enumerate() {
+            expect.extend((0..(end - first) * width).map(|k| (g * 100 + k) as f64));
+            first = end;
+        }
+        let fill = |g: usize, group: &mut [f64]| {
+            for (k, v) in group.iter_mut().enumerate() {
+                *v = (g * 100 + k) as f64;
+            }
+        };
+        for (threads, min_groups) in [(1, 1), (2, 1), (3, 1), (8, 1), (8, usize::MAX)] {
+            let mut data = vec![-1.0; 15 * width];
+            with_threads(threads, || {
+                for_each_ragged(&mut data, width, ends.len(), |g| ends[g], min_groups, fill)
+            });
+            assert_eq!(data, expect, "threads={threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row groups must tile the slab")]
+    fn for_each_ragged_rejects_groups_that_do_not_tile() {
+        let mut data = vec![0.0; 10];
+        for_each_ragged(&mut data, 2, 2, |g| [2, 4][g], 1, |_, _| {});
     }
 
     #[test]

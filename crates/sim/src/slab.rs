@@ -3,20 +3,21 @@
 //! The engine's gain tensors were nested `Vec<Vec<Vec<f64>>>`: every inner
 //! access chased two pointers and the per-(UE, AP) subchannel lanes were
 //! scattered across the heap, defeating both the prefetcher and the
-//! autovectorizer. [`Slab2`] and [`Slab3`] store the same data in one
-//! contiguous `Vec<f64>` with index math, so hot loops iterate lanes as
-//! plain slices and `parallel` can split work at stride boundaries.
+//! autovectorizer. [`Slab2`] stores the same data in one contiguous
+//! `Vec<f64>` with index math, so hot loops iterate lanes as plain slices
+//! and `parallel` can split work at row boundaries.
 //!
 //! Indexing scheme (row-major, last axis fastest):
+//! `Slab2[i][j]` → `data[i * cols + j]`.
 //!
-//! * `Slab2[i][j]`   → `data[i * cols + j]`
-//! * `Slab3[i][j][k]` → `data[(i * d1 + j) * d2 + k]`
-//!
-//! The engine's conventions: link matrices are `Slab2` indexed
-//! `[ue][neighbor_slot]` (or `[ap][interferer_slot]`), gain tensors are
-//! `Slab3` indexed `[ue][neighbor_slot][subchannel]` so one (UE, AP)
-//! subchannel lane is contiguous. Slot `sl` is the `sl`-th entry of the
-//! row in the scenario's [`crate::topology::NeighborTable`].
+//! The engine's convention: gain slabs are `Slab2` indexed
+//! `[link][subchannel]`, so one (UE, AP) subchannel lane is one row. A
+//! link is one (UE, candidate AP) pair and its id is its position in the
+//! CSR payload of the scenario's [`crate::topology::NeighborTable`]
+//! (`NeighborTable::links`). One UE's links are consecutive, so its
+//! lanes are one contiguous run of rows, and a slab holds exactly
+//! `n_links × n_sub` values with no padding. Per-link scalars are plain
+//! `Vec<f64>`s indexed by the same ids.
 
 /// A dense 2-D array of `f64` in one allocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,18 +51,6 @@ impl Slab2 {
         self.data[i * self.cols + j]
     }
 
-    /// Mutable element at `[i][j]`.
-    #[inline]
-    pub fn at_mut(&mut self, i: usize, j: usize) -> &mut f64 {
-        &mut self.data[i * self.cols + j]
-    }
-
-    /// Store `v` at `[i][j]`.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
-        self.data[i * self.cols + j] = v;
-    }
-
     /// Row `i` as a contiguous slice.
     #[inline]
     pub fn row(&self, i: usize) -> &[f64] {
@@ -80,62 +69,6 @@ impl Slab2 {
     }
 
     /// The whole slab as one mutable slice (row-major).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-}
-
-/// A dense 3-D array of `f64` in one allocation; the last axis is the
-/// contiguous "lane".
-#[derive(Debug, Clone, PartialEq)]
-pub struct Slab3 {
-    data: Vec<f64>,
-    d1: usize,
-    d2: usize,
-}
-
-impl Slab3 {
-    /// A `d0 × d1 × d2` slab filled with `fill`.
-    pub fn new(d0: usize, d1: usize, d2: usize, fill: f64) -> Slab3 {
-        Slab3 {
-            data: vec![fill; d0 * d1 * d2],
-            d1,
-            d2,
-        }
-    }
-
-    /// Length of one outer block (`d1 × d2` elements): the unit the
-    /// parallel splitter chunks by.
-    pub fn block_len(&self) -> usize {
-        self.d1 * self.d2
-    }
-
-    /// Element at `[i][j][k]`.
-    #[inline]
-    pub fn at(&self, i: usize, j: usize, k: usize) -> f64 {
-        self.data[(i * self.d1 + j) * self.d2 + k]
-    }
-
-    /// Lane `[i][j][..]` as a contiguous slice.
-    #[inline]
-    pub fn lane(&self, i: usize, j: usize) -> &[f64] {
-        let base = (i * self.d1 + j) * self.d2;
-        &self.data[base..base + self.d2]
-    }
-
-    /// Lane `[i][j][..]` as a mutable contiguous slice.
-    #[inline]
-    pub fn lane_mut(&mut self, i: usize, j: usize) -> &mut [f64] {
-        let base = (i * self.d1 + j) * self.d2;
-        &mut self.data[base..base + self.d2]
-    }
-
-    /// The whole slab as one slice (lane-major).
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// The whole slab as one mutable slice (lane-major).
     pub fn as_mut_slice(&mut self) -> &mut [f64] {
         &mut self.data
     }
@@ -191,8 +124,8 @@ mod tests {
         let mut s = Slab2::new(3, 4, 0.0);
         assert_eq!((s.rows(), s.cols()), (3, 4));
         for i in 0..3 {
-            for j in 0..4 {
-                *s.at_mut(i, j) = (i * 10 + j) as f64;
+            for (j, v) in s.row_mut(i).iter_mut().enumerate() {
+                *v = (i * 10 + j) as f64;
             }
         }
         assert_eq!(s.at(2, 3), 23.0);
@@ -203,29 +136,10 @@ mod tests {
     }
 
     #[test]
-    fn slab3_lane_matches_element_indexing() {
-        let mut s = Slab3::new(2, 3, 5, 0.0);
-        assert_eq!(s.block_len(), 15);
-        for i in 0..2 {
-            for j in 0..3 {
-                for (k, v) in s.lane_mut(i, j).iter_mut().enumerate() {
-                    *v = (i * 100 + j * 10 + k) as f64;
-                }
-            }
-        }
-        assert_eq!(s.at(1, 2, 4), 124.0);
-        assert_eq!(s.lane(0, 1), &[10.0, 11.0, 12.0, 13.0, 14.0]);
-        // Row-major layout: flat offset matches index math (i=1, j=2,
-        // k=4 with d1=3, d2=5).
-        assert_eq!(s.as_slice()[(3 + 2) * 5 + 4], 124.0);
-    }
-
-    #[test]
     fn zero_sized_slabs_are_legal() {
         let s = Slab2::new(0, 7, 0.0);
         assert_eq!(s.rows(), 0);
-        let t = Slab3::new(0, 2, 3, 0.0);
-        assert_eq!(t.as_slice().len(), 0);
+        assert_eq!(s.as_slice().len(), 0);
     }
 
     #[test]

@@ -21,6 +21,7 @@ use cellfi_types::geo::Point;
 use cellfi_types::rng::SeedSeq;
 use cellfi_types::units::{Db, Dbm, Hertz};
 use rand::Rng;
+use std::ops::Range;
 
 /// Scenario parameters.
 #[derive(Debug, Clone, Copy)]
@@ -86,12 +87,10 @@ impl ScenarioConfig {
 pub struct NeighborTable {
     /// The cull radius (m) the tables were built with; `None` = dense.
     pub cull_radius_m: Option<f64>,
-    /// Maximum candidate-AP row length over all UEs: the uniform
-    /// neighbor-slot stride of the engine's `[ue][slot][s]` slabs.
+    /// Maximum candidate-AP row length over all UEs. A statistic of the
+    /// cull (reported by fig9metro and the benchmark); it sizes nothing,
+    /// since per-link arrays are laid out by [`NeighborTable::links`].
     pub max_neighbors: usize,
-    /// Maximum interferer row length over all APs: the uniform slot
-    /// stride of the engine's AP-to-AP sensing table.
-    pub max_ap_neighbors: usize,
     /// CSR boundaries for `ue_aps`, `n_ues + 1` entries.
     ue_offsets: Vec<u32>,
     /// Per-UE candidate AP ids, ascending; always includes the serving
@@ -204,10 +203,6 @@ impl NeighborTable {
             .map(|u| (ue_offsets[u + 1] - ue_offsets[u]) as usize)
             .max()
             .unwrap_or(0);
-        let max_ap_neighbors = (0..n_ap)
-            .map(|a| (ap_offsets[a + 1] - ap_offsets[a]) as usize)
-            .max()
-            .unwrap_or(0);
         // Transpose candidates into per-AP (ue, slot) listener lists via
         // a stable counting sort — ascending UE within each AP.
         let mut counts = vec![0u32; n_ap + 1];
@@ -249,7 +244,6 @@ impl NeighborTable {
         NeighborTable {
             cull_radius_m: radius,
             max_neighbors,
-            max_ap_neighbors,
             ue_offsets,
             ue_aps,
             ap_offsets,
@@ -262,12 +256,26 @@ impl NeighborTable {
         }
     }
 
+    /// UE `u`'s link ids. A link is one (UE, candidate AP) pair, and its
+    /// id is its position in the CSR candidate payload: link
+    /// `links(u).start + sl` pairs `u` with `candidates(u)[sl]`. Every
+    /// per-link array of the engine is indexed by it, so one UE's links
+    /// are one contiguous run and memory scales with [`Self::n_links`].
+    #[inline]
+    pub fn links(&self, u: usize) -> Range<usize> {
+        self.ue_offsets[u] as usize..self.ue_offsets[u + 1] as usize
+    }
+
+    /// Total number of (UE, candidate AP) links.
+    #[inline]
+    pub fn n_links(&self) -> usize {
+        self.ue_aps.len()
+    }
+
     /// UE `u`'s candidate AP ids, ascending (serving always present).
     #[inline]
     pub fn candidates(&self, u: usize) -> &[u32] {
-        let lo = self.ue_offsets[u] as usize;
-        let hi = self.ue_offsets[u + 1] as usize;
-        &self.ue_aps[lo..hi]
+        &self.ue_aps[self.links(u)]
     }
 
     /// The slot AP `ap` occupies in UE `u`'s candidate row, or `None`
@@ -279,12 +287,35 @@ impl NeighborTable {
         self.candidates(u).binary_search(&(ap as u32)).ok()
     }
 
+    /// AP `a`'s interferer link ids: positions in the CSR interferer
+    /// payload, as [`Self::links`] is for UEs. Link
+    /// `interferer_links(a).start + sl` pairs `a` with
+    /// `interferers(a)[sl]`.
+    #[inline]
+    pub fn interferer_links(&self, a: usize) -> Range<usize> {
+        self.ap_offsets[a] as usize..self.ap_offsets[a + 1] as usize
+    }
+
+    /// Total number of (AP, interferer AP) links.
+    #[inline]
+    pub fn n_interferer_links(&self) -> usize {
+        self.ap_aps.len()
+    }
+
     /// AP `a`'s interferer AP ids, ascending, self excluded.
     #[inline]
     pub fn interferers(&self, a: usize) -> &[u32] {
-        let lo = self.ap_offsets[a] as usize;
-        let hi = self.ap_offsets[a + 1] as usize;
-        &self.ap_aps[lo..hi]
+        &self.ap_aps[self.interferer_links(a)]
+    }
+
+    /// Whether `other` has the same candidate and interferer rows (ids
+    /// and offsets), i.e. the same link ids: arrays laid out behind one
+    /// table stay valid under the other.
+    pub(crate) fn same_links(&self, other: &NeighborTable) -> bool {
+        self.ue_offsets == other.ue_offsets
+            && self.ue_aps == other.ue_aps
+            && self.ap_offsets == other.ap_offsets
+            && self.ap_aps == other.ap_aps
     }
 
     /// The UEs that can hear AP `a` (i.e. carry it as a candidate),
@@ -541,7 +572,14 @@ mod tests {
         config.cull_floor_dbm = Some(-70.0);
         let s = Scenario::generate(config, SeedSeq::new(21));
         let r = s.nbr.cull_radius_m.expect("floor set implies a radius");
+        // Link ids tile each CSR payload in row order: a row's range is
+        // as long as the row and starts where the previous one ended.
+        let mut next_link = 0;
         for u in 0..s.n_ues() {
+            let links = s.nbr.links(u);
+            assert_eq!(links.start, next_link, "ue {u}");
+            assert_eq!(links.len(), s.nbr.candidates(u).len(), "ue {u}");
+            next_link = links.end;
             let want: Vec<u32> = (0..s.aps.len() as u32)
                 .filter(|&a| {
                     a == s.assoc[u] as u32
@@ -555,7 +593,13 @@ mod tests {
             assert_eq!(s.nbr.candidates(u), &want[..], "ue {u}");
             assert!(s.nbr.candidates(u).contains(&(s.assoc[u] as u32)));
         }
+        assert_eq!(next_link, s.nbr.n_links());
+        let mut next_link = 0;
         for a in 0..s.aps.len() {
+            let links = s.nbr.interferer_links(a);
+            assert_eq!(links.start, next_link, "ap {a}");
+            assert_eq!(links.len(), s.nbr.interferers(a).len(), "ap {a}");
+            next_link = links.end;
             let want: Vec<u32> = (0..s.aps.len() as u32)
                 .filter(|&b| {
                     b != a as u32
@@ -568,6 +612,7 @@ mod tests {
                 .collect();
             assert_eq!(s.nbr.interferers(a), &want[..], "ap {a}");
         }
+        assert_eq!(next_link, s.nbr.n_interferer_links());
     }
 
     #[test]

@@ -91,10 +91,12 @@ fn engine_run_is_identical_for_any_thread_count() {
 /// The tracing contract extends the parallel-engine contract: per-entity
 /// event sinks merge in entity order, so the serialized event stream —
 /// not just the aggregate counters — is byte-identical whether the
-/// fan-out uses 1, 2 or 8 workers. Two inputs: the paper topology, where
-/// every link is kept, and the fig9metro pocket drop (36 APs × 2 clients
-/// on 2.4 km under the metro cull floor), where the neighbor rows are a
-/// genuine near-field subset of the APs.
+/// fan-out uses 1, 2 or 8 workers. Three inputs: the paper topology,
+/// where every link is kept, and the fig9metro pocket drop (36 APs × 2
+/// clients on 2.4 km under the metro cull floor), where the neighbor
+/// rows are a genuine near-field subset of the APs, once as fig9metro
+/// runs it (no fading) and once with fading on, so the per-block fading
+/// refresh fans out over link rows of differing length.
 #[test]
 fn trace_bytes_are_identical_for_any_thread_count() {
     use cellfi::obs::Tracer;
@@ -104,7 +106,14 @@ fn trace_bytes_are_identical_for_any_thread_count() {
     use cellfi::types::time::Instant;
 
     let paper = ScenarioConfig::paper_default(4, 3);
-    for (label, config) in [("paper", paper), ("culled", fig9metro::pocket_config())] {
+    let culled = fig9metro::pocket_config();
+    let mut culled_fading = culled;
+    culled_fading.fading = true;
+    for (label, config) in [
+        ("paper", paper),
+        ("culled", culled),
+        ("culled+fading", culled_fading),
+    ] {
         let run = |threads: usize| {
             parallel::with_threads(threads, || {
                 let seeds = SeedSeq::new(4242).child("trace-determinism");

@@ -7,9 +7,13 @@
 //! the same handovers, and emit a byte-identical event trace — at any
 //! worker count. These tests pin that end-to-end through the facade,
 //! including across mid-run perturbations (client mobility, EIRP
-//! degradation) that invalidate every cache layer.
+//! degradation) that invalidate every cache layer, on two drops: the
+//! dense paper topology with fading on, and the culled fig9metro pocket
+//! drop with fading off, where link rows differ in length and the one
+//! gain slab is never refreshed.
 
 use cellfi::obs::Tracer;
+use cellfi::sim::experiments::fig9metro;
 use cellfi::sim::{parallel, ImMode, LteEngine, LteEngineConfig, Scenario, ScenarioConfig};
 use cellfi::types::geo::Point;
 use cellfi::types::rng::SeedSeq;
@@ -25,11 +29,18 @@ struct RunOutcome {
     trace: String,
 }
 
-fn run(mode: ImMode, seed: u64, fast_path: bool, threads: usize) -> RunOutcome {
+/// One drop under test: its scenario and how long to run on each side
+/// of the perturbation.
+#[derive(Clone, Copy)]
+struct Case {
+    label: &'static str,
+    config: ScenarioConfig,
+    half_ms: u64,
+}
+
+fn run(case: Case, mode: ImMode, seed: u64, fast_path: bool, threads: usize) -> RunOutcome {
     parallel::with_threads(threads, || {
-        let mut cfg = ScenarioConfig::paper_default(3, 2);
-        cfg.fading = true;
-        let scenario = Scenario::generate(cfg, SeedSeq::new(seed));
+        let scenario = Scenario::generate(case.config, SeedSeq::new(seed));
         let mut e = LteEngine::new(
             scenario,
             LteEngineConfig::paper_default(mode),
@@ -38,12 +49,12 @@ fn run(mode: ImMode, seed: u64, fast_path: bool, threads: usize) -> RunOutcome {
         e.set_fast_path(fast_path);
         e.obs_mut().tracer = Tracer::new(true);
         e.backlog_all(40_000_000);
-        e.run_until(Instant::from_millis(1_200));
+        e.run_until(Instant::from_millis(case.half_ms));
         // Perturb mid-run: both paths must agree through cache
         // invalidation, not just within a warmed steady state.
         e.move_ue(0, Point::new(140.0, 60.0));
         e.set_power_offset_db(0, -6.0);
-        e.run_until(Instant::from_millis(2_400));
+        e.run_until(Instant::from_millis(2 * case.half_ms));
         RunOutcome {
             delivered: e.delivered_bits().to_vec(),
             rrc_drops: e.rrc_drops.clone(),
@@ -53,31 +64,60 @@ fn run(mode: ImMode, seed: u64, fast_path: bool, threads: usize) -> RunOutcome {
     })
 }
 
+/// The dense paper drop with fading on (12 coherence blocks on each
+/// side of the perturbation), and the culled pocket drop with fading off
+/// (4 blocks on each side, during which no gain generation rolls).
+fn cases() -> [Case; 2] {
+    let mut paper = ScenarioConfig::paper_default(3, 2);
+    paper.fading = true;
+    let pocket = fig9metro::pocket_config();
+    let generated = Scenario::generate(pocket, SeedSeq::new(5));
+    assert!(
+        !pocket.fading && generated.nbr.max_neighbors < generated.aps.len(),
+        "premise: the pocket drop is culled and has no fading"
+    );
+    [
+        Case {
+            label: "paper",
+            config: paper,
+            half_ms: 1_200,
+        },
+        Case {
+            label: "pocket",
+            config: pocket,
+            half_ms: 400,
+        },
+    ]
+}
+
 #[test]
 fn fast_path_matches_full_scan_across_modes_seeds_and_threads() {
-    for mode in [ImMode::CellFi, ImMode::PlainLte] {
-        for seed in [5u64, 23] {
-            let reference = run(mode, seed, false, 1);
-            assert!(
-                !reference.trace.is_empty(),
-                "reference run produced no events; the comparison is vacuous"
-            );
-            for threads in [1usize, 8] {
-                let fast = run(mode, seed, true, threads);
+    for case in cases() {
+        let label = case.label;
+        for mode in [ImMode::CellFi, ImMode::PlainLte] {
+            for seed in [5u64, 23] {
+                let reference = run(case, mode, seed, false, 1);
+                assert!(
+                    !reference.trace.is_empty(),
+                    "{label}: reference run produced no events; the comparison is vacuous"
+                );
+                for threads in [1usize, 8] {
+                    let fast = run(case, mode, seed, true, threads);
+                    assert_eq!(
+                        reference, fast,
+                        "{label}: fast path diverged from full scan ({mode:?}, seed {seed}, \
+                         {threads} threads)"
+                    );
+                }
+                // The full scan must itself be thread-independent with
+                // the memo off (the fast path may not be masking a
+                // parallel nondeterminism in the slow path).
+                let slow8 = run(case, mode, seed, false, 8);
                 assert_eq!(
-                    reference, fast,
-                    "fast path diverged from full scan ({mode:?}, seed {seed}, \
-                     {threads} threads)"
+                    reference, slow8,
+                    "{label}: full scan thread-dependent ({mode:?}, seed {seed})"
                 );
             }
-            // The full scan must itself be thread-independent with the
-            // memo off (the fast path may not be masking a parallel
-            // nondeterminism in the slow path).
-            let slow8 = run(mode, seed, false, 8);
-            assert_eq!(
-                reference, slow8,
-                "full scan thread-dependent ({mode:?}, seed {seed})"
-            );
         }
     }
 }

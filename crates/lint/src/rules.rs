@@ -46,9 +46,10 @@
 //!   check closures run every armed tick and are held to the same bar.
 //! * **`parallel`** — byte-identical replay across `CELLFI_THREADS`.
 //!   Closures passed to the `parallel::for_each_chunk` /
-//!   `for_each_ragged` / `for_each_row` / `map_indexed` fan-outs (the
-//!   last closure argument is the worker) must not mutate captured
-//!   state (cross-chunk writes alias between workers) or reach for
+//!   `for_each_ragged` / `for_each_ragged_with` / `for_each_row` /
+//!   `map_indexed` fan-outs (the last closure argument is the worker)
+//!   must not mutate captured state (cross-chunk writes alias between
+//!   workers; a worker's own state argument is its own) or reach for
 //!   scheduling-dependent synchronization (`Mutex`, atomics,
 //!   `unsafe`); trace events inside them must go through a forked
 //!   per-entity sink, and a fn that forks sinks must absorb them back
@@ -226,6 +227,7 @@ const EMIT_ALLOC_MARKERS: &[&str] = &[
 const FAN_OUT: &[&str] = &[
     "for_each_chunk",
     "for_each_ragged",
+    "for_each_ragged_with",
     "for_each_row",
     "map_indexed",
 ];

@@ -419,6 +419,32 @@ fn parallel_audits_the_worker_closure_of_a_ragged_fanout() {
 }
 
 #[test]
+fn parallel_audits_fanouts_with_per_worker_state() {
+    // Captured state stays shared between workers: mutating it flags.
+    let f = lint_core(
+        "fn s(rows: &mut [u32], states: &mut Vec<Vec<f64>>, log: &mut Vec<usize>) {\n\
+         \x20   for_each_ragged_with(rows, 13, 4, |c| c + 1, 64, states, |c, row, buf| {\n\
+         \x20       log.push(c);\n\
+         \x20       buf.clear();\n\
+         \x20       row.fill(0);\n\
+         \x20   });\n\
+         }\n",
+    );
+    assert_eq!(rules(&f), ["parallel"], "{f:?}");
+    // Writing through the worker's own state argument is chunk-local.
+    let f = lint_core(
+        "fn s(rows: &mut [u32], states: &mut Vec<Scratch>, rates: &[f64]) {\n\
+         \x20   for_each_ragged_with(rows, 13, 4, |c| c + 1, 64, states, |c, row, scratch| {\n\
+         \x20       scratch.rates.resize(13, 0.0);\n\
+         \x20       scratch.rates[0] = rates[c];\n\
+         \x20       schedule(&scratch.rates, &mut scratch.remaining, row);\n\
+         \x20   });\n\
+         }\n",
+    );
+    assert!(f.is_empty(), "{f:?}");
+}
+
+#[test]
 fn parallel_accepts_chunk_local_writes_and_locals() {
     let f = lint_core(
         "fn s(rows: &mut [f64]) {\n\

@@ -12,7 +12,14 @@
 //! [`CqiMemo`] keeps the two most recent scans keyed that way and lets
 //! `measure_cqi` replay a scan instead of recomputing it, with the
 //! interference events re-applied in the same order the parallel scan
-//! would have emitted them.
+//! would have emitted them. Within an epoch those interference flags
+//! only go from false to true, so each slot marks its hits applied the
+//! first time they go through the flags, and later replays in the same
+//! epoch skip them; the epoch boundary clears the marks with the flags.
+//!
+//! [`InterferenceCache`] holds its per-UE totals `[ue][subchannel]`:
+//! a refresh splits over UE rows, and every reader walks one contiguous
+//! row per UE.
 
 use crate::slab::Slab2;
 use crate::topology::NeighborTable;
@@ -113,8 +120,25 @@ pub(crate) struct CqiScanEntry {
     /// Every `(ue, sub, sinr_db, clean_db)` where the interference
     /// condition held, in (ue asc, sub asc) order — the replay emits
     /// these through the epoch flags exactly as the live scan would.
-    pub hits: Vec<(u32, u32, f64, f64)>,
+    hits: Vec<(u32, u32, f64, f64)>,
+    /// Whether `hits` already went through the epoch flags this epoch.
+    /// The flags only go from false to true within an epoch, so a
+    /// second pass would set nothing and emit nothing.
+    applied: bool,
     stamp: u64,
+}
+
+impl CqiScanEntry {
+    /// The hits a replay must still put through the epoch flags: all of
+    /// them the first time the entry is used in an epoch, none after.
+    // cellfi-lint: hot
+    pub fn hits_to_apply(&mut self) -> &[(u32, u32, f64, f64)] {
+        if std::mem::replace(&mut self.applied, true) {
+            &[]
+        } else {
+            &self.hits
+        }
+    }
 }
 
 /// Two-slot memo of recent CQI scans, keyed by
@@ -146,25 +170,27 @@ impl CqiMemo {
 
     /// The remembered scan for this key, if any.
     // cellfi-lint: hot
-    pub fn lookup(&mut self, gain_gen: u64, assoc_gen: u64, ids: &[u64]) -> Option<&CqiScanEntry> {
+    pub fn lookup(
+        &mut self,
+        gain_gen: u64,
+        assoc_gen: u64,
+        ids: &[u64],
+    ) -> Option<&mut CqiScanEntry> {
         self.clock += 1;
-        let clock = self.clock;
-        let entry = self
-            .slots
-            .iter_mut()
-            .find(|e| {
-                e.stamp != 0 && e.gain_gen == gain_gen && e.assoc_gen == assoc_gen && e.ids == ids
-            })
-            .map(|e| {
-                e.stamp = clock;
-                &*e
-            });
-        if entry.is_some() {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
+        let entry = self.slots.iter_mut().find(|e| {
+            e.stamp != 0 && e.gain_gen == gain_gen && e.assoc_gen == assoc_gen && e.ids == ids
+        });
+        match entry {
+            Some(e) => {
+                e.stamp = self.clock;
+                self.hits += 1;
+                Some(e)
+            }
+            None => {
+                self.misses += 1;
+                None
+            }
         }
-        entry
     }
 
     /// Lifetime `(hits, misses)` of [`Self::lookup`] — the replay rate
@@ -174,9 +200,20 @@ impl CqiMemo {
         (self.hits, self.misses)
     }
 
+    /// The epoch interference flags were just cleared: every slot's hits
+    /// must go through them again before a replay may skip them.
+    pub fn clear_applied(&mut self) {
+        for slot in &mut self.slots {
+            slot.applied = false;
+        }
+    }
+
     /// Remember a freshly computed scan, evicting the least recently
-    /// used slot. Buffers are reused, so steady-state stores after the
-    /// first two scans allocate only when a hit list grows.
+    /// used slot. `hit_rows` holds each UE's hits in UE order; the live
+    /// scan that produced them has already set their epoch flags, so the
+    /// slot starts out applied. Buffers are reused, so steady-state
+    /// stores after the first two scans allocate only when a hit list
+    /// grows.
     // cellfi-lint: hot
     pub fn store(
         &mut self,
@@ -185,7 +222,7 @@ impl CqiMemo {
         ids: &[u64],
         cqi_rows: &[Vec<cellfi_lte::amc::Cqi>],
         any_usable: &[bool],
-        hits: &[(u32, u32, f64, f64)],
+        hit_rows: &[Vec<(u32, u32, f64, f64)>],
     ) {
         self.clock += 1;
         let slot = if self.slots[0].stamp <= self.slots[1].stamp {
@@ -204,7 +241,11 @@ impl CqiMemo {
         slot.any_usable.clear();
         slot.any_usable.extend_from_slice(any_usable);
         slot.hits.clear();
-        slot.hits.extend_from_slice(hits);
+        slot.hits.reserve(hit_rows.iter().map(Vec::len).sum());
+        for row in hit_rows {
+            slot.hits.extend_from_slice(row);
+        }
+        slot.applied = true;
         slot.stamp = self.clock;
     }
 }
@@ -215,7 +256,8 @@ impl CqiMemo {
 /// received power from every concurrently transmitting cell. With a
 /// saturated PF scheduler the transmitter set of a subchannel is stable
 /// for long stretches, and the gains only change when the fading block
-/// rolls — so each subchannel's column of per-UE totals is keyed by
+/// rolls — so each subchannel's column of per-UE totals (one entry in
+/// every UE's row) is keyed by
 /// `(gain generation, interned transmitter-set id)` and recomputed only
 /// when that key changes. Set ids come from [`TxSetTracker`], so a
 /// no-change refresh is a handful of integer compares: zero allocation,
@@ -228,8 +270,9 @@ impl CqiMemo {
 /// cell's own contribution when it is in the set.
 #[derive(Debug)]
 pub(crate) struct InterferenceCache {
-    /// Total received power (mW) per `[subchannel][ue]` summed over the
-    /// keyed transmitter set.
+    /// Total received power (mW) per `[ue][subchannel]` summed over the
+    /// keyed transmitter set: one contiguous row per UE, which is how
+    /// both readers (HARQ resolution, the CQI scan) walk it.
     total_mw: Slab2,
     /// Cache key per subchannel: `(gain generation, set id)` the column
     /// was accumulated for. Gain generations start at 1, so `(0, 0)`
@@ -237,8 +280,9 @@ pub(crate) struct InterferenceCache {
     key: Vec<(u64, u64)>,
     /// Set id per subchannel as of the latest refresh (0 = empty set).
     current: Vec<u64>,
-    /// Per-refresh staleness scratch (kept to avoid reallocating).
-    stale: Vec<bool>,
+    /// The subchannels the latest refresh found stale, ascending
+    /// (sized for every subchannel, so refreshes never reallocate).
+    stale: Vec<usize>,
     /// Non-empty subchannel probes served from a valid column.
     hits: u64,
     /// Non-empty subchannel probes that had to recompute their column.
@@ -248,10 +292,10 @@ pub(crate) struct InterferenceCache {
 impl InterferenceCache {
     pub fn new(n_sub: usize, n_ue: usize) -> InterferenceCache {
         InterferenceCache {
-            total_mw: Slab2::new(n_sub, n_ue, 0.0),
+            total_mw: Slab2::new(n_ue, n_sub, 0.0),
             key: vec![(0, 0); n_sub],
             current: vec![0; n_sub],
-            stale: vec![false; n_sub],
+            stale: Vec::with_capacity(n_sub),
             hits: 0,
             misses: 0,
         }
@@ -264,9 +308,11 @@ impl InterferenceCache {
     }
 
     /// Ensure every non-empty subchannel column matches
-    /// `(gain_gen, tracker id)`, recomputing stale columns in parallel
-    /// (columns are disjoint rows of the slab). After this, `total(s, ue)`
-    /// is exactly `Self::direct_total(tracker, nbr, lin_mw, ue, s)`.
+    /// `(gain_gen, tracker id)`. Stale columns are recomputed in
+    /// parallel over UE rows: each row is one UE's disjoint slice, and
+    /// each worker recomputes only the row's stale subchannels. After
+    /// this, `total(s, ue)` is exactly
+    /// `Self::direct_total(tracker, nbr, lin_mw, ue, s)`.
     ///
     /// The accumulation walks each UE's links (ascending AP order) and
     /// adds the lanes whose AP is in the subchannel's
@@ -283,36 +329,32 @@ impl InterferenceCache {
     ) {
         let ids = tracker.ids();
         self.current.copy_from_slice(ids);
-        let mut any_stale = false;
+        self.stale.clear();
         for (s, &id) in ids.iter().enumerate() {
-            let stale = id != 0 && self.key[s] != (gain_gen, id);
-            self.stale[s] = stale;
-            any_stale |= stale;
-            if id != 0 {
-                if stale {
-                    self.misses += 1;
-                } else {
-                    self.hits += 1;
-                }
+            if id == 0 {
+                continue;
+            }
+            if self.key[s] == (gain_gen, id) {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+                self.stale.push(s);
             }
         }
-        if !any_stale || self.total_mw.cols() == 0 {
+        if self.stale.is_empty() || self.total_mw.rows() == 0 {
             return;
         }
-        let n_ue = self.total_mw.cols();
+        let n_sub = self.total_mw.cols();
         let stale = &self.stale;
-        crate::parallel::for_each_chunk(self.total_mw.as_mut_slice(), n_ue, 16, |s, col| {
-            if !stale[s] {
-                return;
-            }
-            for (ue, slot) in col.iter_mut().enumerate() {
-                *slot = Self::direct_total(tracker, nbr, lin_mw, ue, s);
+        // A row costs one link walk per stale subchannel; below 64 UEs
+        // per worker the spawn costs more than the rows.
+        crate::parallel::for_each_chunk(self.total_mw.as_mut_slice(), n_sub, 64, |ue, row| {
+            for &s in stale {
+                row[s] = Self::direct_total(tracker, nbr, lin_mw, ue, s);
             }
         });
-        for (s, &id) in ids.iter().enumerate() {
-            if self.stale[s] {
-                self.key[s] = (gain_gen, id);
-            }
+        for &s in &self.stale {
+            self.key[s] = (gain_gen, ids[s]);
         }
     }
 
@@ -323,7 +365,7 @@ impl InterferenceCache {
         if self.current[s] == 0 {
             0.0
         } else {
-            self.total_mw.at(s, ue)
+            self.total_mw.at(ue, s)
         }
     }
 
@@ -404,19 +446,44 @@ mod tests {
         use cellfi_lte::amc::Cqi;
         let mut m = CqiMemo::new();
         assert!(m.lookup(1, 0, &[1, 0]).is_none());
-        m.store(1, 0, &[1, 0], &[vec![Cqi(5)]], &[true], &[(0, 0, 1.0, 2.0)]);
-        m.store(1, 0, &[0, 0], &[vec![Cqi(3)]], &[false], &[]);
+        let hit = (0, 0, 1.0, 2.0);
+        m.store(1, 0, &[1, 0], &[vec![Cqi(5)]], &[true], &[vec![hit]]);
+        m.store(1, 0, &[0, 0], &[vec![Cqi(3)]], &[false], &[vec![]]);
         let e = m.lookup(1, 0, &[1, 0]).expect("first key still resident");
         assert_eq!(e.cqi, vec![Cqi(5)]);
-        assert_eq!(e.hits, vec![(0, 0, 1.0, 2.0)]);
+        assert_eq!(e.hits, vec![hit]);
         assert!(m.lookup(1, 0, &[0, 0]).is_some());
         // Different generation misses.
         assert!(m.lookup(2, 0, &[1, 0]).is_none());
         assert!(m.lookup(1, 1, &[1, 0]).is_none());
         // Storing a third key evicts the least recently *used* one.
         m.lookup(1, 0, &[1, 0]);
-        m.store(2, 0, &[2, 0], &[vec![Cqi(1)]], &[true], &[]);
+        m.store(2, 0, &[2, 0], &[vec![Cqi(1)]], &[true], &[vec![]]);
         assert!(m.lookup(1, 0, &[1, 0]).is_some(), "recently used survives");
         assert!(m.lookup(1, 0, &[0, 0]).is_none(), "LRU evicted");
+    }
+
+    #[test]
+    fn memo_hits_apply_once_per_epoch() {
+        use cellfi_lte::amc::Cqi;
+        let mut m = CqiMemo::new();
+        let (a, b, c) = ((0, 2, 1.0, 2.0), (1, 0, 3.0, 4.0), (1, 5, 5.0, 6.0));
+        // Per-UE hit rows are stored flat, in UE order.
+        let rows = [vec![a], vec![], vec![b, c]];
+        m.store(1, 0, &[1], &[vec![Cqi(5)]], &[true], &rows);
+        let e = m.lookup(1, 0, &[1]).expect("just stored");
+        assert_eq!(e.hits, vec![a, b, c]);
+        // The live scan that stored the slot applied its hits.
+        assert!(e.hits_to_apply().is_empty());
+        // A new epoch: the first replay applies every hit, later ones none.
+        m.clear_applied();
+        let e = m.lookup(1, 0, &[1]).expect("still resident");
+        assert_eq!(e.hits_to_apply(), &[a, b, c]);
+        assert!(e.hits_to_apply().is_empty());
+        assert!(m
+            .lookup(1, 0, &[1])
+            .expect("resident")
+            .hits_to_apply()
+            .is_empty());
     }
 }

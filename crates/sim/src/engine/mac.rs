@@ -6,7 +6,11 @@
 //! retention from neighbouring radios (the measured Fig 7(b) factor).
 //! One pass per downlink subframe does all of it over dense slices and
 //! engine-owned `*_scratch` buffers, so a steady-state subframe
-//! allocates only the delivery list it returns.
+//! allocates only the delivery list it returns (and, on a network large
+//! enough to split, the scheduling step's worker threads). Scheduling
+//! reads only shared state and draws no randomness, so it fans out over
+//! contiguous runs of cells; HARQ resolution draws from per-UE streams
+//! and stays serial, in cell order.
 //! Uplink subframes are silent: downlink pauses and no cell transmits.
 //! The §3.1 uplink (TCP ACKs in a sliver of the channel) is modelled by
 //! `fig1`'s link-level loop, not here. Mobility (A3 handover with X2
@@ -17,6 +21,7 @@
 //! `transmit_gate` (only LAA gates; every other system always allows).
 
 use super::{im, LteEngine, N_CQI};
+use crate::parallel;
 use cellfi_lte::amc::Cqi;
 use cellfi_lte::control::signalling_retention;
 use cellfi_lte::harq::{HarqEntity, HarqOutcome};
@@ -34,6 +39,41 @@ fn rate(eff_re: &[f64; N_CQI], cqi: Cqi, dl_capacity: f64, retention: f64) -> f6
         eff_re[usize::from(cqi.0)] * dl_capacity * retention
     } else {
         0.0
+    }
+}
+
+/// Fewest cells per scheduling worker: below two workers' worth the
+/// pass stays on the caller's thread (the CQI scan's row threshold).
+const MIN_CELLS_PER_WORKER: usize = 64;
+
+/// One scheduling worker's working space, reused across cells and
+/// subframes.
+#[derive(Debug, Default)]
+pub(super) struct MacScratch {
+    /// One cell's rate rows, row-major `[ue][subchannel]` in attach
+    /// order.
+    rates: Vec<f64>,
+    /// The PF scheduler's remaining-backlog working space.
+    remaining: Vec<f64>,
+}
+
+/// [`LteEngine::rate_bits`] of one UE on every subchannel, into `row`,
+/// from its CQI row and retention; all zero while the UE reconnects.
+// cellfi-lint: hot
+fn rate_row(
+    eff_re: &[[f64; N_CQI]],
+    cqi: &[Cqi],
+    retention: f64,
+    reconnecting: bool,
+    dl_capacity: f64,
+    row: &mut [f64],
+) {
+    if reconnecting {
+        row.fill(0.0);
+        return;
+    }
+    for ((r, eff_re), &cqi) in row.iter_mut().zip(eff_re).zip(cqi) {
+        *r = rate(eff_re, cqi, dl_capacity, retention);
     }
 }
 
@@ -94,19 +134,6 @@ impl LteEngine {
         )
     }
 
-    /// [`Self::rate_bits`] of one UE on every subchannel, into `row`.
-    // cellfi-lint: hot
-    fn rate_row(&self, ue: usize, dl_capacity: f64, row: &mut [f64]) {
-        if self.now < self.outage_until[ue] {
-            row.fill(0.0);
-            return;
-        }
-        let retention = self.retention[ue];
-        for ((r, eff_re), &cqi) in row.iter_mut().zip(&self.eff_re).zip(&self.ue_cqi[ue]) {
-            *r = rate(eff_re, cqi, dl_capacity, retention);
-        }
-    }
-
     /// Run one subframe. Returns `(ue, bits)` deliveries.
     pub fn step_subframe(&mut self) -> Vec<(usize, u64)> {
         self.obs.profiler.begin(cellfi_obs::SpanId::Subframe);
@@ -154,7 +181,8 @@ impl LteEngine {
     /// build the transmitter sets, and resolve transport blocks through
     /// HARQ into `delivery_scratch`. It reads dense slices and writes
     /// only engine-owned buffers, so a steady-state subframe allocates
-    /// nothing here.
+    /// nothing here beyond the scheduling workers' threads when the
+    /// network is large enough to split.
     // cellfi-lint: hot
     fn downlink_pass(&mut self, dl_capacity: f64) {
         let n_sub = self.grid.num_subchannels() as usize;
@@ -165,29 +193,48 @@ impl LteEngine {
         im::strategy_for(self.config.mode).transmit_gate(self);
         // 1. Schedule every gated, active, backlogged cell into its row
         // of `assignment_scratch` (attach-order UE rows; `UNASSIGNED`
-        // for every subchannel of a cell that does not schedule). Rate
-        // rows go into one flat `[ue][subchannel]` buffer reused across
-        // cells.
+        // for every subchannel of a cell that does not schedule). The
+        // step reads only shared state and writes only cell `c`'s row,
+        // so cells fan out over contiguous runs; each worker fills rate
+        // rows into its own `mac_scratch` entry.
         self.obs.profiler.begin(cellfi_obs::SpanId::MacSchedule);
-        let mut assignment_scratch = std::mem::take(&mut self.assignment_scratch);
-        let mut rate_rows_scratch = std::mem::take(&mut self.rate_rows_scratch);
-        let mut remaining_scratch = std::mem::take(&mut self.remaining_scratch);
-        for (c, assignment) in assignment_scratch.chunks_exact_mut(n_sub).enumerate() {
-            let cell = &self.cells[c];
-            if !self.gate_scratch[c] || !self.cell_active(c) || cell.total_queued_bits() == 0 {
-                assignment.fill(UNASSIGNED);
-                continue;
-            }
-            let ues = cell.attached_ues();
-            rate_rows_scratch.resize(ues.len() * n_sub, 0.0);
-            for (row, ue) in rate_rows_scratch.chunks_exact_mut(n_sub).zip(ues) {
-                self.rate_row(ue.index(), dl_capacity, row);
-            }
-            cell.schedule_downlink(&rate_rows_scratch, &mut remaining_scratch, assignment);
-        }
-        self.rate_rows_scratch = rate_rows_scratch;
-        self.remaining_scratch = remaining_scratch;
+        let (gate, lease_ok, cells) = (&self.gate_scratch, &self.lease_ok, &self.cells);
+        let (eff_re, ue_cqi, retention) = (&self.eff_re, &self.ue_cqi, &self.retention);
+        let (outage_until, now) = (&self.outage_until, self.now);
+        parallel::for_each_ragged_with(
+            &mut self.assignment_scratch,
+            n_sub,
+            cells.len(),
+            |c| c + 1,
+            MIN_CELLS_PER_WORKER,
+            &mut self.mac_scratch,
+            |c, assignment, scratch| {
+                let cell = &cells[c];
+                // Gated, `cell_active` (lease and radio) and backlogged;
+                // workers read the engine's fields, never the engine.
+                if !gate[c] || !lease_ok[c] || !cell.radio_on() || cell.total_queued_bits() == 0 {
+                    assignment.fill(UNASSIGNED);
+                    return;
+                }
+                let ues = cell.attached_ues();
+                scratch.rates.resize(ues.len() * n_sub, 0.0);
+                for (row, ue) in scratch.rates.chunks_exact_mut(n_sub).zip(ues) {
+                    let u = ue.index();
+                    let reconnecting = now < outage_until[u];
+                    rate_row(
+                        eff_re,
+                        &ue_cqi[u],
+                        retention[u],
+                        reconnecting,
+                        dl_capacity,
+                        row,
+                    );
+                }
+                cell.schedule_downlink(&scratch.rates, &mut scratch.remaining, assignment);
+            },
+        );
         self.obs.profiler.end(cellfi_obs::SpanId::MacSchedule);
+        let assignment_scratch = std::mem::take(&mut self.assignment_scratch);
         // 2. Per-subchannel transmitter sets.
         let mut tx_scratch = std::mem::take(&mut self.tx_scratch);
         for row in tx_scratch.iter_mut() {

@@ -138,7 +138,7 @@ pub struct LteEngine {
     tdd: TddConfig,
     /// Information bits one subchannel carries per subframe at each CQI,
     /// `[subchannel][cqi]`: `efficiency(cqi) · data_res_per_subframe(s)`,
-    /// zero at CQI 0. Every scheduled rate reads it (`rate_bits`).
+    /// zero at CQI 0. Every scheduled rate reads it (`mac::rate`).
     eff_re: Vec<[f64; N_CQI]>,
     cells: Vec<Cell>,
     managers: Vec<InterferenceManager>,
@@ -226,11 +226,9 @@ pub struct LteEngine {
     /// Per-UE scratch for the CQI scan's "any subchannel decodable" bit.
     any_usable_scratch: Vec<bool>,
     /// Per-UE scratch for the CQI scan's interference hits (`(ue, sub,
-    /// sinr_db, clean_db)`), reused across scans.
+    /// sinr_db, clean_db)`), reused across scans; the memo copies them
+    /// in UE order into the slot it stores.
     hit_scratch: Vec<Vec<(u32, u32, f64, f64)>>,
-    /// Flat merge of `hit_scratch` in UE index order — the hit list the
-    /// memo remembers for replay.
-    scan_hits_scratch: Vec<(u32, u32, f64, f64)>,
     /// Which cells may transmit this downlink subframe, filled in place
     /// by the IM strategy's `transmit_gate`.
     gate_scratch: Vec<bool>,
@@ -240,11 +238,9 @@ pub struct LteEngine {
     /// The downlink allocation, `[cell][subchannel]`: the attach-order
     /// row of the UE scheduled there, or `UNASSIGNED`.
     assignment_scratch: Vec<u32>,
-    /// One cell's rate rows, row-major `[ue][subchannel]` in attach
-    /// order, refilled for each scheduled cell.
-    rate_rows_scratch: Vec<f64>,
-    /// The PF scheduler's remaining-backlog working space.
-    remaining_scratch: Vec<f64>,
+    /// One entry per MAC scheduling worker (rate rows and PF backlogs),
+    /// grown only when the worker count grows.
+    mac_scratch: Vec<mac::MacScratch>,
     /// Per-subchannel transmitter sets being built (swapped with
     /// `tx_last` at the end of each downlink subframe).
     tx_scratch: Vec<Vec<usize>>,
@@ -440,12 +436,10 @@ impl LteEngine {
             linmap: LinearCqiMap::default(),
             any_usable_scratch: vec![false; n_ue],
             hit_scratch: vec![Vec::new(); n_ue],
-            scan_hits_scratch: Vec::new(),
             gate_scratch: vec![true; n_ap],
             active_last_scratch: vec![false; n_ap],
             assignment_scratch: vec![UNASSIGNED; n_ap * n_sub],
-            rate_rows_scratch: Vec::new(),
-            remaining_scratch: Vec::new(),
+            mac_scratch: Vec::new(),
             tx_scratch: vec![Vec::new(); n_sub],
             pairs_scratch: Vec::new(),
             delivery_scratch: Vec::new(),
@@ -666,6 +660,7 @@ impl LteEngine {
             e.sched_subframes.fill(0);
             e.interfered.fill(false);
         }
+        self.memo.clear_applied();
         self.dl_subframes_this_epoch = 0;
         self.recompute_retention();
     }

@@ -143,11 +143,13 @@ impl LinkMatrices {
 /// One radio-link-failure monitor tick for a UE, shared verbatim by the
 /// live CQI scan and the memo replay so the two paths cannot drift: a
 /// backlogged UE with no decodable subchannel accumulates bad time and
-/// drops its RRC connection at the timer.
+/// drops its RRC connection at the timer. `queued` reads the UE's queue
+/// depth; it is called only for a UE that is not reconnecting and
+/// decodes no subchannel, the one case its value decides.
 fn rlf_tick(
     now: Instant,
     any_usable: bool,
-    queued: u64,
+    queued: impl FnOnce() -> u64,
     outage_until: &mut Instant,
     bad_streak_ms: &mut u32,
     rrc_drops: &mut u64,
@@ -155,7 +157,7 @@ fn rlf_tick(
     if now < *outage_until {
         return; // already reconnecting
     }
-    if !any_usable && queued > 0 {
+    if !any_usable && queued() > 0 {
         *bad_streak_ms += Duration::CQI_PERIOD.as_millis() as u32;
         if *bad_streak_ms >= LteEngine::RLF_TIMER_MS {
             *outage_until = now + LteEngine::RECONNECT;
@@ -313,13 +315,14 @@ impl LteEngine {
                 // Fast path: replay the remembered scan. CQI values are
                 // restored wholesale; interference events re-apply
                 // through the epoch flags in the same (ue, subchannel)
-                // order the parallel scan's absorb step would emit them.
+                // order the parallel scan's absorb step would emit them,
+                // once per epoch (`hits_to_apply`).
                 for (row, saved) in self.ue_cqi.iter_mut().zip(entry.cqi.chunks_exact(n_sub)) {
                     row.copy_from_slice(saved);
                 }
                 let now = self.now;
                 let tracer = &mut self.obs.tracer;
-                for &(ue, s, sinr_v, clean_v) in &entry.hits {
+                for &(ue, s, sinr_v, clean_v) in entry.hits_to_apply() {
                     let flags = &mut self.epoch[ue as usize].interfered;
                     if !flags[s as usize] {
                         flags[s as usize] = true;
@@ -336,13 +339,12 @@ impl LteEngine {
                 }
                 // RLF depends on queue depths and outage timers, which
                 // are time-varying: always run it live.
+                let (assoc, cells) = (&self.scenario.assoc, &self.cells);
                 for ue in 0..self.scenario.n_ues() {
-                    let ap = self.scenario.assoc[ue];
-                    let queued = self.cells[ap].queued_bits(UeId::new(ue as u32));
                     rlf_tick(
                         now,
                         entry.any_usable[ue],
-                        queued,
+                        || cells[assoc[ue]].queued_bits(UeId::new(ue as u32)),
                         &mut self.outage_until[ue],
                         &mut self.bad_streak_ms[ue],
                         &mut self.rrc_drops[ue],
@@ -458,19 +460,16 @@ impl LteEngine {
                 }
             }
             *row.any_usable = any_usable;
-            let queued = cells[ap].queued_bits(UeId::new(ue as u32));
             rlf_tick(
                 now,
                 any_usable,
-                queued,
+                || cells[ap].queued_bits(UeId::new(ue as u32)),
                 row.outage_until,
                 row.bad_streak_ms,
                 row.rrc_drops,
             );
         });
-        self.scan_hits_scratch.clear();
         for row in row_scratch {
-            self.scan_hits_scratch.extend_from_slice(row.hit_scratch);
             tracer.absorb(row.sink);
         }
         if self.fast_path {
@@ -480,7 +479,7 @@ impl LteEngine {
                 self.tracker.ids(),
                 &self.ue_cqi,
                 &self.any_usable_scratch,
-                &self.scan_hits_scratch,
+                &self.hit_scratch,
             );
         }
         self.obs.profiler.end(SpanId::CqiScan);

@@ -314,6 +314,58 @@ mod all {
         }
     }
 
+    /// The refresh splits stale columns over UE rows. On the culled
+    /// district drop (576 UEs, nine workers' worth) every total must
+    /// equal `direct_total` bit for bit, at 1 thread and at 2.
+    #[test]
+    fn interference_cache_rows_match_direct_totals_when_split() {
+        let cfg = crate::experiments::fig9metro::district_config();
+        let totals = |threads: usize| {
+            crate::parallel::with_threads(threads, || {
+                let s = Scenario::generate(cfg, SeedSeq::new(17));
+                assert!(s.n_ues() >= 512 && s.nbr.max_neighbors < s.aps.len());
+                let mut e = LteEngine::new(
+                    s,
+                    LteEngineConfig::paper_default(ImMode::CellFi),
+                    SeedSeq::new(18),
+                );
+                e.backlog_all(5_000_000);
+                e.run_until(Instant::from_millis(30));
+                // A set the run never produced on any subchannel, so
+                // every column is stale.
+                let n_sub = e.grid.num_subchannels() as usize;
+                let n_ap = e.scenario.aps.len();
+                let tx: Vec<Vec<usize>> = (0..n_sub)
+                    .map(|s| (0..n_ap).filter(|&c| (c + s) % 3 != 0).collect())
+                    .collect();
+                e.tracker.observe(&tx);
+                e.interf
+                    .refresh(e.gain_gen, &e.tracker, &e.scenario.nbr, &e.lin_mw);
+                let mut bits = Vec::new();
+                for ue in 0..e.scenario.n_ues() {
+                    for s in 0..n_sub {
+                        let direct = InterferenceCache::direct_total(
+                            &e.tracker,
+                            &e.scenario.nbr,
+                            &e.lin_mw,
+                            ue,
+                            s,
+                        );
+                        let cached = e.interf.total(s, ue);
+                        assert_eq!(
+                            cached.to_bits(),
+                            direct.to_bits(),
+                            "threads={threads} ue={ue} s={s}"
+                        );
+                        bits.push(cached.to_bits());
+                    }
+                }
+                bits
+            })
+        };
+        assert_eq!(totals(1), totals(2));
+    }
+
     #[test]
     fn laa_cells_in_sensing_range_time_share() {
         // Two co-located backlogged cells under LBT must alternate TXOPs:

@@ -104,6 +104,18 @@ pub fn pocket_config() -> ScenarioConfig {
     cfg
 }
 
+/// A district edition of the quick metro drop: the pocket drop's
+/// density, channel and cull floor at 144 APs × 4 clients on 4.8 km,
+/// large enough that the engine's per-cell and per-UE fan-outs (64
+/// cells or UEs per worker) split across two workers.
+pub fn district_config() -> ScenarioConfig {
+    let mut cfg = metro_config(QUICK[0]);
+    cfg.n_aps = 144;
+    cfg.clients_per_ap = 4;
+    cfg.area = 4_800.0;
+    cfg
+}
+
 /// Saturated-downlink capacity density at one point.
 fn run_point(p: MetroPoint, warmup: Instant, horizon: Instant, seeds: SeedSeq) -> PointOutcome {
     let scenario = Scenario::generate(metro_config(p), seeds.child("topo"));

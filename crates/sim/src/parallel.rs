@@ -1,11 +1,17 @@
 //! Deterministic scoped-thread work splitting.
 //!
 //! Every parallel construct in the simulator goes through this module:
-//! a hand-rolled chunked splitter over [`std::thread::scope`], with no
-//! external thread-pool dependency. Work items are split into contiguous
-//! index chunks, one per worker, and results always land in input order
-//! — so any reduction over the output is byte-identical to a serial run
-//! regardless of thread count or scheduling.
+//! one hand-rolled splitter over [`std::thread::scope`]
+//! ([`for_each_ragged_with`]), with no external thread-pool dependency.
+//! Work items are split into contiguous runs of groups, one run per
+//! worker, and results always land in input order — so any reduction
+//! over the output is byte-identical to a serial run regardless of
+//! thread count or scheduling. [`for_each_ragged`], [`for_each_chunk`],
+//! [`for_each_row`] and [`map_indexed`] are its special cases: no
+//! per-worker state, fixed-width groups, one-element groups, and an
+//! ordered map over such groups. Workers that need working space (the
+//! MAC's rate rows) get one caller-owned state element each, reused
+//! across calls, so a steady-state fan-out allocates only its threads.
 //!
 //! The worker count comes from, in precedence order:
 //! 1. a thread-local override installed by [`with_threads`] (used by the
@@ -13,6 +19,10 @@
 //!    in-process),
 //! 2. the `CELLFI_THREADS` environment variable,
 //! 3. [`std::thread::available_parallelism`].
+//!
+//! The splitters take a minimum number of groups per worker (one for
+//! [`map_indexed`]): inputs smaller than two workers' worth run serially
+//! on the caller's thread.
 //!
 //! Nothing here affects *what* is computed — only who computes it. Code
 //! that consumes RNG state must therefore never run under these helpers;
@@ -42,9 +52,9 @@ pub fn configured_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Run `f` with the worker count pinned to `n` on this thread (workers
-/// spawned by [`map_indexed`] receive their share of the pinned budget
-/// for their own nested splits). Restores the previous setting on exit,
+/// Run `f` with the worker count pinned to `n` on this thread (spawned
+/// workers receive their share of the pinned budget for their own
+/// nested splits). Restores the previous setting on exit,
 /// including on panic.
 pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(Option<usize>);
@@ -58,14 +68,25 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Split `0..n` into at most `threads` contiguous chunks of near-equal
-/// size. Returns `(start, end)` pairs covering the range in order.
-fn chunk_bounds(n: usize, threads: usize) -> Vec<(usize, usize)> {
-    let threads = threads.clamp(1, n.max(1));
-    let chunk = n.div_ceil(threads);
+/// size. Yields `(start, end)` pairs covering the range in order.
+fn chunk_bounds(n: usize, threads: usize) -> impl Iterator<Item = (usize, usize)> {
+    let chunk = n.div_ceil(threads.clamp(1, n.max(1))).max(1);
     (0..n)
-        .step_by(chunk.max(1))
-        .map(|start| (start, (start + chunk).min(n)))
-        .collect()
+        .step_by(chunk)
+        .map(move |start| (start, (start + chunk).min(n)))
+}
+
+/// How many workers split `n_groups` groups when each must get at
+/// least `min_groups_per_worker`: 1 for an input too small to split
+/// (decided without reading the configuration), else up to
+/// [`configured_threads`].
+fn workers(n_groups: usize, min_groups_per_worker: usize) -> usize {
+    let cap = n_groups / min_groups_per_worker.max(1);
+    if cap <= 1 {
+        1
+    } else {
+        configured_threads().min(cap)
+    }
 }
 
 /// Ordered parallel map over `0..n`: `out[i] = f(i)`, computed on up to
@@ -77,77 +98,36 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = configured_threads();
-    if threads <= 1 || n <= 1 {
+    if workers(n, 1) <= 1 {
         return (0..n).map(f).collect();
     }
     let mut out: Vec<Option<R>> = Vec::new();
     out.resize_with(n, || None);
-    let bounds = chunk_bounds(n, threads);
-    // Workers split the caller's thread budget between them: once the
-    // fan-out saturates the budget, nested splits inside each worker
-    // stay serial instead of oversubscribing the machine.
-    let nested = (threads / bounds.len()).max(1);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest: &mut [Option<R>] = &mut out;
-        let mut start = 0;
-        for (lo, hi) in bounds {
-            let (slots, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            scope.spawn(move || {
-                with_threads(nested, || {
-                    for (j, slot) in slots.iter_mut().enumerate() {
-                        *slot = Some(f(start + j));
-                    }
-                })
-            });
-            start = hi;
-        }
-    });
+    for_each_row(&mut out, 1, |i, slot| *slot = Some(f(i)));
     out.into_iter()
         .map(|slot| slot.expect("worker filled every slot"))
         .collect()
 }
 
 /// Parallel in-place update of disjoint rows: `f(i, &mut rows[i])` for
-/// every row, chunked across workers. Rows smaller than
-/// `min_rows_per_thread` per worker stay serial — spawning threads for
-/// trivial row work costs more than it saves.
+/// every row, chunked across workers: the one-element-group case of
+/// [`for_each_ragged`]. Rows smaller than `min_rows_per_thread` per
+/// worker stay serial — spawning threads for trivial row work costs more
+/// than it saves.
 pub fn for_each_row<T, F>(rows: &mut [T], min_rows_per_thread: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
     let n = rows.len();
-    let threads = configured_threads()
-        .min(n / min_rows_per_thread.max(1))
-        .max(1);
-    if threads <= 1 {
-        for (i, row) in rows.iter_mut().enumerate() {
-            f(i, row);
-        }
-        return;
-    }
-    std::thread::scope(|scope| {
-        let f = &f;
-        let mut rest = rows;
-        let mut start = 0;
-        for (lo, hi) in chunk_bounds(n, threads) {
-            let (chunk, tail) = rest.split_at_mut(hi - lo);
-            rest = tail;
-            scope.spawn(move || {
-                // Row work is a leaf: nested helpers inside `f` must not
-                // re-spawn on top of an already-saturated fan-out.
-                with_threads(1, || {
-                    for (j, row) in chunk.iter_mut().enumerate() {
-                        f(start + j, row);
-                    }
-                })
-            });
-            start = hi;
-        }
-    });
+    for_each_ragged(
+        rows,
+        1,
+        n,
+        |i| i + 1,
+        min_rows_per_thread,
+        |i, row| f(i, &mut row[0]),
+    );
 }
 
 /// Parallel in-place update of a flat slab split at fixed `chunk_len`
@@ -156,9 +136,10 @@ where
 /// of [`for_each_ragged`] (one `chunk_len`-element row per group).
 /// `data.len()` must be a multiple of `chunk_len`. Chunks smaller than
 /// `min_chunks_per_thread` per worker stay serial.
-pub fn for_each_chunk<F>(data: &mut [f64], chunk_len: usize, min_chunks_per_thread: usize, f: F)
+pub fn for_each_chunk<T, F>(data: &mut [T], chunk_len: usize, min_chunks_per_thread: usize, f: F)
 where
-    F: Fn(usize, &mut [f64]) + Sync,
+    T: Send,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     assert!(chunk_len > 0, "chunk length must be positive");
     assert_eq!(
@@ -170,26 +151,63 @@ where
     for_each_ragged(data, chunk_len, n, |c| c + 1, min_chunks_per_thread, f);
 }
 
-/// Parallel in-place update of a flat slab of `width`-element rows split
-/// into `n_groups` consecutive groups of varying length: group `g` covers
-/// rows `end(g - 1)..end(g)` (group 0 starts at row 0), and the last
-/// group ends at the end of `data`. `f(g, group)` receives the group
-/// index and its rows as one mutable slice. This is the strided analogue
-/// of [`for_each_row`] for slab-backed tensors whose semantic rows differ
-/// in length (e.g. one UE's gain lanes, one per candidate AP): workers
-/// take whole runs of groups, so a group index maps to the same rows for
-/// any thread count. Fewer than `min_groups_per_thread` groups per
-/// worker stay serial.
-pub fn for_each_ragged<E, F>(
-    data: &mut [f64],
+/// [`for_each_ragged_with`] for workers that need no state of their own.
+pub fn for_each_ragged<T, E, F>(
+    data: &mut [T],
     width: usize,
     n_groups: usize,
     end: E,
     min_groups_per_thread: usize,
     f: F,
 ) where
+    T: Send,
     E: Fn(usize) -> usize + Sync,
-    F: Fn(usize, &mut [f64]) + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
+{
+    // `()` states are zero-sized: growing this vector never allocates.
+    let mut units: Vec<()> = Vec::new();
+    for_each_ragged_with(
+        data,
+        width,
+        n_groups,
+        end,
+        min_groups_per_thread,
+        &mut units,
+        |g, group, ()| f(g, group),
+    );
+}
+
+/// Parallel in-place update of a flat slab of `width`-element rows split
+/// into `n_groups` consecutive groups of varying length: group `g` covers
+/// rows `end(g - 1)..end(g)` (group 0 starts at row 0), and the last
+/// group ends at the end of `data`. `f(g, group, state)` receives the
+/// group index, its rows as one mutable slice, and the state element of
+/// the worker running it. This is the strided analogue of
+/// [`for_each_row`] for slab-backed tensors whose semantic rows differ
+/// in length (e.g. one UE's gain lanes, one per candidate AP): workers
+/// take whole runs of groups, so a group index maps to the same rows for
+/// any thread count. Fewer than `min_groups_per_thread` groups per
+/// worker stay serial.
+///
+/// `states` holds one caller-owned element per worker — working space a
+/// worker reuses across its groups, so no worker allocates. Worker `k`
+/// (the `k`-th run of groups) gets `states[k]`; a serial split uses
+/// `states[0]`. When `states` has fewer elements than the split has
+/// workers it is first grown with `S::default()`, so it ends up as long
+/// as the largest split it has served and never shrinks.
+pub fn for_each_ragged_with<T, S, E, F>(
+    data: &mut [T],
+    width: usize,
+    n_groups: usize,
+    end: E,
+    min_groups_per_thread: usize,
+    states: &mut Vec<S>,
+    f: F,
+) where
+    T: Send,
+    S: Send + Default,
+    E: Fn(usize) -> usize + Sync,
+    F: Fn(usize, &mut [T], &mut S) + Sync,
 {
     let start = |g: usize| if g == 0 { 0 } else { end(g - 1) };
     assert_eq!(
@@ -197,30 +215,34 @@ pub fn for_each_ragged<E, F>(
         data.len(),
         "row groups must tile the slab"
     );
-    let threads = configured_threads()
-        .min(n_groups / min_groups_per_thread.max(1))
-        .max(1);
+    let threads = workers(n_groups, min_groups_per_thread);
+    let runs = chunk_bounds(n_groups, threads).count().max(1);
+    if states.len() < runs {
+        states.resize_with(runs, S::default);
+    }
     // Groups `lo..hi` over the span that holds exactly their rows.
-    let run = |lo: usize, hi: usize, mut span: &mut [f64]| {
+    let run = |lo: usize, hi: usize, mut span: &mut [T], state: &mut S| {
         for g in lo..hi {
             let (group, rest) = std::mem::take(&mut span).split_at_mut((end(g) - start(g)) * width);
             span = rest;
-            f(g, group);
+            f(g, group, state);
         }
     };
-    if threads <= 1 {
-        run(0, n_groups, data);
+    if runs <= 1 {
+        run(0, n_groups, data, &mut states[0]);
         return;
     }
+    // Workers split the caller's thread budget between them: once the
+    // fan-out saturates the budget, nested splits inside each worker
+    // stay serial instead of oversubscribing the machine.
+    let nested = (configured_threads() / runs).max(1);
     std::thread::scope(|scope| {
         let run = &run;
         let mut rest = data;
-        for (lo, hi) in chunk_bounds(n_groups, threads) {
+        for ((lo, hi), state) in chunk_bounds(n_groups, threads).zip(states.iter_mut()) {
             let (span, tail) = rest.split_at_mut((start(hi) - start(lo)) * width);
             rest = tail;
-            // Row work is a leaf: nested helpers inside `f` must not
-            // re-spawn on top of an already-saturated fan-out.
-            scope.spawn(move || with_threads(1, || run(lo, hi, span)));
+            scope.spawn(move || with_threads(nested, || run(lo, hi, span, state)));
         }
     });
 }
@@ -233,7 +255,7 @@ mod tests {
     fn chunks_cover_range_in_order() {
         for n in [0usize, 1, 2, 7, 8, 9, 100] {
             for threads in [1usize, 2, 3, 8, 200] {
-                let bounds = chunk_bounds(n, threads);
+                let bounds: Vec<_> = chunk_bounds(n, threads).collect();
                 let mut next = 0;
                 for (lo, hi) in &bounds {
                     assert_eq!(*lo, next, "gap at n={n} threads={threads}");
@@ -329,6 +351,93 @@ mod tests {
     fn for_each_ragged_rejects_groups_that_do_not_tile() {
         let mut data = vec![0.0; 10];
         for_each_ragged(&mut data, 2, 2, |g| [2, 4][g], 1, |_, _| {});
+    }
+
+    /// Groups of 3, 0, 1, 5, 2, 0 and 4 rows, then eleven one-row
+    /// groups: 18 groups over 26 rows.
+    const RAGGED_ENDS: [usize; 18] = [
+        3, 3, 4, 9, 11, 11, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26,
+    ];
+
+    #[test]
+    fn for_each_ragged_with_gives_each_worker_its_own_state() {
+        let ends = RAGGED_ENDS;
+        let width = 2;
+        let mut serial_rows = Vec::new();
+        for (threads, runs) in [(1usize, 1usize), (2, 2), (3, 3), (8, 6)] {
+            let mut data = vec![usize::MAX; 26 * width];
+            let mut states: Vec<Vec<usize>> = Vec::new();
+            with_threads(threads, || {
+                for_each_ragged_with(
+                    &mut data,
+                    width,
+                    ends.len(),
+                    |g| ends[g],
+                    1,
+                    &mut states,
+                    |g, group, seen| {
+                        seen.push(g);
+                        group.fill(g);
+                    },
+                )
+            });
+            // One state per worker, each holding one contiguous run of
+            // groups; the runs tile the groups in order.
+            assert_eq!(states.len(), runs, "threads={threads}");
+            assert!(states.iter().all(|s| !s.is_empty()), "threads={threads}");
+            let order: Vec<usize> = states.concat();
+            assert_eq!(
+                order,
+                (0..ends.len()).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
+            // Group index → rows is the same at every thread count.
+            if threads == 1 {
+                serial_rows = data;
+            } else {
+                assert_eq!(data, serial_rows, "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_ragged_with_grows_short_state_lists_and_keeps_long_ones() {
+        let ends = RAGGED_ENDS;
+        let mut data = vec![0u8; 26];
+        let tally = |g: usize, _: &mut [u8], count: &mut usize| *count += g + 1;
+        // Fewer states than workers: the list grows with defaults and
+        // the existing element serves the first run.
+        let mut states = vec![1_000usize];
+        with_threads(4, || {
+            for_each_ragged_with(&mut data, 1, ends.len(), |g| ends[g], 1, &mut states, tally)
+        });
+        assert_eq!(states.len(), 4);
+        assert!(states[0] > 1_000 && states[1..].iter().all(|&c| c > 0));
+        assert_eq!(
+            states.iter().sum::<usize>(),
+            1_000 + (1..=18).sum::<usize>()
+        );
+        // More states than workers: the spare elements stay untouched.
+        let mut states = vec![0usize; 10];
+        with_threads(2, || {
+            for_each_ragged_with(&mut data, 1, ends.len(), |g| ends[g], 1, &mut states, tally)
+        });
+        assert_eq!(states.len(), 10);
+        assert!(states[..2].iter().all(|&c| c > 0) && states[2..].iter().all(|&c| c == 0));
+        // A split too small for two workers runs serially on state 0.
+        let mut states: Vec<usize> = Vec::new();
+        with_threads(8, || {
+            for_each_ragged_with(
+                &mut data,
+                1,
+                ends.len(),
+                |g| ends[g],
+                10,
+                &mut states,
+                tally,
+            )
+        });
+        assert_eq!(states, vec![(1..=18).sum::<usize>()]);
     }
 
     #[test]

@@ -150,11 +150,13 @@ BENCH="cargo run -q --release --offline --locked --manifest-path benchmark/Cargo
 $BENCH all --seconds 0 > /dev/null
 $BENCH run paper_saturated --seconds 0 --trace > "$TRACE_TMP/bench_traced.jsonl"
 # Heap allocations per subframe on the traced paper run. The MAC pass
-# reuses engine-owned buffers, so what remains is the delivery list
-# step_subframe returns; a per-subframe allocation creeping back into
-# the loop pushes the count past the ceiling. It is a count, not a
+# reuses engine-owned buffers (per-worker scratch included), so what
+# remains is the delivery list step_subframe returns (1.356015); a
+# per-subframe allocation creeping back into the loop, such as MAC
+# scheduling starting from fresh worker scratch every subframe
+# (3.756015), pushes the count past the ceiling. It is a count, not a
 # timing, so host noise cannot flake it.
-ALLOCS_PER_SF_MAX=3
+ALLOCS_PER_SF_MAX=2
 ALLOCS_PER_SF=$(tail -n 1 "$TRACE_TMP/bench_traced.jsonl" | python3 -c '
 import json, sys
 print(json.load(sys.stdin)["metrics"]["engine.allocs_per_sf"]["value"])

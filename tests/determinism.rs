@@ -91,12 +91,15 @@ fn engine_run_is_identical_for_any_thread_count() {
 /// The tracing contract extends the parallel-engine contract: per-entity
 /// event sinks merge in entity order, so the serialized event stream —
 /// not just the aggregate counters — is byte-identical whether the
-/// fan-out uses 1, 2 or 8 workers. Three inputs: the paper topology,
-/// where every link is kept, and the fig9metro pocket drop (36 APs × 2
+/// fan-out uses 1, 2 or 8 workers. Four inputs: the paper topology,
+/// where every link is kept; the fig9metro pocket drop (36 APs × 2
 /// clients on 2.4 km under the metro cull floor), where the neighbor
 /// rows are a genuine near-field subset of the APs, once as fig9metro
 /// runs it (no fading) and once with fading on, so the per-block fading
-/// refresh fans out over link rows of differing length.
+/// refresh fans out over link rows of differing length; and the
+/// district drop (144 APs × 4 clients), the one large enough that MAC
+/// scheduling, the interference-cache refresh and the CQI scan split
+/// across workers.
 #[test]
 fn trace_bytes_are_identical_for_any_thread_count() {
     use cellfi::obs::Tracer;
@@ -109,10 +112,12 @@ fn trace_bytes_are_identical_for_any_thread_count() {
     let culled = fig9metro::pocket_config();
     let mut culled_fading = culled;
     culled_fading.fading = true;
+    let district = fig9metro::district_config();
     for (label, config) in [
         ("paper", paper),
         ("culled", culled),
         ("culled+fading", culled_fading),
+        ("district", district),
     ] {
         let run = |threads: usize| {
             parallel::with_threads(threads, || {

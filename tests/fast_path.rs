@@ -7,10 +7,13 @@
 //! the same handovers, and emit a byte-identical event trace — at any
 //! worker count. These tests pin that end-to-end through the facade,
 //! including across mid-run perturbations (client mobility, EIRP
-//! degradation) that invalidate every cache layer, on two drops: the
-//! dense paper topology with fading on, and the culled fig9metro pocket
+//! degradation) that invalidate every cache layer, on three drops: the
+//! dense paper topology with fading on; the culled fig9metro pocket
 //! drop with fading off, where link rows differ in length and the one
-//! gain slab is never refreshed.
+//! gain slab is never refreshed; and the culled district drop, large
+//! enough that scheduling and the CQI scan split across workers, run
+//! past an epoch boundary so replays must re-apply their hits after the
+//! epoch flags are cleared.
 
 use cellfi::obs::Tracer;
 use cellfi::sim::experiments::fig9metro;
@@ -65,9 +68,10 @@ fn run(case: Case, mode: ImMode, seed: u64, fast_path: bool, threads: usize) -> 
 }
 
 /// The dense paper drop with fading on (12 coherence blocks on each
-/// side of the perturbation), and the culled pocket drop with fading off
-/// (4 blocks on each side, during which no gain generation rolls).
-fn cases() -> [Case; 2] {
+/// side of the perturbation), the culled pocket drop with fading off
+/// (4 blocks on each side, during which no gain generation rolls), and
+/// the district drop (600 ms on each side, across the 1 s epoch).
+fn cases() -> [Case; 3] {
     let mut paper = ScenarioConfig::paper_default(3, 2);
     paper.fading = true;
     let pocket = fig9metro::pocket_config();
@@ -75,6 +79,14 @@ fn cases() -> [Case; 2] {
     assert!(
         !pocket.fading && generated.nbr.max_neighbors < generated.aps.len(),
         "premise: the pocket drop is culled and has no fading"
+    );
+    let district = fig9metro::district_config();
+    let generated = Scenario::generate(district, SeedSeq::new(5));
+    assert!(
+        generated.aps.len() >= 128
+            && generated.n_ues() >= 512
+            && generated.nbr.max_neighbors < generated.aps.len(),
+        "premise: the district drop is culled and splits the per-cell and per-UE fan-outs"
     );
     [
         Case {
@@ -86,6 +98,11 @@ fn cases() -> [Case; 2] {
             label: "pocket",
             config: pocket,
             half_ms: 400,
+        },
+        Case {
+            label: "district",
+            config: district,
+            half_ms: 600,
         },
     ]
 }

@@ -371,7 +371,8 @@ mod tests {
         use std::collections::BTreeMap;
 
         const N_SUB: usize = 13;
-        const MAX_UES: u32 = 8;
+        /// A metro cell holds 40 UEs, a paper cell 6.
+        const MAX_UES: u32 = 40;
 
         struct Oracle {
             attached: Vec<UeId>,
@@ -463,12 +464,35 @@ mod tests {
         /// `max(1.0)` floor keeps such a UE tied with a fresh one.
         const DELIVERIES: [u64; 6] = [0, 0, 0, 100, 2_000, 60_000];
 
+        /// Masks of three shapes, a third each: sparse (0–2 allowed
+        /// subchannels, as CellFi leaves the cells of a dense drop),
+        /// full (as every metro cell holds between IM epochs), and a
+        /// coin flip per subchannel.
+        fn arb_mask() -> impl Strategy<Value = Vec<bool>> {
+            (
+                0u8..3,
+                collection::vec(0..N_SUB, 0..3),
+                collection::vec(any::<bool>(), N_SUB),
+            )
+                .prop_map(|(shape, on, coins)| match shape {
+                    0 => {
+                        let mut mask = vec![false; N_SUB];
+                        for s in on {
+                            mask[s] = true;
+                        }
+                        mask
+                    }
+                    1 => vec![true; N_SUB],
+                    _ => coins,
+                })
+        }
+
         fn arb_op() -> impl Strategy<Value = Op> {
             let n = MAX_UES as usize;
             (
                 (0u8..24, 0..MAX_UES, 0..BACKLOGS.len(), 0..DELIVERIES.len()),
                 (
-                    collection::vec(any::<bool>(), N_SUB),
+                    arb_mask(),
                     collection::vec(0..RATES.len(), n * N_SUB),
                     collection::vec(any::<bool>(), n),
                 ),
@@ -487,7 +511,7 @@ mod tests {
                 })
         }
 
-        /// 0–8 attached UEs with their initial backlogs.
+        /// 0–40 attached UEs with their initial backlogs.
         fn arb_start() -> impl Strategy<Value = Vec<u64>> {
             collection::vec(0..BACKLOGS.len(), 0..MAX_UES as usize + 1)
                 .prop_map(|ix| ix.iter().map(|&i| BACKLOGS[i]).collect())

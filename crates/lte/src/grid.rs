@@ -66,6 +66,11 @@ impl ChannelBandwidth {
     }
 }
 
+/// The most subchannels any [`ChannelBandwidth`] has (25, from 10 MHz
+/// up). Per-subchannel state sized by it fits on the stack, and a
+/// subchannel bitmask fits a `u32`.
+pub const MAX_SUBCHANNELS: usize = 25;
+
 /// One RB-pair is 12 subcarriers × 14 OFDM symbols (normal CP) = 168
 /// resource elements per subframe.
 pub const RES_PER_RB_SUBFRAME: u32 = 168;
@@ -190,6 +195,19 @@ mod tests {
         // §5: "13 such subchannels on 5 MHz and 25 subchannels on 20 MHz".
         assert_eq!(ChannelBandwidth::Mhz5.subchannels(), 13);
         assert_eq!(ChannelBandwidth::Mhz20.subchannels(), 25);
+    }
+
+    #[test]
+    fn max_subchannels_bounds_every_bandwidth() {
+        let all = [
+            ChannelBandwidth::Mhz5,
+            ChannelBandwidth::Mhz10,
+            ChannelBandwidth::Mhz15,
+            ChannelBandwidth::Mhz20,
+        ];
+        let most = all.iter().map(|b| b.subchannels() as usize).max();
+        assert_eq!(most, Some(MAX_SUBCHANNELS));
+        assert!(MAX_SUBCHANNELS <= u32::BITS as usize);
     }
 
     #[test]

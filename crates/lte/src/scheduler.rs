@@ -14,8 +14,10 @@
 //!   subframe. It reads dense slices (the mask, a row-major
 //!   `[ue][subchannel]` rate block, the PF averages) and writes one row
 //!   index per subchannel into a caller-owned buffer, so a subframe
-//!   neither allocates nor looks anything up by key. The per-UE state it
-//!   reads lives in [`crate::cell::Cell`], in attach order.
+//!   neither allocates nor looks anything up by key. It walks the UE
+//!   rows once, scoring every allowed subchannel at once, and rescores
+//!   only after a grant empties a backlog. The per-UE state it reads
+//!   lives in [`crate::cell::Cell`], in attach order.
 //! * [`Scheduler`] with [`UeDemand`] / [`Allocation`] — the keyed
 //!   reference implementation, kept as the differential oracle for
 //!   [`pf_allocate`] and as the API `cellfi-bench`'s
@@ -25,6 +27,7 @@
 //! time client `j` was scheduled on a subchannel during the last epoch,
 //! for CellFi's bucket updates (§5.3).
 
+use crate::grid::MAX_SUBCHANNELS;
 use cellfi_types::UeId;
 use std::collections::BTreeMap;
 
@@ -43,14 +46,23 @@ pub const UNASSIGNED: u32 = u32::MAX;
 /// the UE cannot decode), `remaining` starts at each UE's backlog and is
 /// drawn down as subchannels are handed out, and `avg` holds the PF
 /// averages. `assignment[s]` receives the row scheduled on subchannel
-/// `s`, or [`UNASSIGNED`].
+/// `s`, or [`UNASSIGNED`]. At most [`MAX_SUBCHANNELS`] subchannels.
 ///
-/// Each allowed subchannel goes to the UE with the largest
-/// `rate / max(avg, 1)` among those with backlog left and a usable rate;
-/// the first maximum in row order wins ties. UEs are never assigned more
-/// capacity than their backlog needs, so trailing subchannels are
-/// released to other UEs — the §5.2 "scheduler will later automatically
-/// assign these to its other clients" behaviour.
+/// Each allowed subchannel, in ascending order, goes to the UE with the
+/// largest `rate / max(avg, 1)` among those with backlog left and a
+/// usable rate; the first maximum in row order wins ties. UEs are never
+/// assigned more capacity than their backlog needs, so trailing
+/// subchannels are released to other UEs — the §5.2 "scheduler will
+/// later automatically assign these to its other clients" behaviour.
+///
+/// The kernel walks the UE rows once, scoring every allowed subchannel
+/// at once with a running best per subchannel (a strict `>`, so the
+/// first row keeps a tie), then hands the subchannels out in ascending
+/// order. Only a grant that empties a backlog changes who the later
+/// subchannels may go to, so the pass then reruns over the subchannels
+/// after that one. The decisions and the backlog subtractions are those
+/// of scoring each subchannel on its own, for any input whose rates are
+/// not NaN.
 // cellfi-lint: hot
 pub fn pf_allocate(
     allowed: &[bool],
@@ -60,6 +72,10 @@ pub fn pf_allocate(
     assignment: &mut [u32],
 ) {
     let n_sub = allowed.len();
+    assert!(
+        n_sub <= MAX_SUBCHANNELS,
+        "a grid has at most MAX_SUBCHANNELS subchannels"
+    );
     assert_eq!(
         assignment.len(),
         n_sub,
@@ -72,34 +88,64 @@ pub fn pf_allocate(
         "one rate row of n_sub entries per UE"
     );
     assignment.fill(UNASSIGNED);
-    if n_sub == 0 {
-        return;
+    // The allowed subchannels, ascending.
+    let mut subs = [0usize; MAX_SUBCHANNELS];
+    let mut n_allowed = 0;
+    for (s, _) in allowed.iter().enumerate().filter(|&(_, &a)| a) {
+        subs[n_allowed] = s;
+        n_allowed += 1;
     }
-    for (s, slot) in assignment.iter_mut().enumerate() {
-        if !allowed[s] {
-            continue;
-        }
-        let mut best: Option<(usize, f64, f64)> = None;
-        for (i, (row, (&left, &a))) in rates
-            .chunks_exact(n_sub)
-            .zip(remaining.iter().zip(avg))
-            .enumerate()
-        {
+    let subs = &subs[..n_allowed];
+    // The running best of each subchannel still to hand out.
+    let mut best_metric = [0.0f64; MAX_SUBCHANNELS];
+    let mut best_rate = [0.0f64; MAX_SUBCHANNELS];
+    let mut best_row = [UNASSIGNED; MAX_SUBCHANNELS];
+    let mut first = 0;
+    while first < subs.len() {
+        let todo = &subs[first..];
+        let metric = &mut best_metric[..todo.len()];
+        let rate_won = &mut best_rate[..todo.len()];
+        let winner = &mut best_row[..todo.len()];
+        metric.fill(f64::NEG_INFINITY);
+        winner.fill(UNASSIGNED);
+        let rows = rates.chunks_exact(n_sub).zip(remaining.iter().zip(avg));
+        for (i, (row, (&left, &a))) in rows.enumerate() {
             if left <= 0.0 {
                 continue;
             }
-            let rate = row[s];
-            if rate <= 0.0 {
-                continue;
-            }
-            let metric = rate / a.max(1.0);
-            if best.is_none_or(|(_, m, _)| metric > m) {
-                best = Some((i, metric, rate));
+            let d = a.max(1.0);
+            let best = metric
+                .iter_mut()
+                .zip(rate_won.iter_mut())
+                .zip(winner.iter_mut());
+            for (&s, ((m, r), w)) in todo.iter().zip(best) {
+                let rate = row[s];
+                let score = rate / d;
+                if rate > 0.0 && score > *m {
+                    *m = score;
+                    *r = rate;
+                    *w = i as u32;
+                }
             }
         }
-        if let Some((i, _, rate)) = best {
-            *slot = i as u32;
-            remaining[i] -= rate;
+        let start = first;
+        first = subs.len();
+        for (k, (&s, (&w, &rate))) in todo
+            .iter()
+            .zip(winner.iter().zip(rate_won.iter()))
+            .enumerate()
+        {
+            if w == UNASSIGNED {
+                continue;
+            }
+            assignment[s] = w;
+            let left = &mut remaining[w as usize];
+            *left -= rate;
+            if *left <= 0.0 {
+                // This UE is no longer eligible: rescore the rest.
+                first = start + k + 1;
+                break;
+            }
         }
     }
 }

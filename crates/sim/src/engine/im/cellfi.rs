@@ -61,13 +61,13 @@ impl ImStrategy for CellFi {
                 .map(|ueid| {
                     let ue = ueid.index();
                     let mut frac: Vec<f64> = (0..n_sub)
-                        .map(|s| e.epoch[ue].sched_subframes[s] as f64 / dl)
+                        .map(|s| f64::from(e.mac_rows[ue].sched_subframes[s]) / dl)
                         .collect();
                     let interfered: Vec<bool> = (0..n_sub)
                         .map(|s| {
                             e.config
                                 .sensing
-                                .observe(e.epoch[ue].interfered[s], &mut e.ue_rng[ue])
+                                .observe(e.epoch[ue].interfered[s], &mut e.mac_rows[ue].rng)
                         })
                         .collect();
                     // Starvation rescue (extension; see DESIGN.md):

@@ -7,10 +7,12 @@
 //! One pass per downlink subframe does all of it over dense slices and
 //! engine-owned `*_scratch` buffers, so a steady-state subframe
 //! allocates only the delivery list it returns (and, on a network large
-//! enough to split, the scheduling step's worker threads). Scheduling
-//! reads only shared state and draws no randomness, so it fans out over
-//! contiguous runs of cells; HARQ resolution draws from per-UE streams
-//! and stays serial, in cell order.
+//! enough to split, the workers' threads). Scheduling reads only shared
+//! state and draws no randomness, so it fans out over contiguous runs
+//! of cells. HARQ resolution fans out over the per-UE `MacRow`s: each
+//! UE's transport block is resolved on its own row, drawing from the
+//! row's own RNG stream. A serial apply pass then delivers in cell
+//! order, each cell's UEs in ascending id.
 //! Uplink subframes are silent: downlink pauses and no cell transmits.
 //! The §3.1 uplink (TCP ACKs in a sliver of the channel) is modelled by
 //! `fig1`'s link-level loop, not here. Mobility (A3 handover with X2
@@ -24,11 +26,13 @@ use super::{im, LteEngine, N_CQI};
 use crate::parallel;
 use cellfi_lte::amc::Cqi;
 use cellfi_lte::control::signalling_retention;
+use cellfi_lte::grid::MAX_SUBCHANNELS;
 use cellfi_lte::harq::{HarqEntity, HarqOutcome};
 use cellfi_lte::scheduler::UNASSIGNED;
 use cellfi_types::time::Duration;
 use cellfi_types::units::Db;
 use cellfi_types::UeId;
+use rand::rngs::StdRng;
 
 /// Bits one subchannel carries this subframe at `cqi`, given its row
 /// of the `eff_re` table, the TDD downlink capacity and the UE's
@@ -45,6 +49,51 @@ fn rate(eff_re: &[f64; N_CQI], cqi: Cqi, dl_capacity: f64, retention: f64) -> f6
 /// Fewest cells per scheduling worker: below two workers' worth the
 /// pass stays on the caller's thread (the CQI scan's row threshold).
 const MIN_CELLS_PER_WORKER: usize = 64;
+
+/// One UE's MAC state. Everything a UE's transport block touches in the
+/// per-UE step of [`LteEngine::downlink_pass`] is reached through its
+/// own row, so that step fans out over runs of rows.
+#[derive(Debug, Clone)]
+pub(super) struct MacRow {
+    /// The subchannels granted this subframe, one bit each: set while
+    /// the transmitter sets are built, cleared by the apply pass.
+    grants: u32,
+    /// This subframe's transport block, the HARQ outcome and the bits
+    /// it carries: set by the per-UE step when a grant is usable,
+    /// taken by the apply pass.
+    block: Option<(HarqOutcome, u64)>,
+    harq: HarqEntity,
+    /// The UE's own RNG stream: HARQ decode draws and CellFi's sensing
+    /// observations.
+    pub(super) rng: StdRng,
+    /// Downlink subframes this epoch in which the UE was scheduled on
+    /// each subchannel (reset at every epoch boundary).
+    pub(super) sched_subframes: [u32; MAX_SUBCHANNELS],
+}
+
+impl MacRow {
+    pub(super) fn new(rng: StdRng) -> MacRow {
+        MacRow {
+            grants: 0,
+            block: None,
+            harq: HarqEntity::new(),
+            rng,
+            sched_subframes: [0; MAX_SUBCHANNELS],
+        }
+    }
+}
+
+/// The set bits of a subchannel mask, ascending.
+fn subchannels_in(mask: u32) -> impl Iterator<Item = usize> {
+    let mut rest = mask;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let s = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            s
+        })
+    })
+}
 
 /// One scheduling worker's working space, reused across cells and
 /// subframes.
@@ -88,6 +137,12 @@ impl LteEngine {
     /// faster).
     pub const RECONNECT: Duration = Duration::from_secs(3);
 
+    /// Fewest UE rows per worker of the downlink pass's per-UE HARQ
+    /// step: below two workers' worth it stays on the caller's thread.
+    /// The paper's 48 and the web workload's 60 UEs stay serial; the
+    /// fig9metro district drop's 576 and metro's 100,000 split.
+    pub const MIN_UES_PER_HARQ_WORKER: usize = 256;
+
     /// Control-plane SINR towards the strongest *other* radiating cell
     /// (drives the Fig 7 signalling-interference retention). Only
     /// candidate neighbors compete — a culled cell's control presence is
@@ -121,7 +176,6 @@ impl LteEngine {
 
     /// Bits one subchannel can carry for a UE this subframe at its CQI.
     /// Zero while the UE is reconnecting after a radio-link failure.
-    // cellfi-lint: hot
     pub(super) fn rate_bits(&self, ue: usize, s: usize, dl_capacity: f64) -> f64 {
         if self.now < self.outage_until[ue] {
             return 0.0;
@@ -178,11 +232,12 @@ impl LteEngine {
     }
 
     /// The MAC work of one downlink subframe: gate, schedule every cell,
-    /// build the transmitter sets, and resolve transport blocks through
-    /// HARQ into `delivery_scratch`. It reads dense slices and writes
-    /// only engine-owned buffers, so a steady-state subframe allocates
-    /// nothing here beyond the scheduling workers' threads when the
-    /// network is large enough to split.
+    /// build the transmitter sets, resolve every granted UE's transport
+    /// block through HARQ, and apply the outcomes into
+    /// `delivery_scratch`. It reads dense slices and writes only
+    /// engine-owned buffers, so a steady-state subframe allocates
+    /// nothing here beyond the workers' threads when the network is
+    /// large enough to split.
     // cellfi-lint: hot
     fn downlink_pass(&mut self, dl_capacity: f64) {
         let n_sub = self.grid.num_subchannels() as usize;
@@ -192,11 +247,11 @@ impl LteEngine {
         // energy; every other system always allows).
         im::strategy_for(self.config.mode).transmit_gate(self);
         // 1. Schedule every gated, active, backlogged cell into its row
-        // of `assignment_scratch` (attach-order UE rows; `UNASSIGNED`
-        // for every subchannel of a cell that does not schedule). The
-        // step reads only shared state and writes only cell `c`'s row,
-        // so cells fan out over contiguous runs; each worker fills rate
-        // rows into its own `mac_scratch` entry.
+        // of `assignment_scratch` (UE ids; `UNASSIGNED` for every
+        // subchannel of a cell that does not schedule). The step reads
+        // only shared state and writes only cell `c`'s row, so cells
+        // fan out over contiguous runs; each worker fills rate rows
+        // into its own `mac_scratch` entry.
         self.obs.profiler.begin(cellfi_obs::SpanId::MacSchedule);
         let (gate, lease_ok, cells) = (&self.gate_scratch, &self.lease_ok, &self.cells);
         let (eff_re, ue_cqi, retention) = (&self.eff_re, &self.ue_cqi, &self.retention);
@@ -231,20 +286,41 @@ impl LteEngine {
                     );
                 }
                 cell.schedule_downlink(&scratch.rates, &mut scratch.remaining, assignment);
+                // Attach-order rows to UE ids while the attach list is
+                // in cache.
+                for slot in assignment.iter_mut().filter(|slot| **slot != UNASSIGNED) {
+                    *slot = ues[*slot as usize].index() as u32;
+                }
             },
         );
         self.obs.profiler.end(cellfi_obs::SpanId::MacSchedule);
         let assignment_scratch = std::mem::take(&mut self.assignment_scratch);
-        // 2. Per-subchannel transmitter sets.
+        // 2. Per-subchannel transmitter sets, each scheduled UE's grant
+        // mask in its MAC row, and the apply order of step 3b: cells in
+        // order, each cell's UEs in ascending id (an insertion per UE,
+        // since a cell grants at most n_sub UEs).
         let mut tx_scratch = std::mem::take(&mut self.tx_scratch);
         for row in tx_scratch.iter_mut() {
             row.clear();
         }
+        let mut granted_scratch = std::mem::take(&mut self.granted_scratch);
+        granted_scratch.clear();
         for (c, assignment) in assignment_scratch.chunks_exact(n_sub).enumerate() {
             let mut scheduled_any = false;
-            for (s, &row) in assignment.iter().enumerate() {
-                if row != UNASSIGNED {
+            let run = granted_scratch.len();
+            for (s, &ue) in assignment.iter().enumerate() {
+                if ue != UNASSIGNED {
                     tx_scratch[s].push(c);
+                    let grants = &mut self.mac_rows[ue as usize].grants;
+                    if *grants == 0 {
+                        let mut k = granted_scratch.len();
+                        granted_scratch.push((c as u32, ue));
+                        while k > run && granted_scratch[k - 1].1 > ue {
+                            granted_scratch.swap(k - 1, k);
+                            k -= 1;
+                        }
+                    }
+                    *grants |= 1 << s;
                     scheduled_any = true;
                 }
             }
@@ -252,8 +328,7 @@ impl LteEngine {
                 self.epoch_cell_sched[c] += 1;
             }
         }
-        // 3. Resolve transport blocks per UE through HARQ. The
-        // transmitter sets just built are exactly next subframe's
+        // The transmitter sets just built are exactly next subframe's
         // `tx_last`, so warming the interference cache here makes the
         // upcoming CQI scan a cache hit as well.
         self.tracker.observe(&tx_scratch);
@@ -265,91 +340,86 @@ impl LteEngine {
             &self.lin_mw,
         );
         self.obs.profiler.end(cellfi_obs::SpanId::SinrCache);
-        let mut pairs_scratch = std::mem::take(&mut self.pairs_scratch);
-        for (c, assignment) in assignment_scratch.chunks_exact(n_sub).enumerate() {
-            // Group the cell's grants by UE. A stable sort keeps
-            // subchannels ascending within each UE group and UEs
-            // ascending overall (an allocation holds at most n_sub
-            // pairs, well inside the sort's no-alloc insertion-sort
-            // regime).
-            pairs_scratch.clear();
-            let ues = self.cells[c].attached_ues();
-            for (s, &row) in assignment.iter().enumerate() {
-                if row != UNASSIGNED {
-                    pairs_scratch.push((ues[row as usize].index() as u32, s as u32));
+        // 3a. Resolve each granted UE's transport block on its own MAC
+        // row: effective SINR over its grants in ascending subchannel
+        // order, the highest CQI among them, the bits they carry, then
+        // one HARQ draw from the row's own RNG stream. A worker reaches
+        // no other row, and each stream belongs to one row, so which
+        // thread draws cannot change what is drawn.
+        let process = (self.now.as_millis() % 8) as usize;
+        let (lin_mw, interf, noise_mw) = (&self.lin_mw, &self.interf, &self.noise_mw);
+        let (nbr, serving_slot) = (&self.scenario.nbr, &self.serving_slot);
+        parallel::for_each_row(
+            &mut self.mac_rows,
+            Self::MIN_UES_PER_HARQ_WORKER,
+            |ue, row| {
+                if row.grants == 0 {
+                    return;
                 }
-            }
-            pairs_scratch.sort_by_key(|&(ue, _)| ue);
-            let mut i = 0;
-            while i < pairs_scratch.len() {
-                let ue = pairs_scratch[i].0 as usize;
-                let mut j = i + 1;
-                while j < pairs_scratch.len() && pairs_scratch[j].0 == pairs_scratch[i].0 {
-                    j += 1;
+                let serving = nbr.links(ue).start + serving_slot[ue] as usize;
+                let reconnecting = now < outage_until[ue];
+                let (mut linear_sum, mut bits) = (0.0, 0.0);
+                let mut cqi = Cqi::OUT_OF_RANGE;
+                for s in subchannels_in(row.grants) {
+                    // The serving cell transmits on `s` by construction;
+                    // its share of the cached total is the signal itself.
+                    let signal = lin_mw.at(serving, s);
+                    let interference = (interf.total(s, ue) - signal).max(0.0);
+                    linear_sum += signal / (interference + noise_mw[s]);
+                    let sc_cqi = ue_cqi[ue][s];
+                    cqi = cqi.max(sc_cqi);
+                    if !reconnecting {
+                        bits += rate(&eff_re[s], sc_cqi, dl_capacity, retention[ue]);
+                    }
                 }
-                let scs = &pairs_scratch[i..j];
-                i = j;
-                let serving = self.serving_link(ue);
-                let mean_linear = scs
-                    .iter()
-                    .map(|&(_, s)| {
-                        let s = s as usize;
-                        // The serving cell `c` transmits on `s` by
-                        // construction; its share of the cached total
-                        // is the signal itself.
-                        let signal = self.lin_mw.at(serving, s);
-                        let interference = (self.interf.total(s, ue) - signal).max(0.0);
-                        signal / (interference + self.noise_mw[s])
-                    })
-                    .sum::<f64>()
-                    / scs.len() as f64;
-                let eff_sinr = Db(10.0 * mean_linear.max(1e-12).log10());
-                let cqi = scs
-                    .iter()
-                    .map(|&(_, s)| self.ue_cqi[ue][s as usize])
-                    .max()
-                    .unwrap_or(Cqi::OUT_OF_RANGE);
                 if !cqi.usable() {
-                    continue;
+                    return;
                 }
-                let bits: f64 = scs
-                    .iter()
-                    .map(|&(_, s)| self.rate_bits(ue, s as usize, dl_capacity))
-                    .sum();
-                let process = (self.now.as_millis() % 8) as usize;
-                let outcome = self.harq[ue].transmit(process, cqi, eff_sinr, &mut self.ue_rng[ue]);
-                for &(_, s) in scs {
-                    self.epoch[ue].sched_subframes[s as usize] += 1;
+                let mean_linear = linear_sum / f64::from(row.grants.count_ones());
+                let eff_sinr = Db(10.0 * mean_linear.max(1e-12).log10());
+                let outcome = row.harq.transmit(process, cqi, eff_sinr, &mut row.rng);
+                for s in subchannels_in(row.grants) {
+                    row.sched_subframes[s] += 1;
                 }
-                match outcome {
-                    HarqOutcome::Ack { .. } => {
-                        let drained = self.cells[c].deliver(UeId::new(ue as u32), bits as u64);
-                        self.delivered[ue] += drained;
-                        if drained > 0 {
-                            self.delivery_scratch.push((ue, drained));
-                        }
-                    }
-                    HarqOutcome::Nack => {
-                        if self.obs.detail {
-                            self.obs.tracer.emit(
-                                self.now,
-                                cellfi_obs::Event::HarqRetx {
-                                    ue: ue as u32,
-                                    cell: c as u32,
-                                    process: process as u32,
-                                },
-                            );
-                            self.obs.metrics.inc("harq_retx", ue as u32, 1);
-                            self.epoch_retx[c] += 1;
-                        }
-                    }
-                    HarqOutcome::Dropped => {
-                        self.harq_drops[ue] += 1;
+                row.block = Some((outcome, bits as u64));
+            },
+        );
+        // 3b. Apply the outcomes in step 2's order: queues and PF
+        // averages, deliveries, events.
+        for &(c, ue) in &granted_scratch {
+            let row = &mut self.mac_rows[ue as usize];
+            row.grants = 0;
+            let Some((outcome, bits)) = row.block.take() else {
+                continue;
+            };
+            let c = c as usize;
+            match outcome {
+                HarqOutcome::Ack { .. } => {
+                    let drained = self.cells[c].deliver(UeId::new(ue), bits);
+                    self.delivered[ue as usize] += drained;
+                    if drained > 0 {
+                        self.delivery_scratch.push((ue as usize, drained));
                     }
                 }
+                HarqOutcome::Nack => {
+                    if self.obs.detail {
+                        self.obs.tracer.emit(
+                            self.now,
+                            cellfi_obs::Event::HarqRetx {
+                                ue,
+                                cell: c as u32,
+                                process: process as u32,
+                            },
+                        );
+                        self.obs.metrics.inc("harq_retx", ue, 1);
+                        self.epoch_retx[c] += 1;
+                    }
+                }
+                // `HarqEntity::drops` counts the dropped block.
+                HarqOutcome::Dropped => {}
             }
         }
-        self.pairs_scratch = pairs_scratch;
+        self.granted_scratch = granted_scratch;
         self.assignment_scratch = assignment_scratch;
         std::mem::swap(&mut self.tx_last, &mut tx_scratch);
         self.tx_scratch = tx_scratch;
@@ -431,7 +501,7 @@ impl LteEngine {
         // Fresh HARQ state towards the new cell, and a new association
         // generation: memoized CQI scans keyed on the old serving cells
         // must miss from here on.
-        self.harq[ue] = HarqEntity::new();
+        self.mac_rows[ue].harq = HarqEntity::new();
         self.assoc_gen += 1;
         self.handovers += 1;
         Some(best)

@@ -56,7 +56,6 @@ use cellfi_lte::amc::{Cqi, CqiTable, LinearCqiMap};
 use cellfi_lte::cell::{Cell, CellConfig};
 use cellfi_lte::earfcn::{Band, Earfcn};
 use cellfi_lte::grid::{ChannelBandwidth, ResourceGrid};
-use cellfi_lte::harq::HarqEntity;
 use cellfi_lte::scheduler::UNASSIGNED;
 use cellfi_lte::tdd::TddConfig;
 use cellfi_obs::Obs;
@@ -125,7 +124,6 @@ impl LteEngineConfig {
 /// Per-UE epoch accounting (reset every second).
 #[derive(Debug, Clone)]
 struct UeEpoch {
-    sched_subframes: Vec<u64>,
     interfered: Vec<bool>,
 }
 
@@ -145,23 +143,20 @@ pub struct LteEngine {
     now: Instant,
     /// Latest per-subchannel CQI per UE.
     ue_cqi: Vec<Vec<Cqi>>,
-    harq: Vec<HarqEntity>,
+    /// One MAC row per UE: HARQ entity, RNG stream, the epoch's
+    /// scheduled-subframe counters, and this subframe's grant and
+    /// transport block.
+    mac_rows: Vec<mac::MacRow>,
     delivered: Vec<u64>,
     enqueued: Vec<u64>,
     retention: Vec<f64>,
     epoch: Vec<UeEpoch>,
     free_streak: Vec<Vec<u32>>,
     dl_subframes_this_epoch: u64,
-    /// Per-UE RNG streams (HARQ decode draws, sensing observation).
-    /// One independent stream per entity keeps draw sequences stable no
-    /// matter which order — or on which thread — entities are visited.
-    ue_rng: Vec<StdRng>,
     /// Per-cell RNG streams (LBT backoff draws).
     lbt_rng: Vec<StdRng>,
     /// Transmitting cells of the previous subframe, per subchannel.
     tx_last: Vec<Vec<usize>>,
-    /// HARQ drops per UE.
-    pub harq_drops: Vec<u64>,
     /// HARQ retransmissions per cell this epoch (detail-mode histogram
     /// feed, reset at every epoch boundary).
     epoch_retx: Vec<u64>,
@@ -235,8 +230,8 @@ pub struct LteEngine {
     /// LAA sensing input: which cells transmitted on any subchannel last
     /// subframe.
     active_last_scratch: Vec<bool>,
-    /// The downlink allocation, `[cell][subchannel]`: the attach-order
-    /// row of the UE scheduled there, or `UNASSIGNED`.
+    /// The downlink allocation, `[cell][subchannel]`: the id of the UE
+    /// scheduled there, or `UNASSIGNED`.
     assignment_scratch: Vec<u32>,
     /// One entry per MAC scheduling worker (rate rows and PF backlogs),
     /// grown only when the worker count grows.
@@ -244,8 +239,9 @@ pub struct LteEngine {
     /// Per-subchannel transmitter sets being built (swapped with
     /// `tx_last` at the end of each downlink subframe).
     tx_scratch: Vec<Vec<usize>>,
-    /// One cell's `(ue, subchannel)` grants, grouped by UE.
-    pairs_scratch: Vec<(u32, u32)>,
+    /// `(cell, ue)` of every UE granted this downlink subframe: cells in
+    /// order, each cell's UEs in ascending id (the apply order).
+    granted_scratch: Vec<(u32, u32)>,
     /// This subframe's `(ue, bits)` deliveries.
     delivery_scratch: Vec<(usize, u64)>,
     /// True conflict graph (static; used by the oracle).
@@ -396,27 +392,31 @@ impl LteEngine {
             managers,
             now: Instant::ZERO,
             ue_cqi: vec![vec![Cqi::OUT_OF_RANGE; n_sub]; n_ue],
-            harq: vec![HarqEntity::new(); n_ue],
+            // One independent RNG stream per UE (HARQ decode draws,
+            // sensing observations) keeps each UE's draws the same no
+            // matter in which order, or on which thread, UEs are visited.
+            mac_rows: (0..n_ue)
+                .map(|u| {
+                    mac::MacRow::new(StdRng::seed_from_u64(
+                        seeds.seed_indexed("engine-ue", u as u64),
+                    ))
+                })
+                .collect(),
             delivered: vec![0; n_ue],
             enqueued: vec![0; n_ue],
             retention: vec![1.0; n_ue],
             epoch: vec![
                 UeEpoch {
-                    sched_subframes: vec![0; n_sub],
                     interfered: vec![false; n_sub],
                 };
                 n_ue
             ],
             free_streak: vec![vec![0; n_sub]; n_ue],
             dl_subframes_this_epoch: 0,
-            ue_rng: (0..n_ue)
-                .map(|u| StdRng::seed_from_u64(seeds.seed_indexed("engine-ue", u as u64)))
-                .collect(),
             lbt_rng: (0..n_ap)
                 .map(|a| StdRng::seed_from_u64(seeds.seed_indexed("engine-lbt", a as u64)))
                 .collect(),
             tx_last: vec![Vec::new(); n_sub],
-            harq_drops: vec![0; n_ue],
             epoch_retx: vec![0; n_ap],
             serving_slot,
             dl_mean_dbm: links.dl_mean_dbm,
@@ -441,7 +441,7 @@ impl LteEngine {
             assignment_scratch: vec![UNASSIGNED; n_ap * n_sub],
             mac_scratch: Vec::new(),
             tx_scratch: vec![Vec::new(); n_sub],
-            pairs_scratch: Vec::new(),
+            granted_scratch: Vec::new(),
             delivery_scratch: Vec::new(),
             conflict: links.conflict,
             ap_mean_dbm: links.ap_mean_dbm,
@@ -657,8 +657,10 @@ impl LteEngine {
         }
         self.epoch_cell_sched.fill(0);
         for e in self.epoch.iter_mut() {
-            e.sched_subframes.fill(0);
             e.interfered.fill(false);
+        }
+        for row in self.mac_rows.iter_mut() {
+            row.sched_subframes.fill(0);
         }
         self.memo.clear_applied();
         self.dl_subframes_this_epoch = 0;

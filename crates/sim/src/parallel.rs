@@ -24,10 +24,13 @@
 //! [`map_indexed`]): inputs smaller than two workers' worth run serially
 //! on the caller's thread.
 //!
-//! Nothing here affects *what* is computed — only who computes it. Code
-//! that consumes RNG state must therefore never run under these helpers;
-//! the engine keeps all random draws on the caller's thread (per-entity
-//! streams) and parallelises only pure math.
+//! Nothing here affects *what* is computed — only who computes it. A
+//! worker may therefore draw randomness only from a per-entity stream
+//! it reaches through its own row, as the MAC's per-UE HARQ step draws
+//! from the stream in each UE's MAC row: each stream belongs to one
+//! row, so which thread draws cannot change what is drawn. Any other
+//! RNG (a shared stream, or an entity's stream reached by index) stays
+//! on the caller's thread.
 
 use std::cell::Cell;
 

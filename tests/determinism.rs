@@ -98,8 +98,8 @@ fn engine_run_is_identical_for_any_thread_count() {
 /// runs it (no fading) and once with fading on, so the per-block fading
 /// refresh fans out over link rows of differing length; and the
 /// district drop (144 APs × 4 clients), the one large enough that MAC
-/// scheduling, the interference-cache refresh and the CQI scan split
-/// across workers.
+/// scheduling, HARQ resolution, the interference-cache refresh and the
+/// CQI scan split across workers.
 #[test]
 fn trace_bytes_are_identical_for_any_thread_count() {
     use cellfi::obs::Tracer;

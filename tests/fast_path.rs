@@ -11,9 +11,9 @@
 //! dense paper topology with fading on; the culled fig9metro pocket
 //! drop with fading off, where link rows differ in length and the one
 //! gain slab is never refreshed; and the culled district drop, large
-//! enough that scheduling and the CQI scan split across workers, run
-//! past an epoch boundary so replays must re-apply their hits after the
-//! epoch flags are cleared.
+//! enough that scheduling, HARQ resolution and the CQI scan split across
+//! workers, run past an epoch boundary so replays must re-apply their
+//! hits after the epoch flags are cleared.
 
 use cellfi::obs::Tracer;
 use cellfi::sim::experiments::fig9metro;
@@ -84,7 +84,7 @@ fn cases() -> [Case; 3] {
     let generated = Scenario::generate(district, SeedSeq::new(5));
     assert!(
         generated.aps.len() >= 128
-            && generated.n_ues() >= 512
+            && generated.n_ues() >= 2 * LteEngine::MIN_UES_PER_HARQ_WORKER
             && generated.nbr.max_neighbors < generated.aps.len(),
         "premise: the district drop is culled and splits the per-cell and per-UE fan-outs"
     );

@@ -21,7 +21,9 @@
 //!   uses a 7 dBi, ~120° sector).
 //! * [`noise`] — thermal noise floor plus receiver noise figure.
 //! * [`link`] — the combined [`link::RadioEnvironment`]: received power
-//!   and per-subchannel SINR with arbitrary interferer sets.
+//!   and per-subchannel SINR with arbitrary interferer sets, and the
+//!   static [`link::LinkBudget`] of a pair, computed once and read by
+//!   simulators over fixed positions.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +37,7 @@ pub mod shadowing;
 
 pub use antenna::Antenna;
 pub use fading::{BlockFading, FadingKind};
-pub use link::{LinkEnd, RadioEnvironment, Transmission};
+pub use link::{LinkBudget, LinkEnd, RadioEnvironment, Transmission};
 pub use noise::NoiseModel;
 pub use pathloss::PathLossModel;
 pub use shadowing::Shadowing;

@@ -9,6 +9,17 @@
 //! The budget composes: TX power + TX antenna gain towards RX − path loss
 //! − shadowing + fading + RX antenna gain towards TX. Interference is
 //! summed in the linear domain; noise comes from [`NoiseModel`].
+//!
+//! Everything in a mean received power except the transmit power is
+//! static while the two ends stay put. [`RadioEnvironment::link_budget`]
+//! computes that part once as a [`LinkBudget`], and both directions of
+//! the link read their mean power from it: distance and shadowing are
+//! symmetric in the two ends, and each direction adds the transmitter's
+//! gain first, so [`LinkBudget::a_to_b`] and [`LinkBudget::b_to_a`] are
+//! bit for bit the [`RadioEnvironment::mean_rx_power`] of their
+//! direction. Simulators over fixed positions (the Wi-Fi DCF tables, the
+//! LTE engine's mean-gain matrices) build their tables from budgets
+//! instead of re-deriving path loss, shadowing and bearings per query.
 
 use crate::antenna::Antenna;
 use crate::fading::BlockFading;
@@ -40,6 +51,46 @@ impl LinkEnd {
             antenna,
         }
     }
+
+    /// This end's antenna gain towards `other`. The bearing is computed
+    /// only for a directional pattern; an isotropic gain never reads it.
+    fn gain_towards(&self, other: &LinkEnd) -> Db {
+        match self.antenna {
+            Antenna::Isotropic { gain } => gain,
+            Antenna::Sector { .. } => self
+                .antenna
+                .gain_towards(self.position.bearing_to(other.position)),
+        }
+    }
+}
+
+/// The static part of one link's budget between ends `a` and `b`:
+/// everything in the mean received power but the transmit power.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkBudget {
+    /// Path loss over the link's length.
+    path_loss: Db,
+    /// Log-normal shadowing of the link (symmetric in its ends).
+    shadowing: Db,
+    /// Gain of `a`'s antenna towards `b`.
+    gain_a: Db,
+    /// Gain of `b`'s antenna towards `a`.
+    gain_b: Db,
+}
+
+impl LinkBudget {
+    /// Mean power at `b` when `a` transmits `power`: bit for bit
+    /// [`RadioEnvironment::mean_rx_power`]`(a, power, b)`.
+    pub fn a_to_b(&self, power: Dbm) -> Dbm {
+        power + self.gain_a + self.gain_b - self.path_loss - self.shadowing
+    }
+
+    /// Mean power at `a` when `b` transmits `power`: bit for bit
+    /// [`RadioEnvironment::mean_rx_power`]`(b, power, a)`, since the
+    /// transmitter's gain is added first there too.
+    pub fn b_to_a(&self, power: Dbm) -> Dbm {
+        power + self.gain_b + self.gain_a - self.path_loss - self.shadowing
+    }
 }
 
 /// An active transmission: a source and its conducted TX power.
@@ -67,16 +118,23 @@ pub struct RadioEnvironment {
 }
 
 impl RadioEnvironment {
+    /// The static budget of the link between `a` and `b`, from which
+    /// both directions' mean received powers are assembled.
+    pub fn link_budget(&self, a: &LinkEnd, b: &LinkEnd) -> LinkBudget {
+        let d = a.position.distance(b.position);
+        LinkBudget {
+            path_loss: self.pathloss.path_loss(self.frequency, d),
+            shadowing: self.shadowing.link_shadow(a.node, b.node),
+            gain_a: a.gain_towards(b),
+            gain_b: b.gain_towards(a),
+        }
+    }
+
     /// Mean received power (path loss + shadowing + antennas, *no*
     /// fast fading). This is what RSSI measurement, cell association and
     /// carrier sensing react to.
     pub fn mean_rx_power(&self, tx: &LinkEnd, tx_power: Dbm, rx: &LinkEnd) -> Dbm {
-        let d = tx.position.distance(rx.position);
-        let pl = self.pathloss.path_loss(self.frequency, d);
-        let sh = self.shadowing.link_shadow(tx.node, rx.node);
-        let g_tx = tx.antenna.gain_towards(tx.position.bearing_to(rx.position));
-        let g_rx = rx.antenna.gain_towards(rx.position.bearing_to(tx.position));
-        tx_power + g_tx + g_rx - pl - sh
+        self.link_budget(tx, rx).a_to_b(tx_power)
     }
 
     /// Instantaneous received power on one subchannel, including block
@@ -139,6 +197,22 @@ mod tests {
             noise: NoiseModel::typical(),
             frequency: Hertz(700e6),
         }
+    }
+
+    /// The mean received power as composed before link budgets existed:
+    /// both bearings always computed, gains added transmitter first.
+    fn reference_mean_rx_power(
+        env: &RadioEnvironment,
+        tx: &LinkEnd,
+        tx_power: Dbm,
+        rx: &LinkEnd,
+    ) -> Dbm {
+        let d = tx.position.distance(rx.position);
+        let pl = env.pathloss.path_loss(env.frequency, d);
+        let sh = env.shadowing.link_shadow(tx.node, rx.node);
+        let g_tx = tx.antenna.gain_towards(tx.position.bearing_to(rx.position));
+        let g_rx = rx.antenna.gain_towards(rx.position.bearing_to(tx.position));
+        tx_power + g_tx + g_rx - pl - sh
     }
 
     fn ap_at(node: u32, x: f64, y: f64) -> LinkEnd {
@@ -284,5 +358,71 @@ mod tests {
         let p0 = env.rx_power(&ap, Dbm(30.0), &ue, SubchannelId::new(0), Instant::ZERO);
         let p1 = env.rx_power(&ap, Dbm(30.0), &ue, SubchannelId::new(1), Instant::ZERO);
         assert_ne!(p0, p1);
+    }
+
+    mod budget_props {
+        use super::*;
+        use proptest::prelude::*;
+        use std::f64::consts::PI;
+
+        /// Antenna `kind` 0 is isotropic, 1 the paper's sector, 2 a
+        /// narrower sector whose front-to-back clamp binds.
+        fn antenna(kind: u8, gain: f64, boresight: f64) -> Antenna {
+            match kind {
+                0 => Antenna::Isotropic { gain: Db(gain) },
+                1 => Antenna::paper_sector(boresight),
+                _ => Antenna::Sector {
+                    boresight,
+                    beamwidth: 65f64.to_radians(),
+                    gain: Db(gain),
+                    front_to_back: Db(20.0),
+                },
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Both directions of a budget equal the pre-budget formula
+            /// bit for bit, for any placement (coincident ends included),
+            /// any pattern at either end, shadowing on or off, and any
+            /// power in each direction.
+            #[test]
+            fn budget_directions_equal_reference_bit_for_bit(
+                (ax, ay, bx, by) in (-3e3f64..3e3, -3e3f64..3e3, -3e3f64..3e3, -3e3f64..3e3),
+                coincident in any::<bool>(),
+                (kind_a, kind_b, gain_a, gain_b) in (0u8..3, 0u8..3, -3.0f64..12.0, -3.0f64..12.0),
+                (bore_a, bore_b) in (-PI..PI, -PI..PI),
+                (node_a, node_b, shadowed) in (0u32..5_000, 0u32..5_000, any::<bool>()),
+                (p_a, p_b) in (-10.0f64..40.0, -10.0f64..40.0),
+            ) {
+                let seeds = SeedSeq::new(u64::from(node_a) ^ 0x5eed);
+                let env = RadioEnvironment {
+                    shadowing: if shadowed {
+                        Shadowing::new(seeds, 6.0)
+                    } else {
+                        Shadowing::disabled(seeds)
+                    },
+                    ..quiet_env()
+                };
+                let a = LinkEnd::new(node_a, Point::new(ax, ay), antenna(kind_a, gain_a, bore_a));
+                let b_at = if coincident { Point::new(ax, ay) } else { Point::new(bx, by) };
+                let b = LinkEnd::new(node_b, b_at, antenna(kind_b, gain_b, bore_b));
+                let budget = env.link_budget(&a, &b);
+                let bits = |p: Dbm| p.value().to_bits();
+                prop_assert_eq!(
+                    bits(budget.a_to_b(Dbm(p_a))),
+                    bits(reference_mean_rx_power(&env, &a, Dbm(p_a), &b))
+                );
+                prop_assert_eq!(
+                    bits(budget.b_to_a(Dbm(p_b))),
+                    bits(reference_mean_rx_power(&env, &b, Dbm(p_b), &a))
+                );
+                prop_assert_eq!(
+                    bits(env.mean_rx_power(&b, Dbm(p_b), &a)),
+                    bits(reference_mean_rx_power(&env, &b, Dbm(p_b), &a))
+                );
+            }
+        }
     }
 }

@@ -63,14 +63,15 @@ impl LinkMatrices {
         let env = &scenario.env;
         let nbr = &scenario.nbr;
         // Links ascend by UE, then by candidate slot (ascending AP id),
-        // so pushing in that order puts every value at its link id.
+        // so pushing in that order puts every value at its link id. One
+        // budget per link gives both directions' means.
         let mut dl_mean_dbm = Vec::with_capacity(nbr.n_links());
         let mut ul_mean_dbm = Vec::with_capacity(nbr.n_links());
         for (u, ue) in scenario.ues.iter().enumerate() {
             for &a in nbr.candidates(u) {
-                let ap = &scenario.aps[a as usize];
-                dl_mean_dbm.push(env.mean_rx_power(ap, scenario.config.ap_power, ue).value());
-                ul_mean_dbm.push(env.mean_rx_power(ue, scenario.config.ue_power, ap).value());
+                let budget = env.link_budget(&scenario.aps[a as usize], ue);
+                dl_mean_dbm.push(budget.a_to_b(scenario.config.ap_power).value());
+                ul_mean_dbm.push(budget.b_to_a(scenario.config.ue_power).value());
             }
         }
         let mut ap_mean_dbm = Vec::with_capacity(nbr.n_interferer_links());
@@ -497,13 +498,9 @@ impl LteEngine {
         let scenario = &self.scenario;
         let (env, client) = (&scenario.env, &scenario.ues[ue]);
         for (link, &a) in scenario.nbr.links(ue).zip(scenario.nbr.candidates(ue)) {
-            let ap = &scenario.aps[a as usize];
-            self.dl_mean_dbm[link] = env
-                .mean_rx_power(ap, scenario.config.ap_power, client)
-                .value();
-            self.ul_mean_dbm[link] = env
-                .mean_rx_power(client, scenario.config.ue_power, ap)
-                .value();
+            let budget = env.link_budget(&scenario.aps[a as usize], client);
+            self.dl_mean_dbm[link] = budget.a_to_b(scenario.config.ap_power).value();
+            self.ul_mean_dbm[link] = budget.b_to_a(scenario.config.ue_power).value();
         }
         // Refresh the static and instantaneous gains for this UE
         // immediately (and invalidate interference columns and memoized

@@ -344,7 +344,7 @@ pub struct Scenario {
     pub config: ScenarioConfig,
     /// Access-point terminals (node keys `0..n_aps`).
     pub aps: Vec<LinkEnd>,
-    /// Client terminals (node keys `1000 + i`).
+    /// Client terminals (node keys `max(UE_NODE_BASE, n_aps) + i`).
     pub ues: Vec<LinkEnd>,
     /// Client → serving AP index (the AP it was dropped around).
     pub assoc: Vec<usize>,
@@ -357,7 +357,9 @@ pub struct Scenario {
     pub nbr: NeighborTable,
 }
 
-/// Node-key offset for clients (AP keys start at 0).
+/// Node-key offset for clients (AP keys start at 0). A drop with more
+/// APs than this starts its client keys at `n_aps` instead, so no client
+/// shares a key (and with it shadowing and fading draws) with an AP.
 pub const UE_NODE_BASE: u32 = 1_000;
 
 impl Scenario {
@@ -380,6 +382,7 @@ impl Scenario {
         // no intermediate per-node collections, so peak memory at 1M
         // UEs is the final arrays themselves.
         let n_clients = config.n_aps * config.clients_per_ap;
+        let ue_base = UE_NODE_BASE.max(config.n_aps as u32);
         let mut ues = Vec::with_capacity(n_clients);
         let mut assoc = Vec::with_capacity(n_clients);
         for (ap_idx, ap) in aps.iter().enumerate() {
@@ -394,7 +397,7 @@ impl Scenario {
                     }
                 };
                 ues.push(LinkEnd::new(
-                    UE_NODE_BASE + ues.len() as u32,
+                    ue_base + ues.len() as u32,
                     p,
                     Antenna::client(),
                 ));
@@ -532,11 +535,15 @@ mod tests {
 
     #[test]
     fn node_keys_unique() {
-        let s = scenario(5);
-        let mut keys: Vec<u32> = s.aps.iter().chain(s.ues.iter()).map(|e| e.node).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        assert_eq!(keys.len(), s.aps.len() + s.ues.len());
+        // Past UE_NODE_BASE APs, client keys must start above the AP keys.
+        let mut big = ScenarioConfig::paper_default(1_001, 1);
+        big.cull_floor_dbm = Some(-60.0);
+        for s in [scenario(5), Scenario::generate(big, SeedSeq::new(5))] {
+            let mut keys: Vec<u32> = s.aps.iter().chain(s.ues.iter()).map(|e| e.node).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), s.aps.len() + s.ues.len());
+        }
     }
 
     #[test]

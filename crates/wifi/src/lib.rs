@@ -14,7 +14,9 @@
 //!   backoff, energy-detect carrier sensing, optional RTS/CTS with NAV,
 //!   A-MPDU aggregation to 65 KB, per-receiver SINR collision
 //!   resolution, and propagation-delay-widened vulnerability windows (the
-//!   long-link effect that makes CSMA expensive outdoors).
+//!   long-link effect that makes CSMA expensive outdoors). Every static
+//!   link quantity it needs is tabulated per AP at construction, so its
+//!   9 µs slot loop reads tables and allocates nothing.
 //!
 //! Hidden and exposed terminals are *not* modelled explicitly — they
 //! emerge from the carrier-sense vs interference footprint mismatch,

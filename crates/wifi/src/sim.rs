@@ -22,12 +22,26 @@
 //! Simplifications (documented in DESIGN.md): CTS/ACK transmissions are
 //! modelled through NAV and assumed decodable when the frame they answer
 //! was; downlink traffic only (as in the paper's evaluation).
+//!
+//! Positions, antennas and node keys are fixed for a simulator's life,
+//! so every mean link quantity the slot loop needs is computed once at
+//! construction, from one [`cellfi_propagation::LinkBudget`] per pair,
+//! into per-AP rows: which APs it senses and after how many slots of
+//! propagation delay, the mean power it lands at each station, and whose
+//! CTS sets its NAV. The slot loop only reads these tables and reuses its
+//! buffers, so in steady state it allocates nothing. Each entry is the
+//! value the loop would compute from the same pure function on the same
+//! arguments, so results do not depend on the tables existing. Only the
+//! SINR of a finished window still goes through
+//! [`RadioEnvironment::subchannel_sinr`], since it reads block fading at
+//! the checkpoint's time.
 
 use crate::phy::{Mcs, McsTable, WifiBand};
 use cellfi_propagation::link::{LinkEnd, Transmission};
 use cellfi_propagation::RadioEnvironment;
 use cellfi_types::time::{Duration, Instant};
 use cellfi_types::units::Dbm;
+use cellfi_types::SubchannelId;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -113,7 +127,7 @@ enum Phase {
 }
 
 /// An in-flight frame exchange from one AP to one station.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Exchange {
     ap: usize,
     sta: usize,
@@ -129,12 +143,42 @@ struct Exchange {
 }
 
 /// Radiated interval kept for SINR evaluation of overlapping receptions.
+/// Only APs radiate data-bearing intervals, always at the simulator's AP
+/// power.
 #[derive(Debug, Clone, Copy)]
 struct AirInterval {
-    node: u32,
-    power: Dbm,
+    /// Index of the radiating AP.
+    ap: usize,
     start: u64,
     end: u64,
+}
+
+/// How one AP's carrier sense hears another AP.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Hearing {
+    /// Propagation delay from the source, in whole slots (floor: a
+    /// same-slot arrival still occupies that slot).
+    delay: u64,
+    /// Whether the source's mean power at AP power reaches the
+    /// energy-detect threshold here.
+    sensed: bool,
+}
+
+/// One AP's fixed view of the topology, computed at construction.
+#[derive(Debug, Clone)]
+struct ApLinks {
+    /// How this AP hears each AP, indexed by the source AP (its own
+    /// entry is unused).
+    hears_ap: Vec<Hearing>,
+    /// Mean power (dBm) this AP's transmission at AP power lands at each
+    /// station: the capture signal, the interferer strength, and the
+    /// mean-SNR rate ceiling.
+    sta_rx_dbm: Vec<f64>,
+    /// Whether each station's CTS at client power reaches the
+    /// energy-detect threshold here, and so sets this AP's NAV.
+    hears_cts: Vec<bool>,
+    /// Stations associated with this AP, ascending: the round-robin order.
+    stas: Vec<usize>,
 }
 
 /// Per-AP MAC state.
@@ -175,13 +219,15 @@ pub struct WifiSimulator {
     aps: Vec<LinkEnd>,
     ap_power: Dbm,
     stas: Vec<LinkEnd>,
-    /// Station → serving AP index.
-    assoc: Vec<usize>,
+    /// Per-AP link tables.
+    links: Vec<ApLinks>,
     /// Downlink queue per station, bytes.
     queue: Vec<u64>,
     macs: Vec<ApMac>,
     exchanges: Vec<Exchange>,
     air: Vec<AirInterval>,
+    /// Reused interferer list of [`WifiSimulator::window_sinr`].
+    interferers: Vec<Transmission>,
     stats: WifiStats,
     slot_now: u64,
     rng: StdRng,
@@ -215,11 +261,13 @@ impl WifiSimulator {
             "association out of range"
         );
         let table = McsTable::new(config.band);
-        let sta_mcs: Vec<Option<Mcs>> = stas
+        let links = Self::link_tables(&env, &config, &aps, ap_power, &stas, &assoc);
+        let floor = env.noise.floor(table.bandwidth());
+        let sta_mcs: Vec<Option<Mcs>> = assoc
             .iter()
-            .zip(&assoc)
+            .enumerate()
             .map(|(sta, &ap)| {
-                let snr = env.mean_snr(&aps[ap], ap_power, sta, table.bandwidth());
+                let snr = Dbm(links[ap].sta_rx_dbm[sta]) - floor;
                 table.select(snr).copied()
             })
             .collect();
@@ -245,11 +293,12 @@ impl WifiSimulator {
             aps,
             ap_power,
             stas,
-            assoc,
+            links,
             queue: vec![0; n_sta],
             macs,
             exchanges: Vec::new(),
             air: Vec::new(),
+            interferers: Vec::new(),
             stats: WifiStats {
                 delivered_bytes: vec![0; n_sta],
                 attempts: vec![0; n_ap],
@@ -262,6 +311,55 @@ impl WifiSimulator {
             mcs_backoff: vec![0; n_sta],
             success_streak: vec![0; n_sta],
         }
+    }
+
+    /// Every AP's link tables, from one link budget per AP pair and per
+    /// (AP, station) pair: AP→AP at AP power both ways for carrier
+    /// sensing, AP→station at AP power, and station→AP at client power
+    /// for the CTS.
+    fn link_tables(
+        env: &RadioEnvironment,
+        config: &WifiConfig,
+        aps: &[LinkEnd],
+        ap_power: Dbm,
+        stas: &[LinkEnd],
+        assoc: &[usize],
+    ) -> Vec<ApLinks> {
+        let cs = config.cs_threshold.value();
+        let slot_us = config.slot.as_micros() as f64;
+        let mut links: Vec<ApLinks> = (0..aps.len())
+            .map(|ap| ApLinks {
+                hears_ap: vec![Hearing::default(); aps.len()],
+                sta_rx_dbm: Vec::with_capacity(stas.len()),
+                hears_cts: Vec::with_capacity(stas.len()),
+                stas: (0..stas.len()).filter(|&s| assoc[s] == ap).collect(),
+            })
+            .collect();
+        for (a, end_a) in aps.iter().enumerate() {
+            for (b, end_b) in aps.iter().enumerate().skip(a + 1) {
+                let budget = env.link_budget(end_a, end_b);
+                let d = end_a.position.distance(end_b.position).value();
+                let us = d / 299.792_458; // metres per µs of light travel
+                let delay = (us / slot_us).floor() as u64;
+                links[b].hears_ap[a] = Hearing {
+                    delay,
+                    sensed: budget.a_to_b(ap_power).value() >= cs,
+                };
+                links[a].hears_ap[b] = Hearing {
+                    delay,
+                    sensed: budget.b_to_a(ap_power).value() >= cs,
+                };
+            }
+        }
+        for (end_ap, row) in aps.iter().zip(&mut links) {
+            for end_sta in stas {
+                let budget = env.link_budget(end_ap, end_sta);
+                row.sta_rx_dbm.push(budget.a_to_b(ap_power).value());
+                row.hears_cts
+                    .push(budget.b_to_a(config.client_power).value() >= cs);
+            }
+        }
+        links
     }
 
     /// The MCS the rate adapter currently uses for a station: the mean-SNR
@@ -314,39 +412,14 @@ impl WifiSimulator {
         ((symbols as f64 * bits_per_symbol / 8.0) as usize).max(1)
     }
 
-    /// Propagation delay between two ends, in whole slots (floor — a
-    /// same-slot arrival still occupies that slot).
-    fn delay_slots(&self, a: &LinkEnd, b: &LinkEnd) -> u64 {
-        let d = a.position.distance(b.position).value();
-        let us = d / 299.792_458; // metres per µs of light travel
-        (us / self.config.slot.as_micros() as f64).floor() as u64
-    }
-
-    /// Energy-detect: is the medium busy at `ap_idx` this slot?
-    fn medium_busy(&self, ap_idx: usize) -> bool {
-        let me = &self.aps[ap_idx];
-        for iv in &self.air {
-            if iv.node == me.node {
-                continue;
-            }
-            let src = self.find_end(iv.node);
-            let delay = self.delay_slots(src, me);
-            if self.slot_now >= iv.start + delay && self.slot_now < iv.end + delay {
-                let p = self.env.mean_rx_power(src, iv.power, me);
-                if p.value() >= self.config.cs_threshold.value() {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-
-    fn find_end(&self, node: u32) -> &LinkEnd {
-        self.aps
-            .iter()
-            .chain(self.stas.iter())
-            .find(|e| e.node == node)
-            .expect("node key registered")
+    /// Energy-detect: is the medium busy at `ap` this slot? An interval
+    /// is sensed once its wavefront arrives and until its tail passes.
+    fn medium_busy(&self, ap: usize) -> bool {
+        let hears = &self.links[ap].hears_ap;
+        self.air.iter().any(|iv| {
+            let Hearing { delay, sensed } = hears[iv.ap];
+            iv.ap != ap && sensed && (iv.start + delay..iv.end + delay).contains(&self.slot_now)
+        })
     }
 
     /// Strongest overlapping interferer's mean rx power (dBm) at a
@@ -354,12 +427,8 @@ impl WifiSimulator {
     fn strongest_interferer_dbm(&self, ap: usize, sta: usize, start: u64, end: u64) -> Option<f64> {
         self.air
             .iter()
-            .filter(|iv| iv.node != self.aps[ap].node && iv.start < end && iv.end > start)
-            .map(|iv| {
-                self.env
-                    .mean_rx_power(self.find_end(iv.node), iv.power, &self.stas[sta])
-                    .value()
-            })
+            .filter(|iv| iv.ap != ap && iv.start < end && iv.end > start)
+            .map(|iv| self.links[iv.ap].sta_rx_dbm[sta])
             .fold(None, |acc: Option<f64>, p| {
                 Some(acc.map_or(p, |a| a.max(p)))
             })
@@ -371,10 +440,7 @@ impl WifiSimulator {
         if self.config.capture_margin_db <= 0.0 {
             return true;
         }
-        let signal = self
-            .env
-            .mean_rx_power(&self.aps[ap], self.ap_power, &self.stas[sta])
-            .value();
+        let signal = self.links[ap].sta_rx_dbm[sta];
         match self.strongest_interferer_dbm(ap, sta, start, end) {
             Some(i) => signal - i >= self.config.capture_margin_db,
             None => true,
@@ -383,39 +449,42 @@ impl WifiSimulator {
 
     /// SINR at a station for a window, against all other radiated
     /// intervals overlapping it.
-    fn window_sinr(&self, ap: usize, sta: usize, start: u64, end: u64) -> f64 {
+    fn window_sinr(&mut self, ap: usize, sta: usize, start: u64, end: u64) -> f64 {
+        let mut interferers = std::mem::take(&mut self.interferers);
+        interferers.clear();
+        interferers.extend(
+            self.air
+                .iter()
+                .filter(|iv| iv.ap != ap && iv.start < end && iv.end > start)
+                .map(|iv| Transmission {
+                    from: self.aps[iv.ap],
+                    power: self.ap_power,
+                }),
+        );
         let serving = Transmission {
             from: self.aps[ap],
             power: self.ap_power,
         };
-        let interferers: Vec<Transmission> = self
-            .air
-            .iter()
-            .filter(|iv| iv.node != self.aps[ap].node && iv.start < end && iv.end > start)
-            .map(|iv| Transmission {
-                from: *self.find_end(iv.node),
-                power: iv.power,
-            })
-            .collect();
         // Wi-Fi transmissions span the whole channel: use subchannel 0 of
         // the fading process as the common wideband realization.
-        self.env
+        let sinr = self
+            .env
             .subchannel_sinr(
                 &serving,
                 &self.stas[sta],
                 &interferers,
-                cellfi_types::SubchannelId::new(0),
+                SubchannelId::new(0),
                 self.now(),
                 self.table.bandwidth(),
             )
-            .value()
+            .value();
+        self.interferers = interferers;
+        sinr
     }
 
     /// Pick the next backlogged, reachable station of an AP (round-robin).
     fn next_sta(&mut self, ap: usize) -> Option<usize> {
-        let mine: Vec<usize> = (0..self.stas.len())
-            .filter(|&s| self.assoc[s] == ap)
-            .collect();
+        let mine = &self.links[ap].stas;
         if mine.is_empty() {
             return None;
         }
@@ -463,8 +532,7 @@ impl WifiSimulator {
         self.stats.attempts[ap] += 1;
         // The AP radiates from now to the end of its data portion.
         self.air.push(AirInterval {
-            node: self.aps[ap].node,
-            power: self.ap_power,
+            ap,
             start: self.slot_now,
             end: exchange_end,
         });
@@ -503,18 +571,16 @@ impl WifiSimulator {
         self.macs[ap].idle_streak = 0;
     }
 
-    /// Resolve exchange checkpoints due at the current slot.
+    /// Resolve exchange checkpoints due at the current slot, in reverse
+    /// index order. Handling one removes at most that exchange, and an RTS
+    /// that advances to its data phase moves its checkpoint into the
+    /// future, so the walk sees exactly the checkpoints due on entry.
     fn resolve_checkpoints(&mut self) {
-        let due: Vec<usize> = self
-            .exchanges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.phase_end == self.slot_now)
-            .map(|(i, _)| i)
-            .collect();
-        // Process in reverse index order so removals stay valid.
-        for &i in due.iter().rev() {
-            let e = self.exchanges[i].clone();
+        for i in (0..self.exchanges.len()).rev() {
+            let e = self.exchanges[i];
+            if e.phase_end != self.slot_now {
+                continue;
+            }
             match e.phase {
                 Phase::Rts => {
                     let sinr = self.window_sinr(e.ap, e.sta, e.phase_start, e.phase_end);
@@ -523,18 +589,9 @@ impl WifiSimulator {
                         && self.window_captured(e.ap, e.sta, e.phase_start, e.phase_end);
                     if ok {
                         // CTS: set NAV at every AP that hears the station.
-                        let sta_end = self.stas[e.sta];
-                        for a in 0..self.aps.len() {
-                            if a == e.ap {
-                                continue;
-                            }
-                            let p = self.env.mean_rx_power(
-                                &sta_end,
-                                self.config.client_power,
-                                &self.aps[a],
-                            );
-                            if p.value() >= self.config.cs_threshold.value() {
-                                self.macs[a].nav_until = self.macs[a].nav_until.max(e.exchange_end);
+                        for (a, (links, mac)) in self.links.iter().zip(&mut self.macs).enumerate() {
+                            if a != e.ap && links.hears_cts[e.sta] {
+                                mac.nav_until = mac.nav_until.max(e.exchange_end);
                             }
                         }
                         // Advance to the data phase.
@@ -548,7 +605,7 @@ impl WifiSimulator {
                         ex.phase_end = ex.phase_start + data_slots;
                     } else {
                         // No CTS: abort, free the medium early.
-                        self.truncate_air(self.aps[e.ap].node, self.slot_now);
+                        self.truncate_air(e.ap, self.slot_now);
                         self.macs[e.ap].busy_until = self.slot_now;
                         self.exchanges.remove(i);
                         self.fail_exchange(e.ap, e.sta, e.bytes);
@@ -592,9 +649,9 @@ impl WifiSimulator {
         }
     }
 
-    fn truncate_air(&mut self, node: u32, at: u64) {
+    fn truncate_air(&mut self, ap: usize, at: u64) {
         for iv in self.air.iter_mut() {
-            if iv.node == node && iv.end > at && iv.start <= at {
+            if iv.ap == ap && iv.end > at && iv.start <= at {
                 iv.end = at;
             }
         }
@@ -962,6 +1019,143 @@ mod tests {
         assert!(with > 0 && without > 0);
         let ratio = with as f64 / without as f64;
         assert!((0.7..1.4).contains(&ratio), "ratio {ratio}");
+    }
+
+    /// Stations per AP in [`asymmetric_drop`]: station `s` is AP
+    /// `s / STAS_PER_AP`'s.
+    const STAS_PER_AP: usize = 4;
+
+    /// A drop that breaks the paper drop's symmetries: sector APs with
+    /// distinct boresights (so each AP pair's two directions add their
+    /// gains in different orders) and clients at 20 dBm against 30 dBm
+    /// APs (so a CTS is not the AP's own signal reversed). Shadowing and
+    /// fading are on.
+    fn asymmetric_drop(config: WifiConfig) -> WifiSimulator {
+        let seeds = SeedSeq::new(77);
+        let env = RadioEnvironment {
+            shadowing: Shadowing::new(seeds.child("shadow"), 6.0),
+            fading: BlockFading::pedestrian(seeds.child("fading")),
+            ..env()
+        };
+        let mut rng = seeds.rng("drop");
+        let aps: Vec<LinkEnd> = (0..8)
+            .map(|i| {
+                let p = Point::new(rng.gen_range(0.0..2_500.0), rng.gen_range(0.0..2_500.0));
+                let boresight = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
+                LinkEnd::new(i, p, Antenna::paper_sector(boresight))
+            })
+            .collect();
+        let mut stas = Vec::new();
+        let mut assoc = Vec::new();
+        for (a, end) in aps.iter().enumerate() {
+            for _ in 0..STAS_PER_AP {
+                let r = rng.gen_range(50.0..700.0);
+                let theta = rng.gen_range(0.0..std::f64::consts::TAU);
+                let p = end.position.offset(theta, cellfi_types::units::Meters(r));
+                stas.push(LinkEnd::new(100 + stas.len() as u32, p, Antenna::client()));
+                assoc.push(a);
+            }
+        }
+        let config = WifiConfig {
+            client_power: Dbm(20.0),
+            ..config
+        };
+        WifiSimulator::new(env, config, aps, Dbm(30.0), stas, assoc, 9)
+    }
+
+    /// Every link table entry equals the slot loop's former on-the-fly
+    /// value bit for bit: `mean_rx_power` and the propagation-delay
+    /// formula, in the right direction for every ordered pair.
+    #[test]
+    fn link_tables_equal_mean_rx_power_bit_for_bit() {
+        // Put the carrier-sense threshold exactly on one direction of an
+        // AP pair whose two directions round apart, so that the pair is
+        // sensed one way only and a transposed AP table cannot pass.
+        let probe = asymmetric_drop(WifiConfig::af_default());
+        let (env, aps, p) = (probe.env, &probe.aps, probe.ap_power);
+        let threshold = (0..aps.len())
+            .flat_map(|a| (0..aps.len()).map(move |b| (a, b)))
+            .map(|(a, b)| {
+                let ab = env.mean_rx_power(&aps[a], p, &aps[b]);
+                let ba = env.mean_rx_power(&aps[b], p, &aps[a]);
+                (ab, ba)
+            })
+            .find(|(ab, ba)| ab.value().to_bits() != ba.value().to_bits())
+            .map(|(ab, ba)| Dbm(ab.value().max(ba.value())))
+            .expect("the sector drop has an AP pair whose two directions round apart");
+        let sim = asymmetric_drop(WifiConfig {
+            cs_threshold: threshold,
+            ..WifiConfig::af_default()
+        });
+        let (env, cfg) = (sim.env, sim.config);
+        let cs = cfg.cs_threshold.value();
+        let mut one_way = 0;
+        for (dst, links) in sim.links.iter().enumerate() {
+            for (src, hearing) in links.hears_ap.iter().enumerate() {
+                if src == dst {
+                    continue;
+                }
+                let (a, b) = (&sim.aps[src], &sim.aps[dst]);
+                let us = a.position.distance(b.position).value() / 299.792_458;
+                let delay = (us / cfg.slot.as_micros() as f64).floor() as u64;
+                let sensed = env.mean_rx_power(a, sim.ap_power, b).value() >= cs;
+                assert_eq!(*hearing, Hearing { delay, sensed }, "AP {src} → AP {dst}");
+                one_way += usize::from(sensed != sim.links[src].hears_ap[dst].sensed);
+            }
+            for (s, sta) in sim.stas.iter().enumerate() {
+                let rx = env.mean_rx_power(&sim.aps[dst], sim.ap_power, sta).value();
+                assert_eq!(
+                    links.sta_rx_dbm[s].to_bits(),
+                    rx.to_bits(),
+                    "AP {dst} → sta {s}"
+                );
+                let cts = env
+                    .mean_rx_power(sta, cfg.client_power, &sim.aps[dst])
+                    .value();
+                assert_eq!(links.hears_cts[s], cts >= cs, "sta {s} CTS → AP {dst}");
+            }
+            let mine: Vec<usize> = (dst * STAS_PER_AP..(dst + 1) * STAS_PER_AP).collect();
+            assert_eq!(links.stas, mine, "AP {dst} stations ascend");
+        }
+        assert_eq!(one_way, 2, "the threshold splits exactly one AP pair");
+        // Some station's CTS verdict must differ between client and AP
+        // power, or a CTS table built at AP power could pass.
+        let split = (0..sim.aps.len()).any(|a| {
+            (0..sim.stas.len()).any(|s| {
+                let at = |power| env.mean_rx_power(&sim.stas[s], power, &sim.aps[a]).value() >= cs;
+                at(sim.ap_power) != at(cfg.client_power)
+            })
+        });
+        assert!(split, "client power must change some CTS verdict");
+        let bw = sim.table.bandwidth();
+        for (s, sta) in sim.stas.iter().enumerate() {
+            let snr = env.mean_snr(&sim.aps[s / STAS_PER_AP], sim.ap_power, sta, bw);
+            assert_eq!(sim.sta_mcs[s], sim.table.select(snr).copied(), "sta {s}");
+        }
+    }
+
+    /// A multi-second RTS/CTS run over the asymmetric drop reproduces
+    /// the counters of the simulator that recomputed every link budget
+    /// in the slot loop.
+    #[test]
+    fn asymmetric_drop_stats_are_pinned() {
+        let mut sim = asymmetric_drop(WifiConfig::af_default());
+        for s in 0..sim.stas.len() {
+            sim.enqueue(s, 4_000_000);
+        }
+        sim.run_until(Instant::from_secs(2));
+        let st = sim.stats();
+        #[rustfmt::skip]
+        let delivered = [
+            50_182, 0, 0, 0, 875_769, 0, 480_969, 552_097,
+            156_330, 157_304, 137_997, 248_045, 0, 222_940, 548_237, 632_223,
+            2_895, 0, 0, 8_687, 399_541, 0, 0, 2_253_537,
+            0, 0, 4_825, 8_685, 55_970, 0, 165_047, 305_975,
+        ];
+        assert_eq!(st.delivered_bytes, delivered);
+        assert_eq!(st.attempts, [916, 386, 411, 246, 43, 397, 97, 157]);
+        assert_eq!(st.failures, [884, 46, 108, 28, 41, 46, 85, 33]);
+        assert_eq!(st.drops, [109, 0, 5, 0, 4, 3, 8, 0]);
     }
 
     #[test]

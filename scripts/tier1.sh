@@ -156,14 +156,15 @@ $BENCH run paper_saturated --seconds 0 --trace > "$TRACE_TMP/bench_traced.jsonl"
 # scheduling starting from fresh worker scratch every subframe
 # (3.756015), pushes the count past the ceiling. It is a count, not a
 # timing, so host noise cannot flake it.
-allocs_per_sf() {
+# metric FILE NAME: a metric's value from a traced run's last JSON line.
+metric() {
     tail -n 1 "$1" | python3 -c '
 import json, sys
-print(json.load(sys.stdin)["metrics"]["engine.allocs_per_sf"]["value"])
-'
+print(json.load(sys.stdin)["metrics"][sys.argv[1]]["value"])
+' "$2"
 }
 ALLOCS_PER_SF_MAX=2
-ALLOCS_PER_SF=$(allocs_per_sf "$TRACE_TMP/bench_traced.jsonl")
+ALLOCS_PER_SF=$(metric "$TRACE_TMP/bench_traced.jsonl" engine.allocs_per_sf)
 echo "paper_saturated engine.allocs_per_sf: ${ALLOCS_PER_SF} (ceiling ${ALLOCS_PER_SF_MAX})"
 python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
     "$ALLOCS_PER_SF" "$ALLOCS_PER_SF_MAX"
@@ -176,10 +177,22 @@ python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
 # fan-outs adds about 3.2.
 $BENCH run metro_2500 --seconds 0 --trace > "$TRACE_TMP/bench_metro_traced.jsonl"
 METRO_ALLOCS_PER_SF_MAX=13
-METRO_ALLOCS_PER_SF=$(allocs_per_sf "$TRACE_TMP/bench_metro_traced.jsonl")
+METRO_ALLOCS_PER_SF=$(metric "$TRACE_TMP/bench_metro_traced.jsonl" engine.allocs_per_sf)
 echo "metro_2500 engine.allocs_per_sf: ${METRO_ALLOCS_PER_SF} (ceiling ${METRO_ALLOCS_PER_SF_MAX})"
 python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
     "$METRO_ALLOCS_PER_SF" "$METRO_ALLOCS_PER_SF_MAX"
+# Heap allocations per 10 ms tick of the Wi-Fi DCF slot loop on the
+# traced web_paired run. The loop reads link tables built at
+# construction and reuses its interval, exchange and interferer
+# buffers, so it reads exactly 0; collecting the due checkpoints and the
+# interferer list per call reads about 21, and recomputing link budgets
+# in the loop about 379.
+$BENCH run web_paired --seconds 0 --trace > "$TRACE_TMP/bench_web_traced.jsonl"
+WIFI_ALLOCS_PER_TICK_MAX=1
+WIFI_ALLOCS_PER_TICK=$(metric "$TRACE_TMP/bench_web_traced.jsonl" wifi.allocs_per_tick)
+echo "web_paired wifi.allocs_per_tick: ${WIFI_ALLOCS_PER_TICK} (ceiling ${WIFI_ALLOCS_PER_TICK_MAX})"
+python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
+    "$WIFI_ALLOCS_PER_TICK" "$WIFI_ALLOCS_PER_TICK_MAX"
 
 echo "== tier1: benchmark test suite =="
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml

@@ -157,6 +157,12 @@ impl Cell {
         &self.attached
     }
 
+    /// Downlink queue depths (bits) in attach order: entry `i` belongs
+    /// to [`Cell::attached_ues`]`[i]`.
+    pub fn queue_depths(&self) -> &[u64] {
+        &self.queues
+    }
+
     /// Number of *active* clients: attached UEs with queued traffic. This
     /// is the `N_i` of the share calculation (§5.2).
     pub fn active_clients(&self) -> usize {

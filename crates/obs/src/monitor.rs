@@ -17,7 +17,7 @@
 //! | `etsi_margin_us`   | every vacate beat its ETSI deadline (≥ 0 µs)  |
 //! | `rlf_rate`         | RRC drops per UE-minute under a ceiling       |
 //! | `sched_starvation` | no backlogged cell starved ≥ N whole epochs   |
-//! | `cache_hit_floor`  | interference-cache hit rate above a floor     |
+//! | `cache_hit_floor`  | pooled per-column cache hit rate over a floor |
 //!
 //! Fleet runs (`exp spectrum_scale --monitors`) arm the fleet catalogue
 //! ([`MonitorRegistry::fleet`]) instead:
@@ -43,9 +43,11 @@ pub struct TickFacts {
     /// Longest current run of *whole epochs* a backlogged, unmasked,
     /// active cell went unscheduled, maximized over cells.
     pub max_starved_epochs: u32,
-    /// Cumulative interference-cache subchannel probes served fresh.
+    /// Cumulative cache probes served from memory: one per non-empty
+    /// subchannel per interference-cache refresh, plus one per
+    /// subchannel column per CQI-memo scan.
     pub cache_hits: u64,
-    /// Cumulative interference-cache subchannel probes recomputed.
+    /// Cumulative cache probes that recomputed their column.
     pub cache_misses: u64,
     /// Worst PAWS vacate margin observed so far, microseconds before
     /// the ETSI deadline (negative = deadline missed). `i64::MAX` until

@@ -7,15 +7,16 @@
 //! set with the empty uplink set). [`TxSetTracker`] interns those sets
 //! into small integer ids per subchannel, so every downstream cache can
 //! key on a `u64` compare instead of cloning and comparing `Vec<usize>`
-//! sets. Second, the whole CQI measurement is a pure function of
-//! `(gain generation, association generation, per-subchannel set ids)` —
-//! [`CqiMemo`] keeps the two most recent scans keyed that way and lets
-//! `measure_cqi` replay a scan instead of recomputing it, with the
-//! interference events re-applied in the same order the parallel scan
-//! would have emitted them. Within an epoch those interference flags
-//! only go from false to true, so each slot marks its hits applied the
-//! first time they go through the flags, and later replays in the same
-//! epoch skip them; the epoch boundary clears the marks with the flags.
+//! sets. Second, each subchannel column of the CQI measurement is a
+//! pure function of `(gain generation, association generation, the
+//! column's set id)` — [`CqiMemo`] keeps each column's two most recent
+//! keys and plans every scan column by column ([`ColumnPlan`]): keep
+//! what `ue_cqi` already holds, copy a remembered column back, or
+//! compute a new one. Interference hits are not remembered: a kept or
+//! copied column is re-tested against the interference cache the first
+//! time its slot is used in an epoch. Within an epoch the interference
+//! flags only go from false to true, so later scans in the same epoch
+//! skip the test; the epoch boundary clears the marks with the flags.
 //!
 //! [`InterferenceCache`] holds its per-UE totals `[ue][subchannel]`:
 //! a refresh splits over UE rows, and every reader walks one contiguous
@@ -23,6 +24,7 @@
 
 use crate::slab::Slab2;
 use crate::topology::NeighborTable;
+use cellfi_lte::amc::Cqi;
 
 /// Interns per-subchannel transmitter sets into `u64` ids and maintains
 /// a per-subchannel cell-membership bitmask.
@@ -107,93 +109,169 @@ impl TxSetTracker {
     }
 }
 
-/// One remembered CQI scan.
-#[derive(Debug, Default)]
-pub(crate) struct CqiScanEntry {
-    gain_gen: u64,
-    assoc_gen: u64,
-    ids: Vec<u64>,
-    /// Flat `[ue][sub]` CQI values the scan produced.
-    pub cqi: Vec<cellfi_lte::amc::Cqi>,
-    /// Per-UE "some subchannel decodable" bit (feeds the RLF monitor).
-    pub any_usable: Vec<bool>,
-    /// Every `(ue, sub, sinr_db, clean_db)` where the interference
-    /// condition held, in (ue asc, sub asc) order — the replay emits
-    /// these through the epoch flags exactly as the live scan would.
-    hits: Vec<(u32, u32, f64, f64)>,
-    /// Whether `hits` already went through the epoch flags this epoch.
-    /// The flags only go from false to true within an epoch, so a
-    /// second pass would set nothing and emit nothing.
-    applied: bool,
+/// One memo slot of one subchannel column.
+#[derive(Debug, Clone, Copy, Default)]
+struct ColumnSlot {
+    /// `(gain_gen, assoc_gen, set id)` the slot's column was computed for.
+    key: (u64, u64, u64),
+    /// The scan that last used the slot; 0 = never filled. The older of
+    /// a column's two slots is the one a miss evicts.
     stamp: u64,
+    /// Whether the column's interference hits went through the epoch
+    /// flags this epoch. The flags only go from false to true within an
+    /// epoch, so a second pass would set nothing and emit nothing.
+    applied: bool,
 }
 
-impl CqiScanEntry {
-    /// The hits a replay must still put through the epoch flags: all of
-    /// them the first time the entry is used in an epoch, none after.
-    // cellfi-lint: hot
-    pub fn hits_to_apply(&mut self) -> &[(u32, u32, f64, f64)] {
-        if std::mem::replace(&mut self.applied, true) {
-            &[]
-        } else {
-            &self.hits
-        }
+/// What one CQI scan does with each subchannel column, as bitmasks over
+/// subchannels (bit `s` = column `s`). Every column is in exactly one
+/// of *keep* (no bit set: `ue_cqi` already mirrors the column), *copy
+/// from slot k* (`copy[k]`) or *compute* (`compute`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ColumnPlan {
+    /// Columns restored from slot `k`'s table.
+    pub copy: [u64; 2],
+    /// Columns measured afresh.
+    pub compute: u64,
+    /// Computed columns that also fill slot `k`'s table (none with the
+    /// fast path off).
+    pub store: [u64; 2],
+    /// Kept or copied columns whose hits have not yet gone through the
+    /// epoch flags this epoch: the scan re-tests them.
+    pub retest: u64,
+}
+
+impl ColumnPlan {
+    /// Columns whose `ue_cqi` values this scan rewrites.
+    pub fn changed(&self) -> u64 {
+        self.copy[0] | self.copy[1] | self.compute
     }
 }
 
-/// Two-slot memo of recent CQI scans, keyed by
-/// `(gain_gen, assoc_gen, per-subchannel set ids)`.
+/// Every bit set in `mask`, ascending.
+// cellfi-lint: hot
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let s = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(s)
+    })
+}
+
+/// Per-subchannel memo of CQI columns, keyed by
+/// `(gain_gen, assoc_gen, set id)`.
 ///
-/// Two slots match the TDD steady state: CQI scans alternate between the
-/// downlink transmitter pattern and uplink silence, so both keys stay
-/// resident and the whole measurement loop collapses to replay. Anything
-/// time-varying (queue depths, outage timers, epoch interference flags)
-/// is deliberately *not* memoized — the caller re-runs that bookkeeping
-/// live from `any_usable` and `hits`.
+/// Column `s` of a scan (every UE's CQI on `s`, and which `(ue, s)`
+/// meet the interference condition) reads only the gains (versioned by
+/// `gain_gen`), each UE's serving link (`assoc_gen`), the interference
+/// column of `s` and the membership of `s`'s transmitter set, so it is
+/// a pure function of that key; [`TxSetTracker`] never gives two sets
+/// the same id. Each column keeps its two most recent keys — the TDD
+/// steady state alternates one downlink set with uplink silence — in
+/// two slots whose CQIs live in two `[ue][subchannel]` tables, and
+/// `live[s]` records which slot `ue_cqi`'s column `s` currently
+/// mirrors. [`Self::plan`] turns a scan's keys into a [`ColumnPlan`],
+/// so a scan touches only the columns whose set changed. Interference
+/// hits are not stored: the scan re-tests a kept or copied column
+/// against the interference cache, which the same key brought to the
+/// same totals, the first time the slot is used in an epoch. Anything
+/// time-varying (queue depths, outage timers, epoch flags) is never
+/// memoized.
 #[derive(Debug)]
 pub(crate) struct CqiMemo {
-    slots: [CqiScanEntry; 2],
+    slots: Vec<[ColumnSlot; 2]>,
+    /// Slot `k`'s CQIs, `[ue][subchannel]` like `ue_cqi`.
+    tables: [Vec<Cqi>; 2],
+    /// The slot `ue_cqi`'s column `s` mirrors, if any.
+    live: Vec<Option<usize>>,
     clock: u64,
     hits: u64,
     misses: u64,
 }
 
 impl CqiMemo {
-    pub fn new() -> CqiMemo {
+    pub fn new(n_sub: usize, n_ue: usize) -> CqiMemo {
+        assert!(n_sub <= 64, "column plans are 64-bit masks");
         CqiMemo {
-            slots: [CqiScanEntry::default(), CqiScanEntry::default()],
+            slots: vec![[ColumnSlot::default(); 2]; n_sub],
+            tables: [
+                vec![Cqi::OUT_OF_RANGE; n_ue * n_sub],
+                vec![Cqi::OUT_OF_RANGE; n_ue * n_sub],
+            ],
+            live: vec![None; n_sub],
             clock: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    /// The remembered scan for this key, if any.
+    /// Plan one scan over the columns keyed `(gain_gen, assoc_gen,
+    /// ids[s])`: a column whose key is the live slot's is kept, one
+    /// whose key is in the other slot is copied, and a miss is computed
+    /// into the least recently used slot. Every slot the scan uses ends
+    /// up applied this epoch: a computed column goes through the flags
+    /// live, a kept or copied one is re-tested (`retest`) unless its
+    /// slot already was. With `fast_path` off every column is computed
+    /// and nothing is stored or probed.
     // cellfi-lint: hot
-    pub fn lookup(
+    pub fn plan(
         &mut self,
         gain_gen: u64,
         assoc_gen: u64,
         ids: &[u64],
-    ) -> Option<&mut CqiScanEntry> {
-        self.clock += 1;
-        let entry = self.slots.iter_mut().find(|e| {
-            e.stamp != 0 && e.gain_gen == gain_gen && e.assoc_gen == assoc_gen && e.ids == ids
-        });
-        match entry {
-            Some(e) => {
-                e.stamp = self.clock;
-                self.hits += 1;
-                Some(e)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        fast_path: bool,
+    ) -> ColumnPlan {
+        let mut plan = ColumnPlan::default();
+        if !fast_path {
+            plan.compute = (0..ids.len()).fold(0, |mask, s| mask | 1 << s);
+            self.live.fill(None);
+            return plan;
         }
+        self.clock += 1;
+        for (s, &id) in ids.iter().enumerate() {
+            let key = (gain_gen, assoc_gen, id);
+            let bit = 1u64 << s;
+            let slots = &mut self.slots[s];
+            let k = match slots.iter().position(|c| c.stamp != 0 && c.key == key) {
+                Some(k) => {
+                    self.hits += 1;
+                    if self.live[s] != Some(k) {
+                        plan.copy[k] |= bit;
+                    }
+                    if !slots[k].applied {
+                        plan.retest |= bit;
+                    }
+                    k
+                }
+                None => {
+                    self.misses += 1;
+                    let k = usize::from(slots[1].stamp < slots[0].stamp);
+                    slots[k].key = key;
+                    plan.compute |= bit;
+                    plan.store[k] |= bit;
+                    k
+                }
+            };
+            slots[k].stamp = self.clock;
+            slots[k].applied = true;
+            self.live[s] = Some(k);
+        }
+        plan
     }
 
-    /// Lifetime `(hits, misses)` of [`Self::lookup`] — the replay rate
+    /// Both slot tables, `[ue][subchannel]`, for a scan to copy from and
+    /// store into.
+    // cellfi-lint: hot
+    pub fn tables_mut(&mut self) -> [&mut [Cqi]; 2] {
+        let [t0, t1] = &mut self.tables;
+        [t0, t1]
+    }
+
+    /// Lifetime `(hits, misses)` of [`Self::plan`]'s column probes, one
+    /// per column per scan with the fast path on — the replay rate
     /// observability surfaces next to the interference cache's probe
     /// stats.
     pub fn probe_stats(&self) -> (u64, u64) {
@@ -201,52 +279,11 @@ impl CqiMemo {
     }
 
     /// The epoch interference flags were just cleared: every slot's hits
-    /// must go through them again before a replay may skip them.
+    /// must go through them again before a scan may skip them.
     pub fn clear_applied(&mut self) {
-        for slot in &mut self.slots {
+        for slot in self.slots.iter_mut().flatten() {
             slot.applied = false;
         }
-    }
-
-    /// Remember a freshly computed scan, evicting the least recently
-    /// used slot. `hit_rows` holds each UE's hits in UE order; the live
-    /// scan that produced them has already set their epoch flags, so the
-    /// slot starts out applied. Buffers are reused, so steady-state
-    /// stores after the first two scans allocate only when a hit list
-    /// grows.
-    // cellfi-lint: hot
-    pub fn store(
-        &mut self,
-        gain_gen: u64,
-        assoc_gen: u64,
-        ids: &[u64],
-        cqi_rows: &[Vec<cellfi_lte::amc::Cqi>],
-        any_usable: &[bool],
-        hit_rows: &[Vec<(u32, u32, f64, f64)>],
-    ) {
-        self.clock += 1;
-        let slot = if self.slots[0].stamp <= self.slots[1].stamp {
-            &mut self.slots[0]
-        } else {
-            &mut self.slots[1]
-        };
-        slot.gain_gen = gain_gen;
-        slot.assoc_gen = assoc_gen;
-        slot.ids.clear();
-        slot.ids.extend_from_slice(ids);
-        slot.cqi.clear();
-        for row in cqi_rows {
-            slot.cqi.extend_from_slice(row);
-        }
-        slot.any_usable.clear();
-        slot.any_usable.extend_from_slice(any_usable);
-        slot.hits.clear();
-        slot.hits.reserve(hit_rows.iter().map(Vec::len).sum());
-        for row in hit_rows {
-            slot.hits.extend_from_slice(row);
-        }
-        slot.applied = true;
-        slot.stamp = self.clock;
     }
 }
 
@@ -441,49 +478,105 @@ mod tests {
         assert!(!t.is_member(0, 63) && !t.is_member(0, 128));
     }
 
+    /// A plan that only keeps columns: nothing to copy, compute or test.
+    const KEEP_ALL: ColumnPlan = ColumnPlan {
+        copy: [0, 0],
+        compute: 0,
+        store: [0, 0],
+        retest: 0,
+    };
+
     #[test]
-    fn memo_round_trips_and_evicts_lru() {
-        use cellfi_lte::amc::Cqi;
-        let mut m = CqiMemo::new();
-        assert!(m.lookup(1, 0, &[1, 0]).is_none());
-        let hit = (0, 0, 1.0, 2.0);
-        m.store(1, 0, &[1, 0], &[vec![Cqi(5)]], &[true], &[vec![hit]]);
-        m.store(1, 0, &[0, 0], &[vec![Cqi(3)]], &[false], &[vec![]]);
-        let e = m.lookup(1, 0, &[1, 0]).expect("first key still resident");
-        assert_eq!(e.cqi, vec![Cqi(5)]);
-        assert_eq!(e.hits, vec![hit]);
-        assert!(m.lookup(1, 0, &[0, 0]).is_some());
-        // Different generation misses.
-        assert!(m.lookup(2, 0, &[1, 0]).is_none());
-        assert!(m.lookup(1, 1, &[1, 0]).is_none());
-        // Storing a third key evicts the least recently *used* one.
-        m.lookup(1, 0, &[1, 0]);
-        m.store(2, 0, &[2, 0], &[vec![Cqi(1)]], &[true], &[vec![]]);
-        assert!(m.lookup(1, 0, &[1, 0]).is_some(), "recently used survives");
-        assert!(m.lookup(1, 0, &[0, 0]).is_none(), "LRU evicted");
+    fn bits_walks_a_mask_in_ascending_order() {
+        assert_eq!(bits(0).count(), 0);
+        assert_eq!(bits(0b1010_0101).collect::<Vec<_>>(), vec![0, 2, 5, 7]);
+        assert_eq!(bits(1 << 63).collect::<Vec<_>>(), vec![63]);
     }
 
     #[test]
-    fn memo_hits_apply_once_per_epoch() {
-        use cellfi_lte::amc::Cqi;
-        let mut m = CqiMemo::new();
-        let (a, b, c) = ((0, 2, 1.0, 2.0), (1, 0, 3.0, 4.0), (1, 5, 5.0, 6.0));
-        // Per-UE hit rows are stored flat, in UE order.
-        let rows = [vec![a], vec![], vec![b, c]];
-        m.store(1, 0, &[1], &[vec![Cqi(5)]], &[true], &rows);
-        let e = m.lookup(1, 0, &[1]).expect("just stored");
-        assert_eq!(e.hits, vec![a, b, c]);
-        // The live scan that stored the slot applied its hits.
-        assert!(e.hits_to_apply().is_empty());
-        // A new epoch: the first replay applies every hit, later ones none.
+    fn memo_plans_keep_copy_and_compute_per_column() {
+        let mut m = CqiMemo::new(3, 2);
+        // A cold memo computes every column into slot 0.
+        let p = m.plan(1, 0, &[5, 0, 7], true);
+        assert_eq!(
+            (p.compute, p.store, p.copy, p.retest),
+            (0b111, [0b111, 0], [0, 0], 0)
+        );
+        // The same keys again: `ue_cqi` already mirrors every column.
+        assert_eq!(m.plan(1, 0, &[5, 0, 7], true), KEEP_ALL);
+        // A new set on column 0 only: that column is computed into its
+        // empty slot 1, the other two are kept.
+        let p = m.plan(1, 0, &[6, 0, 7], true);
+        assert_eq!((p.compute, p.store, p.copy), (0b001, [0, 0b001], [0, 0]));
+        // Flipping back copies column 0 from slot 0, then from slot 1.
+        let p = m.plan(1, 0, &[5, 0, 7], true);
+        assert_eq!((p.compute, p.copy, p.changed()), (0, [0b001, 0], 0b001));
+        let p = m.plan(1, 0, &[6, 0, 7], true);
+        assert_eq!((p.compute, p.copy), (0, [0, 0b001]));
+        // A new gain or association generation misses every column.
+        assert_eq!(m.plan(2, 0, &[6, 0, 7], true).compute, 0b111);
+        assert_eq!(m.plan(2, 1, &[6, 0, 7], true).compute, 0b111);
+    }
+
+    #[test]
+    fn memo_evicts_the_least_recently_used_slot_per_column() {
+        let mut m = CqiMemo::new(2, 1);
+        m.plan(1, 0, &[1, 10], true); // both columns into slot 0
+        m.plan(1, 0, &[2, 10], true); // column 0: set 2 into slot 1
+        m.plan(1, 0, &[1, 10], true); // column 0: set 1 used again
+                                      // Set 3 on column 0 evicts set 2 (slot 1), the older one; column
+                                      // 1, whose slot 1 was never filled, is untouched.
+        let p = m.plan(1, 0, &[3, 10], true);
+        assert_eq!((p.compute, p.store), (0b01, [0, 0b01]));
+        // Set 1 survived in slot 0. Set 2 is gone: it computes into slot
+        // 1 again, evicting set 3, now the least recently used.
+        assert_eq!(m.plan(1, 0, &[1, 10], true).copy, [0b01, 0]);
+        let p = m.plan(1, 0, &[2, 10], true);
+        assert_eq!((p.compute, p.store), (0b01, [0, 0b01]));
+        // Column 1 has kept its key throughout.
+        assert_eq!(m.plan(1, 0, &[2, 10], true), KEEP_ALL);
+    }
+
+    #[test]
+    fn memo_applies_each_slot_once_per_epoch() {
+        let mut m = CqiMemo::new(2, 1);
+        m.plan(1, 0, &[1, 2], true);
+        m.plan(1, 0, &[0, 2], true);
+        // The live scan that computed a column applied its hits.
+        assert_eq!(m.plan(1, 0, &[0, 2], true).retest, 0);
+        // A new epoch: a kept column is re-tested once, a copied one is
+        // re-tested with its copy, a computed one needs no re-test.
         m.clear_applied();
-        let e = m.lookup(1, 0, &[1]).expect("still resident");
-        assert_eq!(e.hits_to_apply(), &[a, b, c]);
-        assert!(e.hits_to_apply().is_empty());
-        assert!(m
-            .lookup(1, 0, &[1])
-            .expect("resident")
-            .hits_to_apply()
-            .is_empty());
+        let p = m.plan(1, 0, &[0, 2], true);
+        assert_eq!((p.retest, p.copy), (0b11, [0, 0]));
+        assert_eq!(m.plan(1, 0, &[0, 2], true), KEEP_ALL);
+        let p = m.plan(1, 0, &[1, 2], true);
+        assert_eq!((p.retest, p.copy), (0b01, [0b01, 0]));
+        assert_eq!(m.plan(1, 0, &[0, 2], true).retest, 0, "slot 1 applied");
+        m.clear_applied();
+        let p = m.plan(1, 0, &[9, 2], true);
+        assert_eq!((p.compute, p.retest), (0b01, 0b10));
+    }
+
+    #[test]
+    fn memo_probes_once_per_column_and_never_with_the_fast_path_off() {
+        let mut m = CqiMemo::new(4, 1);
+        let ids = [1, 0, 2, 3];
+        m.plan(1, 0, &ids, true);
+        assert_eq!(m.probe_stats(), (0, 4));
+        m.plan(1, 0, &[1, 0, 2, 4], true);
+        assert_eq!(m.probe_stats(), (3, 5));
+        // Off: every column computed, none stored, nothing probed.
+        let p = m.plan(1, 0, &ids, false);
+        assert_eq!(
+            (p.compute, p.store, p.copy, p.retest),
+            (0b1111, [0, 0], [0, 0], 0)
+        );
+        assert_eq!(m.probe_stats(), (3, 5));
+        // `ue_cqi` no longer mirrors any slot, so back on, a remembered
+        // key is copied rather than kept.
+        let p = m.plan(1, 0, &[1, 0, 2, 5], true);
+        assert_eq!((p.compute, p.copy), (0b1000, [0b0111, 0]));
+        assert_eq!(m.probe_stats(), (6, 6));
     }
 }

@@ -211,19 +211,21 @@ pub struct LteEngine {
     interf: InterferenceCache,
     /// Interned per-subchannel transmitter-set ids + membership masks.
     tracker: TxSetTracker,
-    /// Two-slot memo of recent CQI scans (the steady-state fast path).
+    /// Per-subchannel memo of recent CQI columns (the steady-state fast
+    /// path).
     memo: CqiMemo,
     /// Whether the steady-state CQI fast path is enabled (default on;
     /// the equivalence tests switch it off to drive the full scan).
     fast_path: bool,
     /// Linear-domain CQI mapper (bisected boundaries of the 4-bit table).
     linmap: LinearCqiMap,
-    /// Per-UE scratch for the CQI scan's "any subchannel decodable" bit.
-    any_usable_scratch: Vec<bool>,
-    /// Per-UE scratch for the CQI scan's interference hits (`(ue, sub,
-    /// sinr_db, clean_db)`), reused across scans; the memo copies them
-    /// in UE order into the slot it stores.
-    hit_scratch: Vec<Vec<(u32, u32, f64, f64)>>,
+    /// Per-UE "some subchannel decodable" bit, the OR over the UE's
+    /// `ue_cqi` row: a CQI scan recomputes it when it changes a column
+    /// (feeds the RLF monitor).
+    any_usable: Vec<bool>,
+    /// Per-UE "serving cell holds queued bits" bit, refilled by every
+    /// CQI scan from the cells' attach lists (feeds the RLF monitor).
+    backlogged_scratch: Vec<bool>,
     /// Which cells may transmit this downlink subframe, filled in place
     /// by the IM strategy's `transmit_gate`.
     gate_scratch: Vec<bool>,
@@ -431,11 +433,11 @@ impl LteEngine {
             assoc_gen: 0,
             interf: InterferenceCache::new(n_sub, n_ue),
             tracker: TxSetTracker::new(n_sub, n_ap),
-            memo: CqiMemo::new(),
+            memo: CqiMemo::new(n_sub, n_ue),
             fast_path: true,
             linmap: LinearCqiMap::default(),
-            any_usable_scratch: vec![false; n_ue],
-            hit_scratch: vec![Vec::new(); n_ue],
+            any_usable: vec![false; n_ue],
+            backlogged_scratch: vec![false; n_ue],
             gate_scratch: vec![true; n_ap],
             active_last_scratch: vec![false; n_ap],
             assignment_scratch: vec![UNASSIGNED; n_ap * n_sub],
@@ -606,8 +608,10 @@ impl LteEngine {
 
     /// Assemble the per-tick fact sheet the invariant monitors read.
     /// Called only when monitors are armed ([`cellfi_obs::MonitorRegistry`]).
-    /// Cache probes pool the interference cache and the CQI memo — both
-    /// must replay in steady state for the subframe loop to stay cheap.
+    /// Cache probes pool the interference cache and the CQI memo, each
+    /// probed once per subchannel column (the memo once per column per
+    /// scan) — both must replay in steady state for the subframe loop
+    /// to stay cheap.
     pub fn tick_facts(&self) -> cellfi_obs::TickFacts {
         let interf = self.interf.probe_stats();
         let memo = self.memo.probe_stats();

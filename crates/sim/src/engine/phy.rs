@@ -26,16 +26,27 @@
 //! [`cellfi_lte::amc::LinearCqiMap`] boundaries and the interference
 //! test compares against a precomputed linear margin threshold, so dB
 //! values are computed only for the rare interference-event trace.
+//!
+//! The CQI scan is one loop over UEs that touches only the subchannel
+//! columns the memo's plan names ([`super::cache::ColumnPlan`]): columns
+//! copied back from a remembered slot, columns computed afresh, and
+//! columns whose interference hits must be re-tested once per epoch.
+//! Its per-UE state is cut into runs of consecutive UEs (`ScanRows`), so
+//! a scan that computes a column can fan out while every other scan runs
+//! serially without allocating.
 
+use super::cache::{bits, ColumnPlan, InterferenceCache, TxSetTracker};
 use super::{LteEngine, INTERFERENCE_MARGIN};
-use crate::topology::Scenario;
+use crate::slab::Slab2;
+use crate::topology::{NeighborTable, Scenario};
 use cellfi_core::ConflictGraph;
+use cellfi_lte::amc::{Cqi, LinearCqiMap};
 use cellfi_lte::grid::ResourceGrid;
 use cellfi_obs::profile::SpanId;
 use cellfi_obs::trace::{Event, EventSink};
 use cellfi_types::time::{Duration, Instant};
 use cellfi_types::units::{db_slab_to_mw, Dbm};
-use cellfi_types::{ApId, SubchannelId, UeId};
+use cellfi_types::{ApId, SubchannelId};
 
 /// The static link-budget matrices an engine precomputes at
 /// construction: positions never move within a run (mobility goes
@@ -141,16 +152,13 @@ impl LinkMatrices {
     }
 }
 
-/// One radio-link-failure monitor tick for a UE, shared verbatim by the
-/// live CQI scan and the memo replay so the two paths cannot drift: a
-/// backlogged UE with no decodable subchannel accumulates bad time and
-/// drops its RRC connection at the timer. `queued` reads the UE's queue
-/// depth; it is called only for a UE that is not reconnecting and
-/// decodes no subchannel, the one case its value decides.
+/// One radio-link-failure monitor tick for a UE: a backlogged UE with
+/// no decodable subchannel accumulates bad time and drops its RRC
+/// connection at the timer.
 fn rlf_tick(
     now: Instant,
     any_usable: bool,
-    queued: impl FnOnce() -> u64,
+    backlogged: bool,
     outage_until: &mut Instant,
     bad_streak_ms: &mut u32,
     rrc_drops: &mut u64,
@@ -158,7 +166,7 @@ fn rlf_tick(
     if now < *outage_until {
         return; // already reconnecting
     }
-    if !any_usable && queued() > 0 {
+    if !any_usable && backlogged {
         *bad_streak_ms += Duration::CQI_PERIOD.as_millis() as u32;
         if *bad_streak_ms >= LteEngine::RLF_TIMER_MS {
             *outage_until = now + LteEngine::RECONNECT;
@@ -167,6 +175,173 @@ fn rlf_tick(
         }
     } else {
         *bad_streak_ms = 0;
+    }
+}
+
+/// Everything a CQI scan reads: its column plan and the inputs its
+/// computed columns and hit tests are a function of. Shared by every
+/// run of a fanned-out scan.
+struct ScanInputs<'a> {
+    plan: ColumnPlan,
+    n_sub: usize,
+    now: Instant,
+    interf: &'a InterferenceCache,
+    tracker: &'a TxSetTracker,
+    lin_mw: &'a Slab2,
+    noise_mw: &'a [f64],
+    interf_thresh_mw: &'a [f64],
+    linmap: &'a LinearCqiMap,
+    assoc: &'a [usize],
+    nbr: &'a NeighborTable,
+    serving_slot: &'a [u32],
+    /// Per UE: whether its serving cell holds queued bits for it.
+    backlogged: &'a [bool],
+}
+
+/// The per-UE state one run of a CQI scan owns: UEs
+/// `first..first + cqi.len()`, and their rows of the memo's two slot
+/// tables.
+struct ScanRows<'a> {
+    first: usize,
+    cqi: &'a mut [Vec<Cqi>],
+    epoch: &'a mut [super::UeEpoch],
+    any_usable: &'a mut [bool],
+    bad_streak_ms: &'a mut [u32],
+    outage_until: &'a mut [Instant],
+    rrc_drops: &'a mut [u64],
+    tables: [&'a mut [Cqi]; 2],
+}
+
+impl<'a> ScanRows<'a> {
+    /// Cut the first `len` UEs off as one run; the rest is the second.
+    fn split_at(self, len: usize, n_sub: usize) -> (ScanRows<'a>, ScanRows<'a>) {
+        let (cqi, cqi_rest) = self.cqi.split_at_mut(len);
+        let (epoch, epoch_rest) = self.epoch.split_at_mut(len);
+        let (any_usable, any_usable_rest) = self.any_usable.split_at_mut(len);
+        let (bad_streak_ms, bad_streak_rest) = self.bad_streak_ms.split_at_mut(len);
+        let (outage_until, outage_rest) = self.outage_until.split_at_mut(len);
+        let (rrc_drops, rrc_rest) = self.rrc_drops.split_at_mut(len);
+        let [t0, t1] = self.tables;
+        let (t0, t0_rest) = t0.split_at_mut(len * n_sub);
+        let (t1, t1_rest) = t1.split_at_mut(len * n_sub);
+        (
+            ScanRows {
+                first: self.first,
+                cqi,
+                epoch,
+                any_usable,
+                bad_streak_ms,
+                outage_until,
+                rrc_drops,
+                tables: [t0, t1],
+            },
+            ScanRows {
+                first: self.first + len,
+                cqi: cqi_rest,
+                epoch: epoch_rest,
+                any_usable: any_usable_rest,
+                bad_streak_ms: bad_streak_rest,
+                outage_until: outage_rest,
+                rrc_drops: rrc_rest,
+                tables: [t0_rest, t1_rest],
+            },
+        )
+    }
+
+    /// Scan these UEs: per UE, copy the planned columns from slot 0,
+    /// then slot 1; compute or re-test the rest in ascending subchannel
+    /// order (so events keep their `(ue, subchannel)` order); recompute
+    /// `any_usable` only if a column changed; then run the RLF tick. A
+    /// scan that keeps every column reads no CQI row at all.
+    // cellfi-lint: hot
+    fn scan(&mut self, x: &ScanInputs, sink: &mut EventSink) {
+        let plan = x.plan;
+        let n_sub = x.n_sub;
+        let ids = x.tracker.ids();
+        let work = plan.compute | plan.retest;
+        let [t0, t1] = &mut self.tables;
+        let saved = t0.chunks_exact_mut(n_sub).zip(t1.chunks_exact_mut(n_sub));
+        for (i, (saved0, saved1)) in saved.enumerate() {
+            let ue = self.first + i;
+            if plan.changed() | work != 0 {
+                let row = &mut self.cqi[i][..];
+                copy_columns(row, saved0, plan.copy[0]);
+                copy_columns(row, saved1, plan.copy[1]);
+                if work != 0 {
+                    let ap = x.assoc[ue];
+                    // The serving lane is the UE's link at its serving
+                    // neighbor slot; set membership stays keyed by AP id.
+                    let serving = x.nbr.links(ue).start + x.serving_slot[ue] as usize;
+                    let signals = x.lin_mw.row(serving);
+                    let flags = &mut self.epoch[i].interfered;
+                    for s in bits(work) {
+                        let signal = signals[s];
+                        // The cached column totals every transmitter
+                        // including the serving cell; remove its share
+                        // to get interference.
+                        let own = if x.tracker.is_member(s, ap) {
+                            signal
+                        } else {
+                            0.0
+                        };
+                        let interference = (x.interf.total(s, ue) - own).max(0.0);
+                        let bit = 1u64 << s;
+                        if plan.compute & bit != 0 {
+                            let cqi = x
+                                .linmap
+                                .cqi_for_linear(signal / (interference + x.noise_mw[s]));
+                            row[s] = cqi;
+                            if plan.store[0] & bit != 0 {
+                                saved0[s] = cqi;
+                            } else if plan.store[1] & bit != 0 {
+                                saved1[s] = cqi;
+                            }
+                        }
+                        // Interference ground truth, in the linear domain:
+                        // `sinr < clean − margin` ⟺
+                        // `interference > noise·(10^(margin/10) − 1)`.
+                        // The dB values are computed only for an event.
+                        if ids[s] != 0 && interference > x.interf_thresh_mw[s] && !flags[s] {
+                            flags[s] = true;
+                            let noise = x.noise_mw[s];
+                            sink.emit(
+                                x.now,
+                                Event::CqiInterference {
+                                    ue: ue as u32,
+                                    subchannel: s as u32,
+                                    sinr_db: 10.0 * (signal / (interference + noise)).log10(),
+                                    clean_db: 10.0 * (signal / noise).log10(),
+                                },
+                            );
+                        }
+                    }
+                }
+                if plan.changed() != 0 {
+                    self.any_usable[i] = row.iter().any(|c| c.usable());
+                }
+            }
+            rlf_tick(
+                x.now,
+                self.any_usable[i],
+                x.backlogged[ue],
+                &mut self.outage_until[i],
+                &mut self.bad_streak_ms[i],
+                &mut self.rrc_drops[i],
+            );
+        }
+    }
+}
+
+/// Restore the columns in `mask` of one UE's CQI row from a slot table
+/// row: one slice copy when the slot supplies every column.
+// cellfi-lint: hot
+fn copy_columns(row: &mut [Cqi], saved: &[Cqi], mask: u64) {
+    if mask.count_ones() as usize == row.len() {
+        row.copy_from_slice(saved);
+    } else {
+        for s in bits(mask) {
+            row[s] = saved[s];
+        }
     }
 }
 
@@ -287,14 +462,21 @@ impl LteEngine {
     /// connection and spends [`LteEngine::RECONNECT`] re-attaching — the
     /// §6.3.1 "frequent disconnections" under strong data interference.
     ///
-    /// The scan is a pure function of `(gain generation, association
-    /// generation, per-subchannel transmitter-set ids)`; in steady state
-    /// the two-slot [`super::cache::CqiMemo`] replays the remembered
-    /// result (CQI values, interference events in scan order) and only
-    /// the time-varying RLF bookkeeping runs live.
+    /// Each subchannel column is a pure function of `(gain generation,
+    /// association generation, the column's transmitter-set id)`, so
+    /// [`super::cache::CqiMemo`] plans the scan column by column: a
+    /// column keeps what `ue_cqi` holds, is copied back from one of its
+    /// two remembered keys, or is computed. One loop serves all three;
+    /// a kept or copied column re-tests its interference hits the first
+    /// time its slot is used in an epoch, and the time-varying RLF
+    /// bookkeeping always runs live. A scan that computes a column fans
+    /// out over runs of UEs (one event sink per run, absorbed in run
+    /// order); every other scan runs on the caller's thread and
+    /// allocates nothing.
     // cellfi-lint: hot
     pub(super) fn measure_cqi(&mut self) {
         let n_sub = self.grid.num_subchannels() as usize;
+        let n_ue = self.scenario.n_ues();
         // Bring the per-subchannel interference columns up to date (a
         // no-op when neither the fading block nor any transmitter set
         // changed since the last accumulation).
@@ -307,181 +489,77 @@ impl LteEngine {
         );
         self.obs.profiler.end(SpanId::SinrCache);
         self.obs.profiler.begin(SpanId::CqiScan);
-
-        if self.fast_path {
-            if let Some(entry) = self
-                .memo
-                .lookup(self.gain_gen, self.assoc_gen, self.tracker.ids())
-            {
-                // Fast path: replay the remembered scan. CQI values are
-                // restored wholesale; interference events re-apply
-                // through the epoch flags in the same (ue, subchannel)
-                // order the parallel scan's absorb step would emit them,
-                // once per epoch (`hits_to_apply`).
-                for (row, saved) in self.ue_cqi.iter_mut().zip(entry.cqi.chunks_exact(n_sub)) {
-                    row.copy_from_slice(saved);
-                }
-                let now = self.now;
-                let tracer = &mut self.obs.tracer;
-                for &(ue, s, sinr_v, clean_v) in entry.hits_to_apply() {
-                    let flags = &mut self.epoch[ue as usize].interfered;
-                    if !flags[s as usize] {
-                        flags[s as usize] = true;
-                        tracer.emit(
-                            now,
-                            Event::CqiInterference {
-                                ue,
-                                subchannel: s,
-                                sinr_db: sinr_v,
-                                clean_db: clean_v,
-                            },
-                        );
-                    }
-                }
-                // RLF depends on queue depths and outage timers, which
-                // are time-varying: always run it live.
-                let (assoc, cells) = (&self.scenario.assoc, &self.cells);
-                for ue in 0..self.scenario.n_ues() {
-                    rlf_tick(
-                        now,
-                        entry.any_usable[ue],
-                        || cells[assoc[ue]].queued_bits(UeId::new(ue as u32)),
-                        &mut self.outage_until[ue],
-                        &mut self.bad_streak_ms[ue],
-                        &mut self.rrc_drops[ue],
-                    );
-                }
-                self.obs.profiler.end(SpanId::CqiScan);
-                return;
-            }
-        }
-
-        let interf = &self.interf;
-        let tracker = &self.tracker;
-        let lin_mw = &self.lin_mw;
-        let noise_mw = &self.noise_mw;
-        let interf_thresh_mw = &self.interf_thresh_mw;
-        let linmap = &self.linmap;
+        let plan = self.memo.plan(
+            self.gain_gen,
+            self.assoc_gen,
+            self.tracker.ids(),
+            self.fast_path,
+        );
+        // One backlog bit per UE, from one pass over the attach lists:
+        // a UE on no serving attach list reads 0, as `queued_bits` does.
         let assoc = &self.scenario.assoc;
-        let nbr = &self.scenario.nbr;
-        let serving_slot = &self.serving_slot;
-        let cells = &self.cells;
-        let now = self.now;
-
-        // Everything below is per-UE: CQI rows, epoch interference flags
-        // and the RLF monitor touch only their own UE's state and draw no
-        // randomness, so the scan fans out across UE rows.
-        struct UeRow<'a> {
-            cqi: &'a mut Vec<cellfi_lte::amc::Cqi>,
-            epoch: &'a mut super::UeEpoch,
-            bad_streak_ms: &'a mut u32,
-            outage_until: &'a mut Instant,
-            rrc_drops: &'a mut u64,
-            any_usable: &'a mut bool,
-            /// Interference hits (flag state ignored) for the memo;
-            /// borrows the engine's per-UE scratch buffer so the
-            /// steady-state scan allocates nothing once warm.
-            hit_scratch: &'a mut Vec<(u32, u32, f64, f64)>,
-            /// Per-row event buffer: rows emit concurrently, the caller
-            /// absorbs the buffers back in UE index order so the merged
-            /// trace is independent of worker scheduling.
-            sink: EventSink,
-        }
-        let tracer = &mut self.obs.tracer;
-        let mut row_scratch: Vec<UeRow> = self
-            .ue_cqi
-            .iter_mut()
-            .zip(self.epoch.iter_mut())
-            .zip(self.bad_streak_ms.iter_mut())
-            .zip(self.outage_until.iter_mut())
-            .zip(self.rrc_drops.iter_mut())
-            .zip(self.any_usable_scratch.iter_mut())
-            .zip(self.hit_scratch.iter_mut())
-            .map(
-                |(
-                    (((((cqi, epoch), bad_streak_ms), outage_until), rrc_drops), any_usable),
-                    hit_scratch,
-                )| {
-                    hit_scratch.clear();
-                    UeRow {
-                        cqi,
-                        epoch,
-                        bad_streak_ms,
-                        outage_until,
-                        rrc_drops,
-                        any_usable,
-                        hit_scratch,
-                        sink: tracer.fork(),
-                    }
-                },
-            )
-            .collect();
-        // Each row is only ~n_sub float ops but this scan fires every
-        // CQI period (2 ms of sim time): below 64 rows per worker the
-        // spawn cost dwarfs the row work, so small scenarios stay serial.
-        crate::parallel::for_each_row(&mut row_scratch, 64, |ue, row| {
-            let ap = assoc[ue];
-            let mut any_usable = false;
-            let ids = tracker.ids();
-            // The serving lane is the UE's link at its serving neighbor
-            // slot; transmitter membership stays keyed by global AP id.
-            let serving = nbr.links(ue).start + serving_slot[ue] as usize;
-            for (s, &signal) in lin_mw.row(serving).iter().enumerate() {
-                // The cached column totals every transmitter including
-                // the serving cell; remove its share to get interference.
-                let own = if tracker.is_member(s, ap) {
-                    signal
-                } else {
-                    0.0
-                };
-                let interference = (interf.total(s, ue) - own).max(0.0);
-                let cqi = linmap.cqi_for_linear(signal / (interference + noise_mw[s]));
-                row.cqi[s] = cqi;
-                any_usable |= cqi.usable();
-                // Interference ground truth, in the linear domain:
-                // `sinr < clean − margin` ⟺ `interference > noise·(10^(margin/10) − 1)`.
-                // The dB values are computed only on a hit, for the
-                // trace payload and the memo.
-                if ids[s] != 0 && interference > interf_thresh_mw[s] {
-                    let sinr_v = 10.0 * (signal / (interference + noise_mw[s])).log10();
-                    let clean_v = 10.0 * (signal / noise_mw[s]).log10();
-                    row.hit_scratch.push((ue as u32, s as u32, sinr_v, clean_v));
-                    if !row.epoch.interfered[s] {
-                        row.epoch.interfered[s] = true;
-                        row.sink.emit(
-                            now,
-                            Event::CqiInterference {
-                                ue: ue as u32,
-                                subchannel: s as u32,
-                                sinr_db: sinr_v,
-                                clean_db: clean_v,
-                            },
-                        );
-                    }
+        self.backlogged_scratch.fill(false);
+        for (c, cell) in self.cells.iter().enumerate() {
+            for (ue, &bits) in cell.attached_ues().iter().zip(cell.queue_depths()) {
+                if bits > 0 && assoc[ue.index()] == c {
+                    self.backlogged_scratch[ue.index()] = true;
                 }
             }
-            *row.any_usable = any_usable;
-            rlf_tick(
-                now,
-                any_usable,
-                || cells[ap].queued_bits(UeId::new(ue as u32)),
-                row.outage_until,
-                row.bad_streak_ms,
-                row.rrc_drops,
-            );
-        });
-        for row in row_scratch {
-            tracer.absorb(row.sink);
         }
-        if self.fast_path {
-            self.memo.store(
-                self.gain_gen,
-                self.assoc_gen,
-                self.tracker.ids(),
-                &self.ue_cqi,
-                &self.any_usable_scratch,
-                &self.hit_scratch,
-            );
+        let inputs = ScanInputs {
+            plan,
+            n_sub,
+            now: self.now,
+            interf: &self.interf,
+            tracker: &self.tracker,
+            lin_mw: &self.lin_mw,
+            noise_mw: &self.noise_mw,
+            interf_thresh_mw: &self.interf_thresh_mw,
+            linmap: &self.linmap,
+            assoc,
+            nbr: &self.scenario.nbr,
+            serving_slot: &self.serving_slot,
+            backlogged: &self.backlogged_scratch,
+        };
+        let mut rows = ScanRows {
+            first: 0,
+            cqi: &mut self.ue_cqi,
+            epoch: &mut self.epoch,
+            any_usable: &mut self.any_usable,
+            bad_streak_ms: &mut self.bad_streak_ms,
+            outage_until: &mut self.outage_until,
+            rrc_drops: &mut self.rrc_drops,
+            tables: self.memo.tables_mut(),
+        };
+        let tracer = &mut self.obs.tracer;
+        // A computed column costs ~n_sub float ops per UE, every CQI
+        // period: below 64 UEs per worker the spawn costs more than the
+        // rows. Copies and re-tests never fan out.
+        let workers = if plan.compute == 0 {
+            1
+        } else {
+            crate::parallel::workers(n_ue, 64)
+        };
+        if workers <= 1 {
+            let mut sink = tracer.fork();
+            rows.scan(&inputs, &mut sink);
+            tracer.absorb(sink);
+        } else {
+            // Runs are ascending UE ranges, so absorbing their sinks in
+            // run order keeps events in (ue, subchannel) order.
+            let mut run_scratch = Vec::with_capacity(workers);
+            let mut rest = rows;
+            for (lo, hi) in crate::parallel::chunk_bounds(n_ue, workers) {
+                let (run, tail) = rest.split_at(hi - lo, n_sub);
+                run_scratch.push((run, tracer.fork()));
+                rest = tail;
+            }
+            crate::parallel::for_each_row(&mut run_scratch, 1, |_, (run, sink)| {
+                run.scan(&inputs, sink);
+            });
+            for (_, sink) in run_scratch {
+                tracer.absorb(sink);
+            }
         }
         self.obs.profiler.end(SpanId::CqiScan);
     }

@@ -22,7 +22,10 @@
 //!
 //! The splitters take a minimum number of groups per worker (one for
 //! [`map_indexed`]): inputs smaller than two workers' worth run serially
-//! on the caller's thread.
+//! on the caller's thread. A caller in this crate whose per-item state
+//! spans several arrays cuts it itself: `workers` says how many runs
+//! to make and `chunk_bounds` where they fall, and [`for_each_row`]
+//! over the runs hands each to its own worker.
 //!
 //! Nothing here affects *what* is computed — only who computes it. A
 //! worker may therefore draw randomness only from a per-entity stream
@@ -71,8 +74,9 @@ pub fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
 }
 
 /// Split `0..n` into at most `threads` contiguous chunks of near-equal
-/// size. Yields `(start, end)` pairs covering the range in order.
-fn chunk_bounds(n: usize, threads: usize) -> impl Iterator<Item = (usize, usize)> {
+/// size. Yields `(start, end)` pairs covering the range in order: the
+/// runs every splitter here hands its workers.
+pub(crate) fn chunk_bounds(n: usize, threads: usize) -> impl Iterator<Item = (usize, usize)> {
     let chunk = n.div_ceil(threads.clamp(1, n.max(1))).max(1);
     (0..n)
         .step_by(chunk)
@@ -83,7 +87,7 @@ fn chunk_bounds(n: usize, threads: usize) -> impl Iterator<Item = (usize, usize)
 /// least `min_groups_per_worker`: 1 for an input too small to split
 /// (decided without reading the configuration), else up to
 /// [`configured_threads`].
-fn workers(n_groups: usize, min_groups_per_worker: usize) -> usize {
+pub(crate) fn workers(n_groups: usize, min_groups_per_worker: usize) -> usize {
     let cap = n_groups / min_groups_per_worker.max(1);
     if cap <= 1 {
         1

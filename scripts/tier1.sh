@@ -116,13 +116,15 @@ echo "== tier1: fig9metro smoke (metro-scale culled run: golden, monitors, RSS c
 # 2,500 cells / 100,000 clients fit in memory only because the spatial
 # index culls the interference model to the near field — the dense
 # [ue][ap][subchannel] slabs alone would need terabytes. The RSS
-# ceiling turns that into a gate: the link-indexed slabs (one gain slab,
-# fading is off here) peak near 322,700 KB and the ceiling sits at about
-# 1.3x that, so a regression back to slabs padded to the longest
-# neighbor row (627,500 KB) or to dense layouts cannot pass. RSS is
-# deterministic, so the gate does not flake. getrusage(RUSAGE_CHILDREN)
-# stands in for /usr/bin/time -v, which the CI image does not ship.
-METRO_RSS_CEILING_KB=420000
+# ceiling turns that into a gate: with the link-indexed slabs (one gain
+# slab, fading is off here) and a CQI memo that keeps CQI columns but no
+# interference hits, the run peaks near 179,100 KB, and the ceiling sits
+# at about 1.3x that. Stored hit buffers (about 110 MB here; with them
+# the run peaked at 290,000 KB), slabs padded to the longest neighbor
+# row (627,500 KB) or dense layouts cannot pass. RSS is deterministic,
+# so the gate does not flake. getrusage(RUSAGE_CHILDREN) stands in for
+# /usr/bin/time -v, which the CI image does not ship.
+METRO_RSS_CEILING_KB=233000
 (cd "$TRACE_TMP" && CELLFI_THREADS=1 python3 -c '
 import resource, subprocess, sys
 rc = subprocess.call(sys.argv[1:])
@@ -150,12 +152,13 @@ BENCH="cargo run -q --release --offline --locked --manifest-path benchmark/Cargo
 $BENCH all --seconds 0 > /dev/null
 $BENCH run paper_saturated --seconds 0 --trace > "$TRACE_TMP/bench_traced.jsonl"
 # Heap allocations per subframe on the traced paper run. The MAC pass
-# reuses engine-owned buffers (per-worker scratch included), so what
-# remains is the delivery list step_subframe returns (1.356015); a
-# per-subframe allocation creeping back into the loop, such as MAC
-# scheduling starting from fresh worker scratch every subframe
-# (3.756015), pushes the count past the ceiling. It is a count, not a
-# timing, so host noise cannot flake it.
+# reuses engine-owned buffers (per-worker scratch included) and a CQI
+# scan that does not fan out allocates nothing, so what remains is the
+# delivery list step_subframe returns (1.303045); a per-subframe
+# allocation creeping back into the loop, such as MAC scheduling
+# starting from fresh worker scratch every subframe (2.4 more), pushes
+# the count past the ceiling. It is a count, not a timing, so host
+# noise cannot flake it.
 # metric FILE NAME: a metric's value from a traced run's last JSON line.
 metric() {
     tail -n 1 "$1" | python3 -c '
@@ -193,6 +196,16 @@ WIFI_ALLOCS_PER_TICK=$(metric "$TRACE_TMP/bench_web_traced.jsonl" wifi.allocs_pe
 echo "web_paired wifi.allocs_per_tick: ${WIFI_ALLOCS_PER_TICK} (ceiling ${WIFI_ALLOCS_PER_TICK_MAX})"
 python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
     "$WIFI_ALLOCS_PER_TICK" "$WIFI_ALLOCS_PER_TICK_MAX"
+# Heap allocations per measured step (10 ms of simulated time) of the
+# same run, both legs. The CQI scan runs every 2 ms and, when it does
+# not fan out, allocates nothing, so the count reads 10.7496; an
+# allocation per scan adds up to 5 per step (a per-miss Vec of row
+# references read 12.659733).
+WEB_ALLOCS_PER_STEP_MAX=13
+WEB_ALLOCS_PER_STEP=$(metric "$TRACE_TMP/bench_web_traced.jsonl" alloc.per_step)
+echo "web_paired alloc.per_step: ${WEB_ALLOCS_PER_STEP} (ceiling ${WEB_ALLOCS_PER_STEP_MAX})"
+python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
+    "$WEB_ALLOCS_PER_STEP" "$WEB_ALLOCS_PER_STEP_MAX"
 
 echo "== tier1: benchmark test suite =="
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml

@@ -1,26 +1,38 @@
 //! Steady-state fast-path equivalence contract.
 //!
-//! The engine memoizes CQI scans keyed by (gain generation, association
-//! generation, transmitter-set ids) and replays them in steady state.
-//! That is an optimization, never a semantic: with the memo disabled the
-//! engine must deliver the same bits, drop the same connections, execute
-//! the same handovers, and emit a byte-identical event trace — at any
-//! worker count. These tests pin that end-to-end through the facade,
-//! including across mid-run perturbations (client mobility, EIRP
-//! degradation) that invalidate every cache layer, on three drops: the
-//! dense paper topology with fading on; the culled fig9metro pocket
-//! drop with fading off, where link rows differ in length and the one
-//! gain slab is never refreshed; and the culled district drop, large
+//! The engine memoizes CQI scans column by column: each subchannel's
+//! column is keyed by (gain generation, association generation, the
+//! subchannel's transmitter-set id), and a scan keeps, copies back or
+//! computes each column, re-testing the interference hits of a kept or
+//! copied column once per epoch. That is an optimization, never a
+//! semantic: with the memo disabled the engine must deliver the same
+//! bits, drop the same connections, execute the same handovers, and
+//! emit a byte-identical event trace — at any worker count. These tests
+//! pin that end-to-end through the facade.
+//!
+//! Under full backlog, on three drops, across mid-run perturbations
+//! (client mobility, EIRP degradation) that invalidate every cache
+//! layer: the dense paper topology with fading on; the culled fig9metro
+//! pocket drop with fading off, where link rows differ in length and the
+//! one gain slab is never refreshed; and the culled district drop, large
 //! enough that scheduling, HARQ resolution and the CQI scan split across
-//! workers, run past an epoch boundary so replays must re-apply their
-//! hits after the epoch flags are cleared.
+//! workers, run past an epoch boundary so kept columns must re-test
+//! their hits after the epoch flags are cleared. Full backlog flips every
+//! column between the downlink set and the empty set in lockstep, so a
+//! second case drives the district drop with bursty web traffic: pages
+//! start and drain, columns change one at a time, and scans copy some
+//! columns from one slot, some from the other and compute the rest,
+//! across an epoch boundary and a handover.
 
 use cellfi::obs::Tracer;
 use cellfi::sim::experiments::fig9metro;
-use cellfi::sim::{parallel, ImMode, LteEngine, LteEngineConfig, Scenario, ScenarioConfig};
+use cellfi::sim::{
+    parallel, ImMode, LteEngine, LteEngineConfig, Scenario, ScenarioConfig, WebWorkload,
+    WebWorkloadConfig,
+};
 use cellfi::types::geo::Point;
 use cellfi::types::rng::SeedSeq;
-use cellfi::types::time::Instant;
+use cellfi::types::time::{Duration, Instant};
 
 /// Everything observable a run produces: delivery counters, resilience
 /// counters, and the full JSONL trace stream.
@@ -135,6 +147,125 @@ fn fast_path_matches_full_scan_across_modes_seeds_and_threads() {
                     "{label}: full scan thread-dependent ({mode:?}, seed {seed})"
                 );
             }
+        }
+    }
+}
+
+/// One subframe under web traffic: `web`'s page requests go in first
+/// unless `paused`, and deliveries go back to it in whole bytes (`bits`
+/// accumulates each UE's delivered bits).
+fn step(e: &mut LteEngine, web: &mut WebWorkload, bits: &mut [u64], paused: bool) {
+    if !paused {
+        for (ue, bytes) in web.poll(e.now()) {
+            e.enqueue(ue, bytes * 8);
+        }
+    }
+    let deliveries = e.step_subframe();
+    for (ue, delivered) in deliveries {
+        let before = bits[ue] / 8;
+        bits[ue] += delivered;
+        web.delivered(ue, bits[ue] / 8 - before, e.now());
+    }
+}
+
+/// The district drop under web traffic, in three acts. First 1.1 s of
+/// pages (across the 1 s epoch), where transmitter sets change a few
+/// columns at a time. Then UE 0 moves next to another of its candidate
+/// APs, page requests pause until the network has drained and idled
+/// for 10 ms, and the clients of UE 0's cell and of that AP (UE 0
+/// among them) are backlogged for 300 ms: the downlink set is one new
+/// key next to the resident idle key, so downlink and uplink scans flip
+/// by copies while, under plain LTE, the AP next door jams UE 0 on
+/// every subchannel, in downlink scans only — its RLF monitor must see
+/// every uplink scan's usable report. Last, UE 0 hands over; the
+/// sets do not change, so kept columns must be measured anew for the
+/// new serving cell, and 100 ms later page requests resume for 300 ms.
+fn run_web(mode: ImMode, seed: u64, fast_path: bool, threads: usize) -> RunOutcome {
+    parallel::with_threads(threads, || {
+        let scenario = Scenario::generate(fig9metro::district_config(), SeedSeq::new(seed));
+        let n_ue = scenario.n_ues();
+        assert!(
+            n_ue >= 128,
+            "premise: a computing scan splits across workers"
+        );
+        let mut e = LteEngine::new(
+            scenario,
+            LteEngineConfig::paper_default(mode),
+            SeedSeq::new(seed ^ 0xfa57),
+        );
+        e.set_fast_path(fast_path);
+        e.obs_mut().tracer = Tracer::new(true);
+        let mut web = WebWorkload::new(
+            WebWorkloadConfig::default(),
+            n_ue,
+            SeedSeq::new(seed ^ 0x3eb),
+        );
+        let mut bits = vec![0u64; n_ue];
+        let run_for = |e: &mut LteEngine, web: &mut WebWorkload, bits: &mut [u64], ms, paused| {
+            let until = e.now() + Duration::from_millis(ms);
+            while e.now() < until {
+                step(e, web, bits, paused);
+            }
+        };
+        run_for(&mut e, &mut web, &mut bits, 1_100, false);
+
+        let scenario = e.scenario();
+        let serving = scenario.assoc[0];
+        let target = scenario
+            .nbr
+            .candidates(0)
+            .iter()
+            .map(|&a| a as usize)
+            .find(|&a| a != serving)
+            .expect("premise: every district UE has at least two candidate APs");
+        let at = scenario.aps[target].position;
+        let backlogged: Vec<usize> = (0..n_ue)
+            .filter(|&u| [serving, target].contains(&scenario.assoc[u]))
+            .collect();
+        e.move_ue(0, Point::new(at.x + 5.0, at.y));
+        while (0..n_ue).any(|u| e.queued_bits(u) > 0) {
+            assert!(
+                e.now() < Instant::from_millis(5_000),
+                "premise: pages drain"
+            );
+            step(&mut e, &mut web, &mut bits, true);
+        }
+        run_for(&mut e, &mut web, &mut bits, 10, true);
+        for ue in backlogged {
+            e.enqueue(ue, 40_000_000);
+        }
+        run_for(&mut e, &mut web, &mut bits, 300, true);
+
+        assert_eq!(
+            e.check_handover(0, 3.0),
+            Some(target),
+            "premise: UE 0 hands over"
+        );
+        run_for(&mut e, &mut web, &mut bits, 100, true);
+        run_for(&mut e, &mut web, &mut bits, 300, false);
+        RunOutcome {
+            delivered: e.delivered_bits().to_vec(),
+            rrc_drops: e.rrc_drops.clone(),
+            handovers: e.handovers,
+            trace: e.obs().tracer.to_jsonl(),
+        }
+    })
+}
+
+#[test]
+fn fast_path_matches_full_scan_under_bursty_web_traffic() {
+    for mode in [ImMode::CellFi, ImMode::PlainLte] {
+        let reference = run_web(mode, 7, false, 1);
+        assert!(
+            reference.trace.contains("\"ev\":\"cqi_interf\""),
+            "web: reference run measured no interference; the comparison is vacuous ({mode:?})"
+        );
+        for threads in [1usize, 8] {
+            assert_eq!(
+                reference,
+                run_web(mode, 7, true, threads),
+                "web: fast path diverged from full scan ({mode:?}, {threads} threads)"
+            );
         }
     }
 }

@@ -117,7 +117,7 @@ pub(crate) fn chaos_run(
         .enumerate()
         .map(|(i, loc)| {
             LeaseLifecycle::new(
-                &format!("cellfi-ap-{i:03}"),
+                format!("cellfi-ap-{i:03}"),
                 clients_per_ap as u32,
                 *loc,
                 ChannelPlan::Eu,

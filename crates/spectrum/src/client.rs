@@ -114,7 +114,7 @@ pub struct DatabaseClient {
 
 impl DatabaseClient {
     /// New client for an AP at `location` with `clients` mobile devices.
-    pub fn new(serial: &str, clients: u32, location: GeoLocation) -> DatabaseClient {
+    pub fn new(serial: impl Into<String>, clients: u32, location: GeoLocation) -> DatabaseClient {
         DatabaseClient {
             device: DeviceDescriptor::master_with_clients(serial, clients),
             location,
@@ -412,7 +412,7 @@ mod tests {
         c.start_operation(&mut db, ch, 36.0, Instant::from_secs(1))
             .expect("granted channel accepts operation");
         assert!(c.may_transmit(Instant::from_secs(2)));
-        assert_eq!(db.notifications().len(), 1);
+        assert_eq!(db.notification_count(), 1);
     }
 
     #[test]
@@ -428,7 +428,7 @@ mod tests {
         // Refusal is a compliance outcome, not a crash: state unchanged,
         // nothing notified to the database.
         assert_eq!(c.state(), ClientState::Idle);
-        assert!(db.notifications().is_empty());
+        assert_eq!(db.notification_count(), 0);
         assert!(!c.may_transmit(Instant::ZERO));
     }
 

@@ -11,16 +11,24 @@
 //! is used only to protect incumbents ... and not to coordinate spectrum
 //! among secondary, TV white space devices" (§4.2). Coordination between
 //! CellFi cells is deliberately not its job.
+//!
+//! A query is answered from bit masks, not channel collections: the
+//! availability at one point is a `u64` whose bit `i` is the plan's
+//! channel in slot `i` (`ChannelPlan::slot`), built in one pass over
+//! the withdrawals and one over the incumbents. A PAWS request ANDs the
+//! masks of its five probe points and emits the grants from the set
+//! bits, lowest channel first. [`SpectrumDatabase::is_available`] stays
+//! the per-channel predicate every mask bit equals.
 
 use crate::incumbent::Incumbent;
 use crate::paws::{
     AvailSpectrumReq, AvailSpectrumResp, InitReq, InitResp, SpectrumGrant, SpectrumUseNotify,
 };
-use crate::plan::ChannelPlan;
+use crate::plan::{ChannelPlan, MAX_PLAN_CHANNELS};
 use cellfi_types::geo::Point;
 use cellfi_types::time::{Duration, Instant};
 use cellfi_types::ChannelId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Availability of one channel at a location.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,8 +58,12 @@ pub struct SpectrumDatabase {
     max_polling_secs: u64,
     /// Ruleset identifier advertised in `INIT_RESP`.
     ruleset_id: &'static str,
-    /// Log of use notifications received (audit trail).
-    notifications: Vec<SpectrumUseNotify>,
+    /// Use notifications received so far.
+    notification_count: u64,
+    /// The most recent use notification. Only the latest is kept: a
+    /// fleet sends hundreds of thousands, and a full log would dominate
+    /// its memory.
+    last_notification: Option<SpectrumUseNotify>,
 }
 
 impl SpectrumDatabase {
@@ -67,7 +79,8 @@ impl SpectrumDatabase {
             max_eirp_dbm: 36.0,
             max_polling_secs: 900,
             ruleset_id: "ETSI-EN-301-598-1.1.1",
-            notifications: Vec::new(),
+            notification_count: 0,
+            last_notification: None,
         }
     }
 
@@ -127,11 +140,9 @@ impl SpectrumDatabase {
     }
 
     fn channel_withdrawn(&self, channel: ChannelId, now: Instant) -> bool {
-        match self.withdrawn.get(&channel) {
-            Some(None) => true,
-            Some(Some(until)) => now < *until,
-            None => false,
-        }
+        self.withdrawn
+            .get(&channel)
+            .is_some_and(|&until| withdrawal_active(until, now))
     }
 
     /// Whether `channel` is available to a secondary at `location`/`now`.
@@ -159,6 +170,28 @@ impl SpectrumDatabase {
             .collect()
     }
 
+    /// Availability of every plan channel at `location`/`now` as a mask:
+    /// bit `i` is set iff the channel in slot `i` is available, i.e. iff
+    /// [`SpectrumDatabase::is_available`] holds for it.
+    fn available_mask(&self, location: Point, now: Instant) -> u64 {
+        let mut mask = u64::MAX >> (MAX_PLAN_CHANNELS - self.plan.len());
+        for (&channel, &until) in &self.withdrawn {
+            if let Some(slot) = self.plan.slot(channel) {
+                if withdrawal_active(until, now) {
+                    mask &= !(1 << slot);
+                }
+            }
+        }
+        for incumbent in &self.incumbents {
+            if let Some(slot) = self.plan.slot(incumbent.channel()) {
+                if incumbent.blocks(location, now) {
+                    mask &= !(1 << slot);
+                }
+            }
+        }
+        mask
+    }
+
     /// Serve a PAWS `AVAIL_SPECTRUM_REQ`. The location's uncertainty is
     /// honoured conservatively: a channel is granted only if available at
     /// the reported point *and* at the four cardinal extremes of the
@@ -174,26 +207,97 @@ impl SpectrumDatabase {
             Point::new(centre.x, centre.y + u),
             Point::new(centre.x, centre.y - u),
         ];
-        let mut granted: BTreeSet<ChannelId> = self
+        let mut granted = probes
+            .iter()
+            .fold(u64::MAX, |mask, &p| mask & self.available_mask(p, now));
+        let (lo, _) = self.plan.channel_range();
+        let expires_us = (now + self.lease_validity).as_micros();
+        let mut grants = Vec::with_capacity(granted.count_ones() as usize);
+        while granted != 0 {
+            grants.push(SpectrumGrant {
+                channel: ChannelId::new(lo + granted.trailing_zeros()),
+                max_eirp_dbm: self.max_eirp_dbm,
+                expires_us,
+            });
+            granted &= granted - 1;
+        }
+        AvailSpectrumResp {
+            grants,
+            response_time_us: now.as_micros(),
+        }
+    }
+
+    /// Accept a `SPECTRUM_USE_NOTIFY`: counted, and kept as the latest.
+    pub fn notify_use(&mut self, notify: SpectrumUseNotify) {
+        self.notification_count += 1;
+        self.last_notification = Some(notify);
+    }
+
+    /// Use notifications received so far.
+    pub fn notification_count(&self) -> u64 {
+        self.notification_count
+    }
+
+    /// The most recent use notification, if any.
+    pub fn last_notification(&self) -> Option<&SpectrumUseNotify> {
+        self.last_notification.as_ref()
+    }
+}
+
+/// Whether a withdrawal lasting until `until` (`None` = indefinitely)
+/// is in force at `now`. The end is exclusive: the channel is available
+/// again at `until`.
+fn withdrawal_active(until: Option<Instant>, now: Instant) -> bool {
+    until.is_none_or(|until| now < until)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::paws::{DeviceDescriptor, GeoLocation};
+    use crate::profile::RuleProfile;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    /// The per-probe channel-set `avail_spectrum` the masks replaced:
+    /// five available-channel lists, intersected as `BTreeSet`s. Kept as
+    /// the reference the mask path is checked against.
+    fn reference_avail_spectrum(
+        db: &SpectrumDatabase,
+        req: &AvailSpectrumReq,
+    ) -> AvailSpectrumResp {
+        let now = Instant::from_micros(req.request_time_us);
+        let centre = req.location.point();
+        let u = req.location.uncertainty;
+        let probes = [
+            centre,
+            Point::new(centre.x + u, centre.y),
+            Point::new(centre.x - u, centre.y),
+            Point::new(centre.x, centre.y + u),
+            Point::new(centre.x, centre.y - u),
+        ];
+        let mut granted: BTreeSet<ChannelId> = db
             .available_channels(centre, now)
             .iter()
             .map(|a| a.channel)
             .collect();
         for p in &probes[1..] {
-            let here: BTreeSet<ChannelId> = self
+            let here: BTreeSet<ChannelId> = db
                 .available_channels(*p, now)
                 .iter()
                 .map(|a| a.channel)
                 .collect();
             granted = granted.intersection(&here).copied().collect();
         }
-        let expires = now + self.lease_validity;
+        let expires = now + db.lease_validity;
         AvailSpectrumResp {
             grants: granted
                 .into_iter()
                 .map(|channel| SpectrumGrant {
                     channel,
-                    max_eirp_dbm: self.max_eirp_dbm,
+                    max_eirp_dbm: db.max_eirp_dbm,
                     expires_us: expires.as_micros(),
                 })
                 .collect(),
@@ -201,21 +305,124 @@ impl SpectrumDatabase {
         }
     }
 
-    /// Accept a `SPECTRUM_USE_NOTIFY` (logged for audit).
-    pub fn notify_use(&mut self, notify: SpectrumUseNotify) {
-        self.notifications.push(notify);
+    /// A database and a request drawn from `seed`, built to sit on the
+    /// edges the masks must get right: incumbents whose protection
+    /// radius ends exactly at (or 1 m either side of) one probe point,
+    /// mic events and withdrawals that start or end at the query
+    /// instant or 1 µs either side, channels just outside the plan, and
+    /// uncertainty from 0 to 10 km. Every coordinate is a whole number
+    /// of metres, so each distance is exact.
+    fn edge_scenario(seed: u64) -> (SpectrumDatabase, AvailSpectrumReq) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = if rng.gen_bool(0.5) {
+            ChannelPlan::Eu
+        } else {
+            ChannelPlan::Us
+        };
+        let (lo, hi) = plan.channel_range();
+        let now_us = rng.gen_range(10_000_000u64..20_000_000);
+        let near_now = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => now_us - 1,
+            1 => now_us,
+            2 => now_us + 1,
+            _ => rng.gen_range(0..2 * now_us),
+        };
+        let centre = Point::new(
+            f64::from(rng.gen_range(-20_000i32..20_000)),
+            f64::from(rng.gen_range(-20_000i32..20_000)),
+        );
+        let u = if rng.gen_bool(0.2) {
+            0.0
+        } else {
+            f64::from(rng.gen_range(0u32..=10_000))
+        };
+        let probes = [
+            centre,
+            Point::new(centre.x + u, centre.y),
+            Point::new(centre.x - u, centre.y),
+            Point::new(centre.x, centre.y + u),
+            Point::new(centre.x, centre.y - u),
+        ];
+        let mut incumbents = Vec::new();
+        for _ in 0..rng.gen_range(0..12) {
+            let channel = ChannelId::new(rng.gen_range(lo - 2..=hi + 2));
+            let radius = rng.gen_range(0u32..5_000);
+            let reach = f64::from(radius) + f64::from(rng.gen_range(-1i32..=1));
+            let probe = probes[rng.gen_range(0..probes.len())];
+            let location = match rng.gen_range(0..5) {
+                0 => Point::new(probe.x + reach, probe.y),
+                1 => Point::new(probe.x - reach, probe.y),
+                2 => Point::new(probe.x, probe.y + reach),
+                3 => Point::new(probe.x, probe.y - reach),
+                _ => Point::new(
+                    centre.x + f64::from(rng.gen_range(-15_000i32..15_000)),
+                    centre.y + f64::from(rng.gen_range(-15_000i32..15_000)),
+                ),
+            };
+            let protected_radius = f64::from(radius);
+            incumbents.push(if rng.gen_bool(0.5) {
+                Incumbent::TvStation {
+                    channel,
+                    location,
+                    protected_radius,
+                }
+            } else {
+                let events = (0..rng.gen_range(1..3))
+                    .map(|_| {
+                        let (a, b) = (near_now(&mut rng), near_now(&mut rng));
+                        (
+                            Instant::from_micros(a.min(b)),
+                            Instant::from_micros(a.max(b)),
+                        )
+                    })
+                    .collect();
+                Incumbent::WirelessMic {
+                    channel,
+                    location,
+                    protected_radius,
+                    events,
+                }
+            });
+        }
+        let mut db = SpectrumDatabase::new(plan, incumbents);
+        if rng.gen_bool(0.5) {
+            db = db.with_profile(&RuleProfile::fcc());
+        }
+        for _ in 0..rng.gen_range(0..6) {
+            let channel = ChannelId::new(rng.gen_range(lo - 2..=hi + 2));
+            let until = if rng.gen_bool(0.25) {
+                None
+            } else {
+                Some(Instant::from_micros(near_now(&mut rng)))
+            };
+            db.withdraw_channel(channel, until);
+        }
+        let req = AvailSpectrumReq {
+            device: DeviceDescriptor::master_with_clients("prop-ap", 4),
+            location: GeoLocation {
+                x: centre.x,
+                y: centre.y,
+                uncertainty: u,
+            },
+            request_time_us: now_us,
+        };
+        (db, req)
     }
 
-    /// Audit trail of use notifications.
-    pub fn notifications(&self) -> &[SpectrumUseNotify] {
-        &self.notifications
-    }
-}
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::paws::{DeviceDescriptor, GeoLocation};
+        /// The mask path grants exactly what the per-probe channel sets
+        /// granted, at the edge instant and 1 µs either side of it.
+        #[test]
+        fn avail_spectrum_matches_the_channel_set_reference(seed in any::<u64>()) {
+            let (db, req) = edge_scenario(seed);
+            for request_time_us in [req.request_time_us - 1, req.request_time_us, req.request_time_us + 1] {
+                let req = AvailSpectrumReq { request_time_us, ..req.clone() };
+                prop_assert_eq!(db.avail_spectrum(&req), reference_avail_spectrum(&db, &req));
+            }
+        }
+    }
 
     fn db() -> SpectrumDatabase {
         let incumbents = vec![
@@ -281,6 +488,28 @@ mod tests {
     }
 
     #[test]
+    fn withdrawal_ends_exclusively_at_its_instant() {
+        let mut d = db();
+        let ch = ChannelId::new(38);
+        let until = Instant::from_secs(357);
+        d.withdraw_channel(ch, Some(until));
+        let granted = |d: &SpectrumDatabase, at: Instant| {
+            let req = AvailSpectrumReq {
+                device: DeviceDescriptor::master_with_clients("ap", 1),
+                location: GeoLocation::gps(Point::new(100_000.0, 0.0)),
+                request_time_us: at.as_micros(),
+            };
+            d.avail_spectrum(&req)
+                .grants
+                .iter()
+                .any(|g| g.channel == ch)
+        };
+        let before = until - Duration::from_micros(1);
+        assert!(!granted(&d, before));
+        assert!(granted(&d, until), "available again at the end instant");
+    }
+
+    #[test]
     fn grants_carry_lease_expiry() {
         let d = db().with_lease_validity(Duration::from_secs(600));
         let p = Point::new(100_000.0, 0.0);
@@ -318,15 +547,21 @@ mod tests {
     }
 
     #[test]
-    fn notifications_are_logged() {
+    fn notifications_are_counted_and_the_latest_kept() {
         let mut d = db();
-        d.notify_use(SpectrumUseNotify {
-            device: DeviceDescriptor::master_with_clients("ap", 2),
-            channel: ChannelId::new(38),
-            eirp_dbm: 36.0,
-        });
-        assert_eq!(d.notifications().len(), 1);
-        assert_eq!(d.notifications()[0].channel, ChannelId::new(38));
+        assert_eq!(d.notification_count(), 0);
+        assert!(d.last_notification().is_none());
+        for channel in [38, 41] {
+            d.notify_use(SpectrumUseNotify {
+                device: DeviceDescriptor::master_with_clients("ap", 2),
+                channel: ChannelId::new(channel),
+                eirp_dbm: 36.0,
+            });
+        }
+        assert_eq!(d.notification_count(), 2);
+        let last = d.last_notification().expect("two notifications sent");
+        assert_eq!(last.channel, ChannelId::new(41));
+        assert_eq!(last.device.serial, "ap");
     }
 
     #[test]

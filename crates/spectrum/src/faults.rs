@@ -511,7 +511,7 @@ mod tests {
             Err(PawsFailure::PawsTimeout { .. })
         ));
         // The request reached the database even though the ack was late.
-        assert_eq!(inj.database().notifications().len(), 1);
+        assert_eq!(inj.database().notification_count(), 1);
     }
 
     #[test]

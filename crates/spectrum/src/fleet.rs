@@ -39,8 +39,6 @@
 //! invariant the `fleet()` monitor catalogue watches — it must stay
 //! zero under arbitrary fault schedules).
 
-use std::collections::BTreeMap;
-
 use cellfi_types::rng::{splitmix64, SeedSeq};
 use cellfi_types::time::{Duration, Instant};
 use cellfi_types::units::Dbm;
@@ -54,7 +52,7 @@ use crate::lifecycle::{LeaseLifecycle, LifecycleConfig, LifecycleEvent, Lifecycl
 use crate::paws::{
     AvailSpectrumReq, AvailSpectrumResp, GeoLocation, InitReq, InitResp, SpectrumUseNotify,
 };
-use crate::plan::ChannelPlan;
+use crate::plan::{ChannelPlan, MAX_PLAN_CHANNELS};
 use crate::profile::RuleProfile;
 use crate::selection::{ListenObservation, OccupantKind};
 
@@ -282,6 +280,32 @@ fn snap_location(loc: &GeoLocation, quantum: f64) -> GeoLocation {
     }
 }
 
+/// AP `i`'s device serial, `fleet-ap-` and `i` zero-padded to five
+/// digits: the same string as `format!("fleet-ap-{i:05}")`, written
+/// without the formatting machinery, which dominated fleet construction.
+fn ap_serial(i: usize) -> String {
+    const PREFIX: &str = "fleet-ap-";
+    // usize::MAX has 20 decimal digits; unused leading slots stay '0'.
+    let mut digits = [b'0'; 20];
+    let mut n = i;
+    let mut len = 0;
+    loop {
+        digits[digits.len() - 1 - len] = b'0' + (n % 10) as u8;
+        n /= 10;
+        len += 1;
+        if n == 0 {
+            break;
+        }
+    }
+    let width = len.max(5);
+    let mut serial = String::with_capacity(PREFIX.len() + width);
+    serial.push_str(PREFIX);
+    for &d in &digits[digits.len() - width..] {
+        serial.push(char::from(d));
+    }
+    serial
+}
+
 /// The transport one AP sees: its shard's fault injector behind the
 /// shard's response cache, with request-rate accounting.
 struct ShardTransport<'a> {
@@ -364,25 +388,26 @@ impl SpectrumFleet {
             })
             .collect();
         let assign_seed = seeds.seed("shard-assign");
+        let lease_seed = seeds.seed("lease");
+        let jitter_seed = seeds.seed("renew-jitter");
         let spread_us = config.renew_spread.as_micros();
         let aps: Vec<ApState> = locations
             .iter()
             .enumerate()
             .map(|(i, loc)| {
-                let serial = format!("fleet-ap-{i:05}");
                 let lifecycle = LeaseLifecycle::new(
-                    &serial,
+                    ap_serial(i),
                     config.clients_per_ap,
                     *loc,
                     config.plan,
                     config.lifecycle,
-                    seeds.seed_indexed("lease", i as u64),
+                    SeedSeq::seed_with(lease_seed, i as u64),
                 )
                 .with_profile(&config.profile);
                 let offset = if spread_us == 0 {
                     0
                 } else {
-                    seeds.seed_indexed("renew-jitter", i as u64) % spread_us
+                    SeedSeq::seed_with(jitter_seed, i as u64) % spread_us
                 };
                 ApState {
                     lifecycle,
@@ -446,20 +471,26 @@ impl SpectrumFleet {
     /// Synthesize the shared network-listen survey from fleet-wide
     /// per-channel occupancy: every channel some AP operates on reads
     /// as CellFi-occupied, `CO_CHANNEL_STEP_DB` louder per occupant.
+    /// A channel outside the plan is left out: the selector ranks only
+    /// the plan's channels, and every AP operates on one of them.
     fn build_listen(&mut self) {
-        let mut counts: BTreeMap<ChannelId, u32> = BTreeMap::new();
+        let plan = self.config.plan;
+        let mut counts = [0u32; MAX_PLAN_CHANNELS];
         for ap in &self.aps {
-            if let Some(ch) = ap.lifecycle.current_channel() {
-                *counts.entry(ch).or_insert(0) += 1;
+            if let Some(slot) = ap.lifecycle.current_channel().and_then(|ch| plan.slot(ch)) {
+                counts[slot] += 1;
             }
         }
+        let (lo, _) = plan.channel_range();
         self.listen.clear();
-        for (channel, count) in counts {
-            self.listen.push(ListenObservation {
-                channel,
-                energy: Dbm(LISTEN_FLOOR_DBM + CO_CHANNEL_STEP_DB * count as f64),
-                occupant: OccupantKind::CellFi,
-            });
+        for (offset, &count) in (0..).zip(&counts[..plan.len()]) {
+            if count > 0 {
+                self.listen.push(ListenObservation {
+                    channel: ChannelId::new(lo + offset),
+                    energy: Dbm(LISTEN_FLOOR_DBM + CO_CHANNEL_STEP_DB * count as f64),
+                    occupant: OccupantKind::CellFi,
+                });
+            }
         }
     }
 
@@ -515,15 +546,15 @@ impl SpectrumFleet {
                 events,
             };
             ap.lifecycle.step(&mut transport, listen, now);
-            for (t, event) in ap.lifecycle.drain_events() {
-                events.push((
+            events.extend(ap.lifecycle.drain_events().map(|(t, event)| {
+                (
                     t,
                     FleetEvent::Lifecycle {
                         ap: i as u32,
                         event,
                     },
-                ));
-            }
+                )
+            }));
             // Ground-truth audit: a transmitting AP's channel must not
             // have been unavailable longer than the vacate deadline.
             let on_air_channel = match ap.lifecycle.client().state() {
@@ -704,6 +735,26 @@ mod tests {
             t += TICK;
         }
         (fleet.finish(horizon), events)
+    }
+
+    #[test]
+    fn ap_serial_matches_format() {
+        for i in [
+            0,
+            7,
+            42,
+            9_999,
+            10_000,
+            99_999,
+            100_000,
+            123_456,
+            999_999,
+            1_000_000,
+            4_294_967_296,
+            usize::MAX,
+        ] {
+            assert_eq!(ap_serial(i), format!("fleet-ap-{i:05}"), "index {i}");
+        }
     }
 
     #[test]

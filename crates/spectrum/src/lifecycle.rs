@@ -233,7 +233,7 @@ impl LeaseLifecycle {
     /// devices, selecting channels over `plan`. `seed` drives only the
     /// backoff jitter — the simulation clock drives everything else.
     pub fn new(
-        serial: &str,
+        serial: impl Into<String>,
         clients: u32,
         location: GeoLocation,
         plan: ChannelPlan,
@@ -302,8 +302,10 @@ impl LeaseLifecycle {
     }
 
     /// Drain the observable transitions emitted since the last call.
-    pub fn drain_events(&mut self) -> Vec<(Instant, LifecycleEvent)> {
-        std::mem::take(&mut self.events)
+    /// The buffer keeps its capacity, so a lifecycle stepped every tick
+    /// does not allocate a new one each time it emits.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, (Instant, LifecycleEvent)> {
+        self.events.drain(..)
     }
 
     /// The conservative stop deadline: the last availability
@@ -469,8 +471,8 @@ impl LeaseLifecycle {
             }
         }
         self.attempt = 0;
-        let grants = self.client.grants().to_vec();
-        let Some(choice) = self.selector.choose(&grants, &grants, listen, now) else {
+        let grants = self.client.grants();
+        let Some(choice) = self.selector.choose(grants, grants, listen, now) else {
             // Transport fine, nothing granted here: poll again later.
             self.phase = if self.phase == LeasePhase::Vacated {
                 LeasePhase::Vacated
@@ -603,8 +605,8 @@ impl LeaseLifecycle {
         if self.phase != LeasePhase::Renewing && !self.phase_is_degraded() {
             return false;
         }
-        let grants = self.client.grants().to_vec();
-        let Some(choice) = self.selector.choose(&grants, &grants, listen, now) else {
+        let grants = self.client.grants();
+        let Some(choice) = self.selector.choose(grants, grants, listen, now) else {
             return false;
         };
         let want_eirp = self.config.eirp_dbm.min(choice.max_eirp_dbm);
@@ -644,10 +646,10 @@ impl LeaseLifecycle {
         lost: ChannelId,
         now: Instant,
     ) {
-        let grants = self.client.grants().to_vec();
+        let grants = self.client.grants();
         let fallback = self
             .selector
-            .choose(&grants, &grants, listen, now)
+            .choose(grants, grants, listen, now)
             .filter(|c| c.channel != lost);
         let Some(choice) = fallback else {
             self.phase = LeasePhase::Vacated;

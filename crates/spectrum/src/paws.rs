@@ -41,9 +41,9 @@ pub struct DeviceDescriptor {
 
 impl DeviceDescriptor {
     /// A CellFi access point answering for `clients` mobile devices.
-    pub fn master_with_clients(serial: &str, clients: u32) -> DeviceDescriptor {
+    pub fn master_with_clients(serial: impl Into<String>, clients: u32) -> DeviceDescriptor {
         DeviceDescriptor {
-            serial: serial.to_owned(),
+            serial: serial.into(),
             device_type: DeviceType::FixedMaster,
             client_count: clients,
         }

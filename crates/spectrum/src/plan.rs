@@ -11,6 +11,11 @@ use cellfi_types::units::Hertz;
 use cellfi_types::ChannelId;
 use serde::{Deserialize, Serialize};
 
+/// Most channels a plan may hold: the database answers availability
+/// with one `u64` bit per channel slot ([`ChannelPlan::slot`]), and the
+/// selector and fleet keep fixed arrays of this length.
+pub(crate) const MAX_PLAN_CHANNELS: usize = 64;
+
 /// A regional TV channelization.
 ///
 /// ```
@@ -85,6 +90,16 @@ impl ChannelPlan {
                     .expect("channel_range() yields only in-plan numbers")
             })
             .collect()
+    }
+
+    /// Position of channel `channel` in the plan (0 for the first
+    /// channel), or `None` outside it. Per-plan arrays and the
+    /// availability masks are indexed by this slot.
+    pub(crate) fn slot(self, channel: ChannelId) -> Option<usize> {
+        let (lo, hi) = self.channel_range();
+        (lo..=hi)
+            .contains(&channel.0)
+            .then(|| (channel.0 - lo) as usize)
     }
 
     /// Number of channels in the plan.
@@ -166,6 +181,18 @@ mod tests {
         assert_eq!(ChannelPlan::Eu.len(), 40);
         assert_eq!(ChannelPlan::Us.len(), 23);
         assert_eq!(ChannelPlan::Eu.channels().len(), 40);
+    }
+
+    #[test]
+    fn every_plan_fits_the_channel_mask() {
+        for plan in [ChannelPlan::Eu, ChannelPlan::Us] {
+            assert!(plan.len() <= MAX_PLAN_CHANNELS, "{plan:?}");
+            let (lo, hi) = plan.channel_range();
+            assert_eq!(plan.slot(ChannelId::new(lo)), Some(0));
+            assert_eq!(plan.slot(ChannelId::new(hi)), Some(plan.len() - 1));
+            assert_eq!(plan.slot(ChannelId::new(lo - 1)), None);
+            assert_eq!(plan.slot(ChannelId::new(hi + 1)), None);
+        }
     }
 
     #[test]

@@ -17,9 +17,16 @@
 //! and uplink independently, and then select the best TV channel that is
 //! available for both": [`ChannelSelector::choose`] takes both grant
 //! lists and intersects them.
+//!
+//! `choose` runs once per lease renewal of every AP in a fleet, so it
+//! builds no collection: it indexes the uplink grants and the listen
+//! survey by channel slot (`ChannelPlan::slot`) in fixed arrays, the
+//! last entry for a channel winning, and walks the downlink grants once,
+//! keeping the first candidate that no later one beats strictly under
+//! (class, energy by `total_cmp`, channel).
 
 use crate::paws::SpectrumGrant;
-use crate::plan::ChannelPlan;
+use crate::plan::{ChannelPlan, MAX_PLAN_CHANNELS};
 use cellfi_types::time::Instant;
 use cellfi_types::units::{Dbm, Hertz};
 use cellfi_types::ChannelId;
@@ -80,6 +87,9 @@ impl ChannelSelector {
     /// `downlink`/`uplink` are the database's grant lists from the two
     /// independent queries; `listen` is the network-listen survey. A
     /// channel missing from `listen` is assumed idle at the noise floor.
+    /// When a channel appears more than once in `uplink` or `listen`,
+    /// its last entry counts; among equally good downlink grants the
+    /// first wins.
     pub fn choose(
         &self,
         downlink: &[SpectrumGrant],
@@ -87,52 +97,60 @@ impl ChannelSelector {
         listen: &[ListenObservation],
         now: Instant,
     ) -> Option<ChannelChoice> {
-        let ul: BTreeMap<ChannelId, &SpectrumGrant> =
-            uplink.iter().map(|g| (g.channel, g)).collect();
-        let obs: BTreeMap<ChannelId, &ListenObservation> =
-            listen.iter().map(|o| (o.channel, o)).collect();
-
-        let mut candidates: Vec<ChannelChoice> = downlink
-            .iter()
-            .filter(|g| g.valid_at(now))
-            .filter_map(|g| {
-                let ul_grant = ul.get(&g.channel)?;
-                if !ul_grant.valid_at(now) {
-                    return None;
-                }
-                let ch = self.plan.channel(g.channel.0)?;
-                let occupant = obs
-                    .get(&g.channel)
-                    .map(|o| o.occupant)
-                    .unwrap_or(OccupantKind::Idle);
-                Some(ChannelChoice {
-                    channel: g.channel,
-                    centre: ch.centre,
-                    max_eirp_dbm: g.max_eirp_dbm.min(ul_grant.max_eirp_dbm),
-                    expires: Instant::from_micros(g.expires_us.min(ul_grant.expires_us)),
-                    occupant,
-                })
-            })
-            .collect();
-
-        candidates.sort_by(|a, b| {
-            let class = |c: &ChannelChoice| match c.occupant {
-                OccupantKind::Idle => 0u8,
-                OccupantKind::CellFi => 1,
-                OccupantKind::Foreign => 2,
+        let mut ul: [Option<&SpectrumGrant>; MAX_PLAN_CHANNELS] = [None; MAX_PLAN_CHANNELS];
+        for g in uplink {
+            if let Some(slot) = self.plan.slot(g.channel) {
+                ul[slot] = Some(g);
+            }
+        }
+        let mut obs: [Option<&ListenObservation>; MAX_PLAN_CHANNELS] = [None; MAX_PLAN_CHANNELS];
+        for o in listen {
+            if let Some(slot) = self.plan.slot(o.channel) {
+                obs[slot] = Some(o);
+            }
+        }
+        // The best candidate so far: its two grants, occupant and energy.
+        let mut best: Option<(&SpectrumGrant, &SpectrumGrant, OccupantKind, f64)> = None;
+        for g in downlink.iter().filter(|g| g.valid_at(now)) {
+            let Some(slot) = self.plan.slot(g.channel) else {
+                continue;
             };
-            let energy = |c: &ChannelChoice| {
-                obs.get(&c.channel)
-                    .map(|o| o.energy)
-                    .unwrap_or(Dbm::FLOOR)
-                    .value()
+            let Some(ul_grant) = ul[slot].filter(|u| u.valid_at(now)) else {
+                continue;
             };
-            class(a)
-                .cmp(&class(b))
-                .then(energy(a).total_cmp(&energy(b)))
-                .then(a.channel.cmp(&b.channel))
-        });
-        candidates.into_iter().next()
+            let (occupant, energy) = obs[slot]
+                .map_or((OccupantKind::Idle, Dbm::FLOOR.value()), |o| {
+                    (o.occupant, o.energy.value())
+                });
+            let better = best.is_none_or(|(b, _, b_occupant, b_energy)| {
+                class(occupant)
+                    .cmp(&class(b_occupant))
+                    .then(energy.total_cmp(&b_energy))
+                    .then(g.channel.cmp(&b.channel))
+                    .is_lt()
+            });
+            if better {
+                best = Some((g, ul_grant, occupant, energy));
+            }
+        }
+        let (g, ul_grant, occupant, _) = best?;
+        Some(ChannelChoice {
+            channel: g.channel,
+            centre: self.plan.channel(g.channel.0)?.centre,
+            max_eirp_dbm: g.max_eirp_dbm.min(ul_grant.max_eirp_dbm),
+            expires: Instant::from_micros(g.expires_us.min(ul_grant.expires_us)),
+            occupant,
+        })
+    }
+}
+
+/// Preference class of an occupant: idle first, CellFi second, foreign
+/// technologies last (§4.2).
+fn class(occupant: OccupantKind) -> u8 {
+    match occupant {
+        OccupantKind::Idle => 0,
+        OccupantKind::CellFi => 1,
+        OccupantKind::Foreign => 2,
     }
 }
 
@@ -184,15 +202,8 @@ impl ChannelSelector {
         // Score of a single channel: lower is better (class, then energy).
         let score = |n: u32| -> (u8, f64) {
             match obs.get(&ChannelId::new(n)) {
-                Some(o) => {
-                    let class = match o.occupant {
-                        OccupantKind::Idle => 0u8,
-                        OccupantKind::CellFi => 1,
-                        OccupantKind::Foreign => 2,
-                    };
-                    (class, o.energy.value())
-                }
-                None => (0, Dbm::FLOOR.value()),
+                Some(o) => (class(o.occupant), o.energy.value()),
+                None => (class(OccupantKind::Idle), Dbm::FLOOR.value()),
             }
         };
         // Scan all runs of length n_channels; maximize the minimum.
@@ -247,6 +258,173 @@ impl ChannelSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The map-and-sort `choose` the one-pass scan replaced: uplink
+    /// grants and the survey collected into `BTreeMap`s, every candidate
+    /// built, stably sorted, the first taken. Kept as the reference the
+    /// scan is checked against.
+    fn reference_choose(
+        plan: ChannelPlan,
+        downlink: &[SpectrumGrant],
+        uplink: &[SpectrumGrant],
+        listen: &[ListenObservation],
+        now: Instant,
+    ) -> Option<ChannelChoice> {
+        let ul: BTreeMap<ChannelId, &SpectrumGrant> =
+            uplink.iter().map(|g| (g.channel, g)).collect();
+        let obs: BTreeMap<ChannelId, &ListenObservation> =
+            listen.iter().map(|o| (o.channel, o)).collect();
+
+        let mut candidates: Vec<ChannelChoice> = downlink
+            .iter()
+            .filter(|g| g.valid_at(now))
+            .filter_map(|g| {
+                let ul_grant = ul.get(&g.channel)?;
+                if !ul_grant.valid_at(now) {
+                    return None;
+                }
+                let ch = plan.channel(g.channel.0)?;
+                let occupant = obs
+                    .get(&g.channel)
+                    .map(|o| o.occupant)
+                    .unwrap_or(OccupantKind::Idle);
+                Some(ChannelChoice {
+                    channel: g.channel,
+                    centre: ch.centre,
+                    max_eirp_dbm: g.max_eirp_dbm.min(ul_grant.max_eirp_dbm),
+                    expires: Instant::from_micros(g.expires_us.min(ul_grant.expires_us)),
+                    occupant,
+                })
+            })
+            .collect();
+
+        candidates.sort_by(|a, b| {
+            let class = |c: &ChannelChoice| match c.occupant {
+                OccupantKind::Idle => 0u8,
+                OccupantKind::CellFi => 1,
+                OccupantKind::Foreign => 2,
+            };
+            let energy = |c: &ChannelChoice| {
+                obs.get(&c.channel)
+                    .map(|o| o.energy)
+                    .unwrap_or(Dbm::FLOOR)
+                    .value()
+            };
+            class(a)
+                .cmp(&class(b))
+                .then(energy(a).total_cmp(&energy(b)))
+                .then(a.channel.cmp(&b.channel))
+        });
+        candidates.into_iter().next()
+    }
+
+    /// Selector inputs drawn from `seed`: channels from a narrow window
+    /// at either end of the plan (so duplicates are common and some lie
+    /// outside it), grants that expire 1 µs before, at or after `now`,
+    /// uplink lists that differ from the downlink list in membership,
+    /// caps and order, and surveys with duplicate channels, tied, NaN
+    /// and infinite energies and every occupant kind.
+    #[allow(clippy::type_complexity)]
+    fn selector_scenario(
+        seed: u64,
+    ) -> (
+        ChannelPlan,
+        Vec<SpectrumGrant>,
+        Vec<SpectrumGrant>,
+        Vec<ListenObservation>,
+        Instant,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let plan = if rng.gen_bool(0.5) {
+            ChannelPlan::Eu
+        } else {
+            ChannelPlan::Us
+        };
+        let (lo, hi) = plan.channel_range();
+        let window = if rng.gen_bool(0.5) {
+            lo - 2..=lo + 5
+        } else {
+            hi - 5..=hi + 2
+        };
+        let now_us = rng.gen_range(1_000_000u64..2_000_000);
+        let grant = |rng: &mut StdRng| SpectrumGrant {
+            channel: ChannelId::new(rng.gen_range(window.clone())),
+            max_eirp_dbm: [20.0, 23.0, 30.0, 36.0][rng.gen_range(0..4usize)],
+            expires_us: match rng.gen_range(0..5) {
+                0 => now_us - 1,
+                1 => now_us,
+                2 => now_us + 1,
+                _ => now_us + rng.gen_range(2..10_000_000u64),
+            },
+        };
+        let downlink: Vec<SpectrumGrant> =
+            (0..rng.gen_range(0..10)).map(|_| grant(&mut rng)).collect();
+        let mut uplink = Vec::new();
+        for &g in &downlink {
+            if rng.gen_bool(0.7) {
+                uplink.push(if rng.gen_bool(0.3) {
+                    grant(&mut rng)
+                } else {
+                    g
+                });
+            }
+        }
+        for _ in 0..rng.gen_range(0..4) {
+            uplink.push(grant(&mut rng));
+        }
+        uplink.shuffle(&mut rng);
+        let energies = [
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -95.0,
+            -92.0,
+            Dbm::FLOOR.value(),
+        ];
+        let occupants = [
+            OccupantKind::Idle,
+            OccupantKind::CellFi,
+            OccupantKind::Foreign,
+        ];
+        let listen = (0..rng.gen_range(0..10))
+            .map(|_| ListenObservation {
+                channel: ChannelId::new(rng.gen_range(window.clone())),
+                energy: Dbm(if rng.gen_bool(0.7) {
+                    energies[rng.gen_range(0..energies.len())]
+                } else {
+                    rng.gen_range(-120.0..-40.0)
+                }),
+                occupant: occupants[rng.gen_range(0..occupants.len())],
+            })
+            .collect();
+        (plan, downlink, uplink, listen, Instant::from_micros(now_us))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        /// The one-pass scan picks exactly what the map-and-sort
+        /// selector picked, for split grant lists and for the one list
+        /// a lifecycle passes twice.
+        #[test]
+        fn choose_matches_the_map_and_sort_reference(seed in any::<u64>()) {
+            let (plan, downlink, uplink, listen, now) = selector_scenario(seed);
+            let selector = ChannelSelector::new(plan);
+            prop_assert_eq!(
+                selector.choose(&downlink, &uplink, &listen, now),
+                reference_choose(plan, &downlink, &uplink, &listen, now)
+            );
+            prop_assert_eq!(
+                selector.choose(&downlink, &downlink, &listen, now),
+                reference_choose(plan, &downlink, &downlink, &listen, now)
+            );
+        }
+    }
 
     fn grant(ch: u32) -> SpectrumGrant {
         SpectrumGrant {

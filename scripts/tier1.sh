@@ -206,6 +206,19 @@ WEB_ALLOCS_PER_STEP=$(metric "$TRACE_TMP/bench_web_traced.jsonl" alloc.per_step)
 echo "web_paired alloc.per_step: ${WEB_ALLOCS_PER_STEP} (ceiling ${WEB_ALLOCS_PER_STEP_MAX})"
 python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
     "$WEB_ALLOCS_PER_STEP" "$WEB_ALLOCS_PER_STEP_MAX"
+# Heap allocations per 250 ms tick of the traced fleet_chaos run (4,096
+# lease lifecycles over 8 shards). Availability is answered from channel
+# bit masks and the selector indexes fixed per-plan arrays, so what
+# remains is mostly the PAWS wire types (device descriptors cloned per
+# request, cached responses cloned per hit): 1,964.0117 exactly. Copying
+# the grant list before each selection adds about 340; building channel
+# sets per availability query, as before, read 35,099.41.
+$BENCH run fleet_chaos --seconds 0 --trace > "$TRACE_TMP/bench_fleet_traced.jsonl"
+FLEET_ALLOCS_PER_TICK_MAX=2160
+FLEET_ALLOCS_PER_TICK=$(metric "$TRACE_TMP/bench_fleet_traced.jsonl" fleet.allocs_per_tick)
+echo "fleet_chaos fleet.allocs_per_tick: ${FLEET_ALLOCS_PER_TICK} (ceiling ${FLEET_ALLOCS_PER_TICK_MAX})"
+python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
+    "$FLEET_ALLOCS_PER_TICK" "$FLEET_ALLOCS_PER_TICK_MAX"
 
 echo "== tier1: benchmark test suite =="
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml

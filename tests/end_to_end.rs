@@ -55,7 +55,7 @@ fn full_pipeline_from_database_to_scheduled_bits() {
     assert_eq!(choice.channel, ChannelId::new(15));
     dbc.start_operation(&mut db, choice.channel, 36.0, Instant::ZERO)
         .expect("the selector only returns granted channels");
-    assert_eq!(db.notifications().len(), 1, "SPECTRUM_USE_NOTIFY sent");
+    assert_eq!(db.notification_count(), 1, "SPECTRUM_USE_NOTIFY sent");
 
     // 3. LTE bring-up on the selected carrier.
     let mut cell = Cell::new(CellConfig::paper_default(ApId::new(0)));

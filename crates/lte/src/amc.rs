@@ -176,11 +176,12 @@ impl CqiTable {
 /// The CQI table's SINR grid, inverted into the linear domain.
 ///
 /// `cqi_for_linear(r)` returns exactly `CqiTable::cqi_for_sinr(Db(10·log10 r))`
-/// for every positive ratio `r`, without the `log10`: each dB threshold is
-/// mapped to the smallest positive f64 whose dB value reaches it (found by
-/// bisection over the monotone bit patterns of positive floats), so the
-/// comparison moves to the linear domain with zero transcendental math and
-/// zero behaviour change.
+/// for every ratio `r`, NaN included, without the `log10`. The dB
+/// thresholds are bisected once, at construction: each is mapped to the
+/// smallest positive f64 whose dB value reaches it (bisection over the
+/// monotone bit patterns of positive floats). Each lookup is then a binary
+/// search over those ascending bounds, so the comparison moves to the
+/// linear domain with zero transcendental math and zero behaviour change.
 #[derive(Debug, Clone)]
 pub struct LinearCqiMap {
     /// `bounds[i]` is the smallest linear ratio reporting CQI `i+1`.
@@ -198,18 +199,12 @@ impl LinearCqiMap {
     }
 
     /// The CQI an ideal UE reports for a linear SINR ratio; equivalent to
-    /// `cqi_for_sinr` on `10·log10(ratio)`.
+    /// `cqi_for_sinr` on `10·log10(ratio)`. A binary search: the bounds
+    /// ascend, so the ones at or below `ratio` are a prefix, and its
+    /// length is the CQI (0 for NaN: no bound is at or below it).
     #[inline]
     pub fn cqi_for_linear(&self, ratio: f64) -> Cqi {
-        let mut best = Cqi::OUT_OF_RANGE;
-        for (i, &b) in self.bounds.iter().enumerate() {
-            if ratio >= b {
-                best = Cqi(i as u8 + 1);
-            } else {
-                break;
-            }
-        }
-        best
+        Cqi(self.bounds.partition_point(|&b| b <= ratio) as u8)
     }
 }
 
@@ -392,6 +387,32 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn linear_map_matches_db_table_at_the_edges_of_f64() {
+        // The binary search must agree with the dB table where the dB
+        // value is NaN (NaN, negative ratios), −∞ (±0.0) or beyond every
+        // threshold.
+        let m = LinearCqiMap::default();
+        let edges = [
+            f64::NAN,
+            -1.0,
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for r in edges {
+            assert_eq!(
+                m.cqi_for_linear(r),
+                T.cqi_for_sinr(Db(10.0 * r.log10())),
+                "ratio {r:e}"
+            );
+        }
+        assert_eq!(m.cqi_for_linear(f64::NAN), Cqi::OUT_OF_RANGE);
+        assert_eq!(m.cqi_for_linear(f64::INFINITY), Cqi::MAX);
     }
 
     #[test]

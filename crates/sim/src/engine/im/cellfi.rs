@@ -63,12 +63,11 @@ impl ImStrategy for CellFi {
                     let mut frac: Vec<f64> = (0..n_sub)
                         .map(|s| f64::from(e.mac_rows[ue].sched_subframes[s]) / dl)
                         .collect();
-                    let interfered: Vec<bool> = (0..n_sub)
-                        .map(|s| {
-                            e.config
-                                .sensing
-                                .observe(e.epoch[ue].interfered[s], &mut e.mac_rows[ue].rng)
-                        })
+                    let interfered: Vec<bool> = e
+                        .interfered
+                        .row(ue)
+                        .iter()
+                        .map(|&hit| e.config.sensing.observe(hit, &mut e.mac_rows[ue].rng))
                         .collect();
                     // Starvation rescue (extension; see DESIGN.md):
                     // the paper drains buckets by frac_scheduled,
@@ -95,7 +94,7 @@ impl ImStrategy for CellFi {
                         frac_scheduled: frac,
                         interfered,
                         est_throughput: est,
-                        free_streak: e.free_streak[ue].clone(),
+                        free_streak: e.free_streak.row(ue).to_vec(),
                     }
                 })
                 .collect();

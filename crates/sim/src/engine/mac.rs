@@ -9,10 +9,12 @@
 //! allocates only the delivery list it returns (and, on a network large
 //! enough to split, the workers' threads). Scheduling reads only shared
 //! state and draws no randomness, so it fans out over contiguous runs
-//! of cells. HARQ resolution fans out over the per-UE `MacRow`s: each
-//! UE's transport block is resolved on its own row, drawing from the
-//! row's own RNG stream. A serial apply pass then delivers in cell
-//! order, each cell's UEs in ascending id.
+//! of cells; its rates come from a per-subchannel table already scaled
+//! by the subframe's TDD capacity. HARQ resolution fans out over the
+//! per-UE `MacRow`s, reading each UE's grants from one dense mask
+//! array beside them: each granted UE's transport block is resolved on
+//! its own row, drawing from the row's own RNG stream. A serial apply
+//! pass then delivers in cell order, each cell's UEs in ascending id.
 //! Uplink subframes are silent: downlink pauses and no cell transmits.
 //! The §3.1 uplink (TCP ACKs in a sliver of the channel) is modelled by
 //! `fig1`'s link-level loop, not here. Mobility (A3 handover with X2
@@ -24,19 +26,38 @@
 
 use super::{im, LteEngine, N_CQI};
 use crate::parallel;
-use cellfi_lte::amc::Cqi;
+use cellfi_lte::amc::{Cqi, CqiTable};
 use cellfi_lte::control::signalling_retention;
-use cellfi_lte::grid::MAX_SUBCHANNELS;
+use cellfi_lte::grid::{ResourceGrid, MAX_SUBCHANNELS};
 use cellfi_lte::harq::{HarqEntity, HarqOutcome};
 use cellfi_lte::scheduler::UNASSIGNED;
 use cellfi_types::time::Duration;
 use cellfi_types::units::Db;
-use cellfi_types::UeId;
+use cellfi_types::{SubchannelId, UeId};
 use rand::rngs::StdRng;
+
+/// Information bits one subchannel of `grid` carries per subframe at
+/// each CQI, `[subchannel][cqi]`: `efficiency(cqi) ·
+/// data_res_per_subframe(s)`, zero at CQI 0.
+pub(super) fn eff_re_table(grid: &ResourceGrid) -> Vec<[f64; N_CQI]> {
+    (0..grid.num_subchannels())
+        .map(|s| {
+            let res = grid.data_res_per_subframe(SubchannelId::new(s));
+            let mut row = [0.0; N_CQI];
+            for e in CqiTable.entries() {
+                row[usize::from(e.cqi.0)] = e.efficiency * res;
+            }
+            row
+        })
+        .collect()
+}
 
 /// Bits one subchannel carries this subframe at `cqi`, given its row
 /// of the `eff_re` table, the TDD downlink capacity and the UE's
-/// control-channel retention. Zero at CQI 0.
+/// control-channel retention. Zero at CQI 0. The downlink pass reads
+/// the same bits as `eff_cap[s][cqi] · retention`: Rust multiplies left
+/// to right, so this is `(eff_re · dl_capacity) · retention`, and
+/// `eff_re[s][0]` is 0.0.
 #[inline]
 fn rate(eff_re: &[f64; N_CQI], cqi: Cqi, dl_capacity: f64, retention: f64) -> f64 {
     if cqi.usable() {
@@ -46,18 +67,25 @@ fn rate(eff_re: &[f64; N_CQI], cqi: Cqi, dl_capacity: f64, retention: f64) -> f6
     }
 }
 
+/// `eff_cap[s][cqi] = eff_re[s][cqi] * dl_capacity` for every entry.
+fn scale_rates(eff_re: &[[f64; N_CQI]], dl_capacity: f64, eff_cap: &mut [[f64; N_CQI]]) {
+    for (cap_row, re_row) in eff_cap.iter_mut().zip(eff_re) {
+        for (cap, &re) in cap_row.iter_mut().zip(re_row) {
+            *cap = re * dl_capacity;
+        }
+    }
+}
+
 /// Fewest cells per scheduling worker: below two workers' worth the
 /// pass stays on the caller's thread (the CQI scan's row threshold).
 const MIN_CELLS_PER_WORKER: usize = 64;
 
 /// One UE's MAC state. Everything a UE's transport block touches in the
 /// per-UE step of [`LteEngine::downlink_pass`] is reached through its
-/// own row, so that step fans out over runs of rows.
+/// own row, so that step fans out over runs of rows. The UE's grants
+/// sit beside the rows, in the engine's dense `grant_mask`.
 #[derive(Debug, Clone)]
 pub(super) struct MacRow {
-    /// The subchannels granted this subframe, one bit each: set while
-    /// the transmitter sets are built, cleared by the apply pass.
-    grants: u32,
     /// This subframe's transport block, the HARQ outcome and the bits
     /// it carries: set by the per-UE step when a grant is usable,
     /// taken by the apply pass.
@@ -74,7 +102,6 @@ pub(super) struct MacRow {
 impl MacRow {
     pub(super) fn new(rng: StdRng) -> MacRow {
         MacRow {
-            grants: 0,
             block: None,
             harq: HarqEntity::new(),
             rng,
@@ -107,22 +134,22 @@ pub(super) struct MacScratch {
 }
 
 /// [`LteEngine::rate_bits`] of one UE on every subchannel, into `row`,
-/// from its CQI row and retention; all zero while the UE reconnects.
+/// from its CQI row and retention, through the capacity-scaled
+/// `eff_cap` table; all zero while the UE reconnects.
 // cellfi-lint: hot
 fn rate_row(
-    eff_re: &[[f64; N_CQI]],
+    eff_cap: &[[f64; N_CQI]],
     cqi: &[Cqi],
     retention: f64,
     reconnecting: bool,
-    dl_capacity: f64,
     row: &mut [f64],
 ) {
     if reconnecting {
         row.fill(0.0);
         return;
     }
-    for ((r, eff_re), &cqi) in row.iter_mut().zip(eff_re).zip(cqi) {
-        *r = rate(eff_re, cqi, dl_capacity, retention);
+    for ((r, eff_cap), &cqi) in row.iter_mut().zip(eff_cap).zip(cqi) {
+        *r = eff_cap[usize::from(cqi.0)] * retention;
     }
 }
 
@@ -182,7 +209,7 @@ impl LteEngine {
         }
         rate(
             &self.eff_re[s],
-            self.ue_cqi[ue][s],
+            self.ue_cqi.at(ue, s),
             dl_capacity,
             self.retention[ue],
         )
@@ -242,6 +269,10 @@ impl LteEngine {
     fn downlink_pass(&mut self, dl_capacity: f64) {
         let n_sub = self.grid.num_subchannels() as usize;
         self.delivery_scratch.clear();
+        if self.eff_cap_for != dl_capacity {
+            scale_rates(&self.eff_re, dl_capacity, &mut self.eff_cap);
+            self.eff_cap_for = dl_capacity;
+        }
         // 0. The IM layer decides who may transmit this subframe
         // (LAA's listen-before-talk gates on last subframe's sensed
         // energy; every other system always allows).
@@ -254,7 +285,7 @@ impl LteEngine {
         // into its own `mac_scratch` entry.
         self.obs.profiler.begin(cellfi_obs::SpanId::MacSchedule);
         let (gate, lease_ok, cells) = (&self.gate_scratch, &self.lease_ok, &self.cells);
-        let (eff_re, ue_cqi, retention) = (&self.eff_re, &self.ue_cqi, &self.retention);
+        let (eff_cap, ue_cqi, retention) = (&self.eff_cap, &self.ue_cqi, &self.retention);
         let (outage_until, now) = (&self.outage_until, self.now);
         parallel::for_each_ragged_with(
             &mut self.assignment_scratch,
@@ -276,14 +307,7 @@ impl LteEngine {
                 for (row, ue) in scratch.rates.chunks_exact_mut(n_sub).zip(ues) {
                     let u = ue.index();
                     let reconnecting = now < outage_until[u];
-                    rate_row(
-                        eff_re,
-                        &ue_cqi[u],
-                        retention[u],
-                        reconnecting,
-                        dl_capacity,
-                        row,
-                    );
+                    rate_row(eff_cap, ue_cqi.row(u), retention[u], reconnecting, row);
                 }
                 cell.schedule_downlink(&scratch.rates, &mut scratch.remaining, assignment);
                 // Attach-order rows to UE ids while the attach list is
@@ -296,7 +320,7 @@ impl LteEngine {
         self.obs.profiler.end(cellfi_obs::SpanId::MacSchedule);
         let assignment_scratch = std::mem::take(&mut self.assignment_scratch);
         // 2. Per-subchannel transmitter sets, each scheduled UE's grant
-        // mask in its MAC row, and the apply order of step 3b: cells in
+        // mask in `grant_mask`, and the apply order of step 3b: cells in
         // order, each cell's UEs in ascending id (an insertion per UE,
         // since a cell grants at most n_sub UEs).
         let mut tx_scratch = std::mem::take(&mut self.tx_scratch);
@@ -311,7 +335,7 @@ impl LteEngine {
             for (s, &ue) in assignment.iter().enumerate() {
                 if ue != UNASSIGNED {
                     tx_scratch[s].push(c);
-                    let grants = &mut self.mac_rows[ue as usize].grants;
+                    let grants = &mut self.grant_mask[ue as usize];
                     if *grants == 0 {
                         let mut k = granted_scratch.len();
                         granted_scratch.push((c as u32, ue));
@@ -343,42 +367,46 @@ impl LteEngine {
         // 3a. Resolve each granted UE's transport block on its own MAC
         // row: effective SINR over its grants in ascending subchannel
         // order, the highest CQI among them, the bits they carry, then
-        // one HARQ draw from the row's own RNG stream. A worker reaches
-        // no other row, and each stream belongs to one row, so which
-        // thread draws cannot change what is drawn.
+        // one HARQ draw from the row's own RNG stream. A worker reads
+        // the grants from the shared mask array, so it touches no row
+        // without grants, reaches no other row, and each stream belongs
+        // to one row, so which thread draws cannot change what is drawn.
         let process = (self.now.as_millis() % 8) as usize;
         let (lin_mw, interf, noise_mw) = (&self.lin_mw, &self.interf, &self.noise_mw);
         let (nbr, serving_slot) = (&self.scenario.nbr, &self.serving_slot);
+        let grant_mask = &self.grant_mask;
         parallel::for_each_row(
             &mut self.mac_rows,
             Self::MIN_UES_PER_HARQ_WORKER,
             |ue, row| {
-                if row.grants == 0 {
+                let grants = grant_mask[ue];
+                if grants == 0 {
                     return;
                 }
                 let serving = nbr.links(ue).start + serving_slot[ue] as usize;
                 let reconnecting = now < outage_until[ue];
+                let cqi_row = ue_cqi.row(ue);
                 let (mut linear_sum, mut bits) = (0.0, 0.0);
                 let mut cqi = Cqi::OUT_OF_RANGE;
-                for s in subchannels_in(row.grants) {
+                for s in subchannels_in(grants) {
                     // The serving cell transmits on `s` by construction;
                     // its share of the cached total is the signal itself.
                     let signal = lin_mw.at(serving, s);
                     let interference = (interf.total(s, ue) - signal).max(0.0);
                     linear_sum += signal / (interference + noise_mw[s]);
-                    let sc_cqi = ue_cqi[ue][s];
+                    let sc_cqi = cqi_row[s];
                     cqi = cqi.max(sc_cqi);
                     if !reconnecting {
-                        bits += rate(&eff_re[s], sc_cqi, dl_capacity, retention[ue]);
+                        bits += eff_cap[s][usize::from(sc_cqi.0)] * retention[ue];
                     }
                 }
                 if !cqi.usable() {
                     return;
                 }
-                let mean_linear = linear_sum / f64::from(row.grants.count_ones());
+                let mean_linear = linear_sum / f64::from(grants.count_ones());
                 let eff_sinr = Db(10.0 * mean_linear.max(1e-12).log10());
                 let outcome = row.harq.transmit(process, cqi, eff_sinr, &mut row.rng);
-                for s in subchannels_in(row.grants) {
+                for s in subchannels_in(grants) {
                     row.sched_subframes[s] += 1;
                 }
                 row.block = Some((outcome, bits as u64));
@@ -387,9 +415,8 @@ impl LteEngine {
         // 3b. Apply the outcomes in step 2's order: queues and PF
         // averages, deliveries, events.
         for &(c, ue) in &granted_scratch {
-            let row = &mut self.mac_rows[ue as usize];
-            row.grants = 0;
-            let Some((outcome, bits)) = row.block.take() else {
+            self.grant_mask[ue as usize] = 0;
+            let Some((outcome, bits)) = self.mac_rows[ue as usize].block.take() else {
                 continue;
             };
             let c = c as usize;
@@ -505,5 +532,36 @@ impl LteEngine {
         self.assoc_gen += 1;
         self.handovers += 1;
         Some(best)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cellfi_lte::grid::ChannelBandwidth;
+    use cellfi_lte::tdd::SPECIAL_DL_FRACTION;
+
+    /// The capacity-scaled table the downlink pass reads gives `rate`'s
+    /// bits exactly, CQI 0 included, at both downlink capacities.
+    #[test]
+    fn scaled_rate_table_matches_rate_bit_for_bit() {
+        let eff_re = eff_re_table(&ResourceGrid::new(ChannelBandwidth::Mhz5));
+        let mut eff_cap = vec![[f64::NAN; N_CQI]; eff_re.len()];
+        for cap in [1.0, SPECIAL_DL_FRACTION] {
+            scale_rates(&eff_re, cap, &mut eff_cap);
+            for (s, (re_row, cap_row)) in eff_re.iter().zip(&eff_cap).enumerate() {
+                for q in 0..=Cqi::MAX.0 {
+                    for ret in [0.0, 1e-300, 0.37, 1.0] {
+                        let expect = rate(re_row, Cqi(q), cap, ret);
+                        let got = cap_row[usize::from(q)] * ret;
+                        assert_eq!(
+                            got.to_bits(),
+                            expect.to_bits(),
+                            "s={s} cqi={q} cap={cap} ret={ret}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -52,7 +52,7 @@ use cache::{CqiMemo, TxSetTracker};
 use cellfi_core::manager::InterferenceManager;
 use cellfi_core::sensing::ImperfectSensing;
 use cellfi_core::ConflictGraph;
-use cellfi_lte::amc::{Cqi, CqiTable, LinearCqiMap};
+use cellfi_lte::amc::{Cqi, LinearCqiMap};
 use cellfi_lte::cell::{Cell, CellConfig};
 use cellfi_lte::earfcn::{Band, Earfcn};
 use cellfi_lte::grid::{ChannelBandwidth, ResourceGrid};
@@ -121,12 +121,6 @@ impl LteEngineConfig {
     }
 }
 
-/// Per-UE epoch accounting (reset every second).
-#[derive(Debug, Clone)]
-struct UeEpoch {
-    interfered: Vec<bool>,
-}
-
 /// The system simulator.
 #[derive(Debug)]
 pub struct LteEngine {
@@ -136,22 +130,41 @@ pub struct LteEngine {
     tdd: TddConfig,
     /// Information bits one subchannel carries per subframe at each CQI,
     /// `[subchannel][cqi]`: `efficiency(cqi) · data_res_per_subframe(s)`,
-    /// zero at CQI 0. Every scheduled rate reads it (`mac::rate`).
+    /// zero at CQI 0. `rate_bits` reads it through `mac::rate`.
     eff_re: Vec<[f64; N_CQI]>,
+    /// `eff_re` scaled by the TDD downlink capacity `eff_cap_for`:
+    /// `eff_cap[s][cqi] = eff_re[s][cqi] * eff_cap_for`. The downlink
+    /// pass rebuilds it only when the capacity changes (the special
+    /// subframe and the downlink subframe after it), and every
+    /// scheduled rate and transport block reads it.
+    eff_cap: Vec<[f64; N_CQI]>,
+    /// The downlink capacity `eff_cap` was scaled by (0 until the first
+    /// downlink subframe).
+    eff_cap_for: f64,
     cells: Vec<Cell>,
     managers: Vec<InterferenceManager>,
     now: Instant,
-    /// Latest per-subchannel CQI per UE.
-    ue_cqi: Vec<Vec<Cqi>>,
+    /// Latest CQI per UE and subchannel, `[ue][subchannel]` like the
+    /// CQI memo's tables.
+    ue_cqi: Slab2<Cqi>,
     /// One MAC row per UE: HARQ entity, RNG stream, the epoch's
-    /// scheduled-subframe counters, and this subframe's grant and
-    /// transport block.
+    /// scheduled-subframe counters, and this subframe's transport block.
     mac_rows: Vec<mac::MacRow>,
+    /// This downlink subframe's grants per UE, one bit per subchannel:
+    /// set while the transmitter sets are built, read by HARQ
+    /// resolution (a UE whose mask is 0 is skipped without touching its
+    /// MAC row) and cleared by the apply pass, so it is all zero
+    /// between subframes.
+    grant_mask: Vec<u32>,
     delivered: Vec<u64>,
     enqueued: Vec<u64>,
     retention: Vec<f64>,
-    epoch: Vec<UeEpoch>,
-    free_streak: Vec<Vec<u32>>,
+    /// Whether the epoch's CQI scans saw `(ue, subchannel)` interfered,
+    /// `[ue][subchannel]` (cleared at every epoch boundary).
+    interfered: Slab2<bool>,
+    /// Consecutive epochs `(ue, subchannel)` went uninterfered,
+    /// `[ue][subchannel]`.
+    free_streak: Slab2<u32>,
     dl_subframes_this_epoch: u64,
     /// Per-cell RNG streams (LBT backoff draws).
     lbt_rng: Vec<StdRng>,
@@ -217,7 +230,8 @@ pub struct LteEngine {
     /// Whether the steady-state CQI fast path is enabled (default on;
     /// the equivalence tests switch it off to drive the full scan).
     fast_path: bool,
-    /// Linear-domain CQI mapper (bisected boundaries of the 4-bit table).
+    /// Linear-domain CQI mapper: the 4-bit table's boundaries, bisected
+    /// once at construction; each lookup is a binary search over them.
     linmap: LinearCqiMap,
     /// Per-UE "some subchannel decodable" bit, the OR over the UE's
     /// `ue_cqi` row: a CQI scan recomputes it when it changes a column
@@ -369,16 +383,7 @@ impl LteEngine {
                     .value()
             })
             .collect();
-        let eff_re: Vec<[f64; N_CQI]> = (0..n_sub)
-            .map(|s| {
-                let res = grid.data_res_per_subframe(SubchannelId::new(s as u32));
-                let mut row = [0.0; N_CQI];
-                for e in CqiTable.entries() {
-                    row[usize::from(e.cqi.0)] = e.efficiency * res;
-                }
-                row
-            })
-            .collect();
+        let eff_re = mac::eff_re_table(&grid);
         let margin_lin = INTERFERENCE_MARGIN.to_linear();
         let interf_thresh_mw: Vec<f64> = links
             .noise_mw
@@ -389,11 +394,13 @@ impl LteEngine {
         let mut engine = LteEngine {
             grid,
             tdd,
+            eff_cap: vec![[0.0; N_CQI]; n_sub],
+            eff_cap_for: 0.0,
             eff_re,
             cells,
             managers,
             now: Instant::ZERO,
-            ue_cqi: vec![vec![Cqi::OUT_OF_RANGE; n_sub]; n_ue],
+            ue_cqi: Slab2::new(n_ue, n_sub, Cqi::OUT_OF_RANGE),
             // One independent RNG stream per UE (HARQ decode draws,
             // sensing observations) keeps each UE's draws the same no
             // matter in which order, or on which thread, UEs are visited.
@@ -404,16 +411,12 @@ impl LteEngine {
                     ))
                 })
                 .collect(),
+            grant_mask: vec![0; n_ue],
             delivered: vec![0; n_ue],
             enqueued: vec![0; n_ue],
             retention: vec![1.0; n_ue],
-            epoch: vec![
-                UeEpoch {
-                    interfered: vec![false; n_sub],
-                };
-                n_ue
-            ],
-            free_streak: vec![vec![0; n_sub]; n_ue],
+            interfered: Slab2::new(n_ue, n_sub, false),
+            free_streak: Slab2::new(n_ue, n_sub, 0),
             dl_subframes_this_epoch: 0,
             lbt_rng: (0..n_ap)
                 .map(|a| StdRng::seed_from_u64(seeds.seed_indexed("engine-lbt", a as u64)))
@@ -631,14 +634,12 @@ impl LteEngine {
     /// the configured interference-management strategy (one [`im`]
     /// module per system), then reset epoch accounting.
     fn run_epoch(&mut self) {
-        let n_sub = self.grid.num_subchannels() as usize;
-        for ue in 0..self.scenario.n_ues() {
-            for s in 0..n_sub {
-                if self.epoch[ue].interfered[s] {
-                    self.free_streak[ue][s] = 0;
-                } else {
-                    self.free_streak[ue][s] += 1;
-                }
+        let hits = self.interfered.as_slice();
+        for (streak, &hit) in self.free_streak.as_mut_slice().iter_mut().zip(hits) {
+            if hit {
+                *streak = 0;
+            } else {
+                *streak += 1;
             }
         }
         im::strategy_for(self.config.mode).run_epoch(self);
@@ -660,9 +661,7 @@ impl LteEngine {
             }
         }
         self.epoch_cell_sched.fill(0);
-        for e in self.epoch.iter_mut() {
-            e.interfered.fill(false);
-        }
+        self.interfered.as_mut_slice().fill(false);
         for row in self.mac_rows.iter_mut() {
             row.sched_subframes.fill(0);
         }

@@ -22,10 +22,14 @@
 //! `static_mw × fading_power` over contiguous lanes. Without a fading
 //! process there is one gain slab: the rebuild writes the static gains
 //! straight into `lin_mw`, which no refresh touches. The CQI scan never
-//! leaves the linear domain either: CQI comes from the bisected
-//! [`cellfi_lte::amc::LinearCqiMap`] boundaries and the interference
-//! test compares against a precomputed linear margin threshold, so dB
-//! values are computed only for the rare interference-event trace.
+//! leaves the linear domain either: CQI comes from
+//! [`cellfi_lte::amc::LinearCqiMap`], whose boundaries are bisected once,
+//! at construction, and each lookup is a binary search over them; the
+//! interference test compares against a precomputed linear margin
+//! threshold, so dB values are computed only for the rare
+//! interference-event trace. Per-UE state with one entry per subchannel
+//! (`ue_cqi`, the epoch's interference flags) lives in `[ue][subchannel]`
+//! slabs, so a run of UEs is one contiguous slice of each.
 //!
 //! The CQI scan is one loop over UEs that touches only the subchannel
 //! columns the memo's plan names ([`super::cache::ColumnPlan`]): columns
@@ -199,12 +203,13 @@ struct ScanInputs<'a> {
 }
 
 /// The per-UE state one run of a CQI scan owns: UEs
-/// `first..first + cqi.len()`, and their rows of the memo's two slot
-/// tables.
+/// `first..first + any_usable.len()`, their rows of the `[ue][subchannel]`
+/// CQI and interference-flag slabs, and their rows of the memo's two
+/// slot tables.
 struct ScanRows<'a> {
     first: usize,
-    cqi: &'a mut [Vec<Cqi>],
-    epoch: &'a mut [super::UeEpoch],
+    cqi: &'a mut [Cqi],
+    interfered: &'a mut [bool],
     any_usable: &'a mut [bool],
     bad_streak_ms: &'a mut [u32],
     outage_until: &'a mut [Instant],
@@ -215,8 +220,8 @@ struct ScanRows<'a> {
 impl<'a> ScanRows<'a> {
     /// Cut the first `len` UEs off as one run; the rest is the second.
     fn split_at(self, len: usize, n_sub: usize) -> (ScanRows<'a>, ScanRows<'a>) {
-        let (cqi, cqi_rest) = self.cqi.split_at_mut(len);
-        let (epoch, epoch_rest) = self.epoch.split_at_mut(len);
+        let (cqi, cqi_rest) = self.cqi.split_at_mut(len * n_sub);
+        let (interfered, interfered_rest) = self.interfered.split_at_mut(len * n_sub);
         let (any_usable, any_usable_rest) = self.any_usable.split_at_mut(len);
         let (bad_streak_ms, bad_streak_rest) = self.bad_streak_ms.split_at_mut(len);
         let (outage_until, outage_rest) = self.outage_until.split_at_mut(len);
@@ -228,7 +233,7 @@ impl<'a> ScanRows<'a> {
             ScanRows {
                 first: self.first,
                 cqi,
-                epoch,
+                interfered,
                 any_usable,
                 bad_streak_ms,
                 outage_until,
@@ -238,7 +243,7 @@ impl<'a> ScanRows<'a> {
             ScanRows {
                 first: self.first + len,
                 cqi: cqi_rest,
-                epoch: epoch_rest,
+                interfered: interfered_rest,
                 any_usable: any_usable_rest,
                 bad_streak_ms: bad_streak_rest,
                 outage_until: outage_rest,
@@ -261,10 +266,11 @@ impl<'a> ScanRows<'a> {
         let work = plan.compute | plan.retest;
         let [t0, t1] = &mut self.tables;
         let saved = t0.chunks_exact_mut(n_sub).zip(t1.chunks_exact_mut(n_sub));
-        for (i, (saved0, saved1)) in saved.enumerate() {
+        let flags = self.interfered.chunks_exact_mut(n_sub);
+        let live = self.cqi.chunks_exact_mut(n_sub).zip(flags);
+        for (i, ((saved0, saved1), (row, flags))) in saved.zip(live).enumerate() {
             let ue = self.first + i;
             if plan.changed() | work != 0 {
-                let row = &mut self.cqi[i][..];
                 copy_columns(row, saved0, plan.copy[0]);
                 copy_columns(row, saved1, plan.copy[1]);
                 if work != 0 {
@@ -273,7 +279,6 @@ impl<'a> ScanRows<'a> {
                     // neighbor slot; set membership stays keyed by AP id.
                     let serving = x.nbr.links(ue).start + x.serving_slot[ue] as usize;
                     let signals = x.lin_mw.row(serving);
-                    let flags = &mut self.epoch[i].interfered;
                     for s in bits(work) {
                         let signal = signals[s];
                         // The cached column totals every transmitter
@@ -523,8 +528,8 @@ impl LteEngine {
         };
         let mut rows = ScanRows {
             first: 0,
-            cqi: &mut self.ue_cqi,
-            epoch: &mut self.epoch,
+            cqi: self.ue_cqi.as_mut_slice(),
+            interfered: self.interfered.as_mut_slice(),
             any_usable: &mut self.any_usable,
             bad_streak_ms: &mut self.bad_streak_ms,
             outage_until: &mut self.outage_until,

@@ -366,6 +366,45 @@ mod all {
         assert_eq!(totals(1), totals(2));
     }
 
+    /// Step 3b clears every grant bit step 2 set: on the district drop
+    /// (576 UEs, two HARQ workers at 2 threads), through a handover and
+    /// a lease flip, `grant_mask` is all zero after every subframe.
+    #[test]
+    fn grant_masks_are_clear_after_every_subframe() {
+        let cfg = crate::experiments::fig9metro::district_config();
+        let mut e = engine(
+            Scenario::generate(cfg, SeedSeq::new(17)),
+            ImMode::CellFi,
+            18,
+        );
+        e.backlog_all(5_000_000);
+        let mut granted = 0;
+        let mut step = |e: &mut LteEngine, subframes: usize| {
+            for _ in 0..subframes {
+                crate::parallel::with_threads(2, || e.step_subframe());
+                assert!(e.grant_mask.iter().all(|&m| m == 0), "at {:?}", e.now());
+                granted += e.granted_scratch.len();
+            }
+        };
+        step(&mut e, 20);
+        // Carry UE 0 next to another of its candidate cells.
+        let serving = e.scenario().assoc[0];
+        let candidates = e.scenario().nbr.candidates(0).iter();
+        let target = candidates
+            .map(|&c| c as usize)
+            .find(|&c| c != serving)
+            .expect("a second candidate");
+        let ap = e.scenario().aps[target].position;
+        e.move_ue(0, cellfi_types::geo::Point::new(ap.x + 10.0, ap.y));
+        assert_eq!(e.check_handover(0, 3.0), Some(target));
+        step(&mut e, 10);
+        e.set_lease_ok(target, false);
+        step(&mut e, 10);
+        e.set_lease_ok(target, true);
+        step(&mut e, 10);
+        assert!(granted > 0, "no subframe granted anything");
+    }
+
     #[test]
     fn laa_cells_in_sensing_range_time_share() {
         // Two co-located backlogged cells under LBT must alternate TXOPs:

@@ -17,18 +17,20 @@
 //! (`NeighborTable::links`). One UE's links are consecutive, so its
 //! lanes are one contiguous run of rows, and a slab holds exactly
 //! `n_links × n_sub` values with no padding. Per-link scalars are plain
-//! `Vec<f64>`s indexed by the same ids.
+//! `Vec<f64>`s indexed by the same ids. Per-UE state with one entry per
+//! subchannel (CQI, interference flags, free streaks) is a slab too,
+//! indexed `[ue][subchannel]`.
 
-/// A dense 2-D array of `f64` in one allocation.
+/// A dense 2-D array in one allocation (of `f64` unless said otherwise).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Slab2 {
-    data: Vec<f64>,
+pub struct Slab2<T = f64> {
+    data: Vec<T>,
     cols: usize,
 }
 
-impl Slab2 {
+impl<T: Copy> Slab2<T> {
     /// A `rows × cols` slab filled with `fill`.
-    pub fn new(rows: usize, cols: usize, fill: f64) -> Slab2 {
+    pub fn new(rows: usize, cols: usize, fill: T) -> Slab2<T> {
         Slab2 {
             data: vec![fill; rows * cols],
             cols,
@@ -47,29 +49,29 @@ impl Slab2 {
 
     /// Element at `[i][j]`.
     #[inline]
-    pub fn at(&self, i: usize, j: usize) -> f64 {
+    pub fn at(&self, i: usize, j: usize) -> T {
         self.data[i * self.cols + j]
     }
 
     /// Row `i` as a contiguous slice.
     #[inline]
-    pub fn row(&self, i: usize) -> &[f64] {
+    pub fn row(&self, i: usize) -> &[T] {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Row `i` as a mutable contiguous slice.
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
+    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// The whole slab as one slice (row-major).
-    pub fn as_slice(&self) -> &[f64] {
+    pub fn as_slice(&self) -> &[T] {
         &self.data
     }
 
     /// The whole slab as one mutable slice (row-major).
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
     }
 }

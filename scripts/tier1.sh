@@ -42,6 +42,15 @@ rm -f "$LINT_TMP"
 echo "== tier1: test suite =="
 cargo test --workspace --offline --locked -q
 
+echo "== tier1: PF scheduler proptests (release, PROPTEST_CASES=20000) =="
+# pf_allocate's lane form against its scalar form, and Cell's scheduler
+# against the keyed oracle on 13 and 25 subchannels, over 20,000 seeded
+# cases each instead of the default 96, in the optimised build the
+# simulator runs. The vendored proptest reads PROPTEST_CASES only for
+# blocks without an explicit case count, which these have.
+PROPTEST_CASES=20000 cargo test --release --offline --locked -q -p cellfi-lte --lib -- \
+    scheduler::tests::properties cell::tests::differential
+
 echo "== tier1: determinism, CELLFI_THREADS=1 =="
 CELLFI_THREADS=1 cargo test --offline --locked -q --test determinism
 

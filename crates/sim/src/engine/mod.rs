@@ -39,6 +39,8 @@ pub mod im;
 mod mac;
 mod neighbors;
 mod phy;
+#[cfg(test)]
+mod setup_tests;
 pub mod system;
 mod tests;
 
@@ -62,7 +64,7 @@ use cellfi_obs::Obs;
 use cellfi_types::rng::SeedSeq;
 use cellfi_types::time::Instant;
 use cellfi_types::units::Db;
-use cellfi_types::{ApId, SubchannelId, UeId};
+use cellfi_types::{ApId, UeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -196,14 +198,14 @@ pub struct LteEngine {
     /// clean SNR (`noise_mw[s] · (10^(margin/10) − 1)`, precomputed so
     /// the CQI scan's ground-truth test never leaves the linear domain).
     interf_thresh_mw: Vec<f64>,
-    /// Per-subchannel downlink power split (dB relative to full AP
-    /// power): a subchannel receives only its share of the cell's total
-    /// power. A function of the resource grid alone, hoisted out of
-    /// every gain rebuild.
-    split_db: Vec<f64>,
+    /// Per-subchannel downlink power split, grouped by value: a
+    /// function of the resource grid alone, hoisted out of every gain
+    /// rebuild.
+    split: phy::PowerSplit,
     /// Static linear rx power (mW) per `[link][sc]`: mean gain + EIRP
-    /// offset + power split, precombined through one batched dB→linear
-    /// pass. Rebuilt only when a UE moves or an EIRP offset changes.
+    /// offset + power split, precombined through one dB→linear
+    /// conversion per distinct split. Rebuilt only when a UE moves or
+    /// an EIRP offset changes (then only the cell's listener links).
     /// Empty when the scenario's fading process is disabled: `lin_mw`
     /// then holds the static gains itself.
     static_mw: Slab2,
@@ -323,12 +325,15 @@ struct LbtState {
 impl LteEngine {
     /// Build the engine over a scenario; every client attaches to its
     /// drop AP immediately (association transients are not the object of
-    /// the large-scale experiments).
+    /// the large-scale experiments). The scenario's neighbor tables are
+    /// used as they are when they are exactly those of its placement,
+    /// and rebuilt otherwise, so a hand-edited scenario still runs on
+    /// fresh ones.
     pub fn new(mut scenario: Scenario, config: LteEngineConfig, seeds: SeedSeq) -> LteEngine {
-        // Defensive re-index: tests and layout helpers hand-edit
-        // `aps`/`ues`/`assoc` after generation, so the engine never
-        // trusts a possibly stale neighbor table.
-        scenario.rebuild_index();
+        if !scenario.index_is_fresh() {
+            scenario.rebuild_index();
+        }
+        scenario.nbr.forget_placement();
         // The paper's 5 MHz carrier.
         let grid = ResourceGrid::new(ChannelBandwidth::Mhz5);
         let n_sub = grid.num_subchannels() as usize;
@@ -360,7 +365,7 @@ impl LteEngine {
 
         // Static mean-gain matrices and the true conflict graph, all
         // slot-indexed through the neighbor tables.
-        let links = phy::LinkMatrices::build(&scenario, &grid);
+        let links = neighbors::LinkMatrices::build(&scenario, &grid);
         let serving_slot = neighbors::serving_slots(&scenario);
         let ul_noise_dbm = scenario
             .env
@@ -374,15 +379,7 @@ impl LteEngine {
         } else {
             n_links
         };
-        // Downlink power is split across the carrier's RBs: a subchannel
-        // receives only its share of the cell's total power.
-        let split_db: Vec<f64> = (0..n_sub)
-            .map(|s| {
-                let sc = SubchannelId::new(s as u32);
-                (grid.subchannel_tx_power(scenario.config.ap_power, sc) - scenario.config.ap_power)
-                    .value()
-            })
-            .collect();
+        let split = phy::PowerSplit::new(&grid, scenario.config.ap_power);
         let eff_re = mac::eff_re_table(&grid);
         let margin_lin = INTERFERENCE_MARGIN.to_linear();
         let interf_thresh_mw: Vec<f64> = links
@@ -428,7 +425,7 @@ impl LteEngine {
             ul_noise_dbm,
             noise_mw: links.noise_mw,
             interf_thresh_mw,
-            split_db,
+            split,
             static_mw: Slab2::new(n_static, n_sub, 0.0),
             lin_mw: Slab2::new(n_links, n_sub, 0.0),
             fading_block: u64::MAX,
@@ -559,11 +556,11 @@ impl LteEngine {
     pub fn set_power_offset_db(&mut self, cell: usize, offset_db: f64) {
         if self.power_offset_db[cell] != offset_db {
             self.power_offset_db[cell] = offset_db;
-            // Fold the new offset into the static gains, then invalidate
-            // the fading block so the next refresh rebuilds `lin_mw`
-            // even mid-coherence-block (without fading, the rebuild
-            // wrote `lin_mw` itself).
-            self.rebuild_static();
+            // Fold the new offset into the static gains of the links
+            // that hear `cell`, then invalidate the fading block so the
+            // next refresh rebuilds `lin_mw` even mid-coherence-block
+            // (without fading, the rebuild wrote `lin_mw` itself).
+            self.rebuild_static_listeners(cell);
             self.fading_block = u64::MAX;
             self.recompute_retention();
         }

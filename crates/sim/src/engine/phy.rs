@@ -1,12 +1,13 @@
 //! PHY layer: propagation caches and channel measurement.
 //!
 //! Everything here is a pure function of the scenario geometry, the
-//! fading process, and simulation time: the static mean-gain matrices
-//! built at construction, the per-coherence-block refresh of the
-//! instantaneous linear gain tensor, the memoized per-subchannel
-//! interference accumulation, and the CQI measurement scan (which also
-//! hosts the radio-link-failure monitor, because RLF is declared from
-//! the same per-subchannel decodability the CQI reports measure).
+//! fading process, and simulation time: the static gains built from
+//! the per-link means (`neighbors::LinkMatrices`), the
+//! per-coherence-block refresh of the instantaneous linear gain
+//! tensor, the memoized per-subchannel interference accumulation, and
+//! the CQI measurement scan (which also hosts the radio-link-failure
+//! monitor, because RLF is declared from the same per-subchannel
+//! decodability the CQI reports measure).
 //!
 //! Data layout: the hot tensors are flat strided slabs
 //! ([`crate::slab`]) indexed `[link][s]`, where a link is one (UE,
@@ -17,11 +18,12 @@
 //! floor the slabs hold only the links the cull keeps, with no padding
 //! to the longest row. The gain pipeline is linear-domain end to end —
 //! `static_mw[link][s]` precombines mean gain, EIRP offset and the
-//! per-subchannel power split through one batched `10^(x/10)` pass
-//! (rebuilt only when those inputs change), and a fading refresh is just
-//! `static_mw × fading_power` over contiguous lanes. Without a fading
-//! process there is one gain slab: the rebuild writes the static gains
-//! straight into `lin_mw`, which no refresh touches. The CQI scan never
+//! per-subchannel power split through one `10^(x/10)` conversion per
+//! distinct split (rebuilt only for the links whose inputs change), and
+//! a fading refresh is just `static_mw × fading_power` over contiguous
+//! lanes. Without a fading process there is one gain slab: the rebuild
+//! writes the static gains straight into `lin_mw`, which no refresh
+//! touches. The CQI scan never
 //! leaves the linear domain either: CQI comes from
 //! [`cellfi_lte::amc::LinearCqiMap`], whose boundaries are bisected once,
 //! at construction, and each lookup is a binary search over them; the
@@ -40,121 +42,15 @@
 //! serially without allocating.
 
 use super::cache::{bits, ColumnPlan, InterferenceCache, TxSetTracker};
-use super::{LteEngine, INTERFERENCE_MARGIN};
+use super::LteEngine;
 use crate::slab::Slab2;
-use crate::topology::{NeighborTable, Scenario};
-use cellfi_core::ConflictGraph;
+use crate::topology::NeighborTable;
 use cellfi_lte::amc::{Cqi, LinearCqiMap};
-use cellfi_lte::grid::ResourceGrid;
+use cellfi_lte::grid::{ResourceGrid, MAX_SUBCHANNELS};
 use cellfi_obs::profile::SpanId;
 use cellfi_obs::trace::{Event, EventSink};
 use cellfi_types::time::{Duration, Instant};
 use cellfi_types::units::{db_slab_to_mw, Dbm};
-use cellfi_types::{ApId, SubchannelId};
-
-/// The static link-budget matrices an engine precomputes at
-/// construction: positions never move within a run (mobility goes
-/// through [`LteEngine::move_ue`], which patches the affected row), so
-/// the per-link means and the true conflict graph are computed once.
-pub(crate) struct LinkMatrices {
-    /// Mean downlink rx power (dBm) per link at AP power.
-    pub dl_mean_dbm: Vec<f64>,
-    /// Mean uplink rx power (dBm) per link at full UE power.
-    pub ul_mean_dbm: Vec<f64>,
-    /// Mean AP→AP rx power (dBm) per interferer link at AP power — the
-    /// LBT sensing input.
-    pub ap_mean_dbm: Vec<f64>,
-    /// Per-subchannel noise floor, mW.
-    pub noise_mw: Vec<f64>,
-    /// True conflict graph from mean gains.
-    pub conflict: ConflictGraph,
-}
-
-impl LinkMatrices {
-    /// Build every static matrix for `scenario` on `grid`.
-    pub fn build(scenario: &Scenario, grid: &ResourceGrid) -> Self {
-        let n_sub = grid.num_subchannels() as usize;
-        let n_ap = scenario.aps.len();
-        let env = &scenario.env;
-        let nbr = &scenario.nbr;
-        // Links ascend by UE, then by candidate slot (ascending AP id),
-        // so pushing in that order puts every value at its link id. One
-        // budget per link gives both directions' means.
-        let mut dl_mean_dbm = Vec::with_capacity(nbr.n_links());
-        let mut ul_mean_dbm = Vec::with_capacity(nbr.n_links());
-        for (u, ue) in scenario.ues.iter().enumerate() {
-            for &a in nbr.candidates(u) {
-                let budget = env.link_budget(&scenario.aps[a as usize], ue);
-                dl_mean_dbm.push(budget.a_to_b(scenario.config.ap_power).value());
-                ul_mean_dbm.push(budget.b_to_a(scenario.config.ue_power).value());
-            }
-        }
-        let mut ap_mean_dbm = Vec::with_capacity(nbr.n_interferer_links());
-        for (a, ap) in scenario.aps.iter().enumerate() {
-            for &b in nbr.interferers(a) {
-                let other = &scenario.aps[b as usize];
-                ap_mean_dbm.push(
-                    env.mean_rx_power(other, scenario.config.ap_power, ap)
-                        .value(),
-                );
-            }
-        }
-        let noise_mw: Vec<f64> = (0..n_sub)
-            .map(|s| {
-                env.noise
-                    .floor_mw(grid.subchannel_bandwidth(SubchannelId::new(s as u32)))
-                    .value()
-            })
-            .collect();
-
-        // True conflict graph from mean gains (static). Candidate pairs
-        // come from the interferer tables, and only clients of the two
-        // endpoints can witness a conflict (the old all-UE scan returned
-        // false for everyone else) — so the edge set is unchanged in
-        // dense mode and near-field-restricted under a cull floor.
-        let mut conflict = ConflictGraph::new(n_ap);
-        let margin = INTERFERENCE_MARGIN.value();
-        for i in 0..n_ap {
-            for &j in nbr.interferers(i) {
-                let j = j as usize;
-                if j <= i {
-                    continue;
-                }
-                let conflicts = nbr.clients(i).iter().chain(nbr.clients(j)).any(|&u| {
-                    let u = u as usize;
-                    let ap = scenario.assoc[u];
-                    let other = if ap == i { j } else { i };
-                    // A culled victim link cannot witness a conflict.
-                    let (Some(ap_sl), Some(other_sl)) = (nbr.slot(u, ap), nbr.slot(u, other))
-                    else {
-                        return false;
-                    };
-                    let first = nbr.links(u).start;
-                    let s_mw = Dbm(dl_mean_dbm[first + ap_sl]).to_milliwatts().value();
-                    let i_mw = Dbm(dl_mean_dbm[first + other_sl]).to_milliwatts().value();
-                    // Full-channel signal/interference powers against the
-                    // full-channel noise floor (the per-subchannel power
-                    // split cancels out of the ratio).
-                    let n_mw: f64 = noise_mw.iter().sum();
-                    let clean = s_mw / n_mw;
-                    let with = s_mw / (i_mw + n_mw);
-                    10.0 * (clean / with).log10() > margin
-                });
-                if conflicts {
-                    conflict.add_edge(ApId::new(i as u32), ApId::new(j as u32));
-                }
-            }
-        }
-
-        LinkMatrices {
-            dl_mean_dbm,
-            ul_mean_dbm,
-            ap_mean_dbm,
-            noise_mw,
-            conflict,
-        }
-    }
-}
 
 /// One radio-link-failure monitor tick for a UE: a backlogged UE with
 /// no decodable subchannel accumulates bad time and drops its RRC
@@ -350,14 +246,69 @@ fn copy_columns(row: &mut [Cqi], saved: &[Cqi], mask: u64) {
     }
 }
 
+/// Fewest UEs per worker of the whole static-gain rebuild: below two
+/// workers' worth it stays on the caller's thread. The paper's 48 and
+/// the web workload's 60 UEs stay serial; the fig9metro district drop's
+/// 576 and metro's 100,000 split.
+pub(super) const MIN_UES_PER_STATIC_WORKER: usize = 64;
+
+/// The carrier's downlink power split: a subchannel receives only its
+/// share of the cell's total power, a function of the resource grid
+/// alone. Subchannels with equal shares get bit-equal splits (on the
+/// 5 MHz grid subchannels 0–11 have 2 RBs and subchannel 12 has 1), so
+/// a link's static gains need one dB→linear conversion per distinct
+/// split, not one per subchannel.
+#[derive(Debug)]
+pub(super) struct PowerSplit {
+    /// The distinct splits (dB relative to full AP power), in order of
+    /// first appearance.
+    db: Vec<f64>,
+    /// Per subchannel, the index of its split in `db`.
+    of: Vec<usize>,
+}
+
+impl PowerSplit {
+    pub fn new(grid: &ResourceGrid, ap_power: Dbm) -> PowerSplit {
+        let mut db: Vec<f64> = Vec::new();
+        let of = grid
+            .subchannel_ids()
+            .map(|sc| {
+                let split = (grid.subchannel_tx_power(ap_power, sc) - ap_power).value();
+                db.iter()
+                    .position(|d| d.to_bits() == split.to_bits())
+                    .unwrap_or_else(|| {
+                        db.push(split);
+                        db.len() - 1
+                    })
+            })
+            .collect();
+        PowerSplit { db, of }
+    }
+
+    /// One link's static gains, `lane[s] = 10^((base_db + split(s))/10)`:
+    /// each distinct sum goes through [`db_slab_to_mw`] once and is
+    /// copied to every subchannel that shares it. Equal inputs give
+    /// equal bits, so the lane is exactly a per-subchannel conversion.
+    fn fill_lane(&self, base_db: f64, lane: &mut [f64]) {
+        let n = self.db.len();
+        let mut sum_db = [0.0; MAX_SUBCHANNELS];
+        let mut mw = [0.0; MAX_SUBCHANNELS];
+        for (sum, &split) in sum_db.iter_mut().zip(&self.db) {
+            *sum = base_db + split;
+        }
+        db_slab_to_mw(&sum_db[..n], &mut mw[..n]);
+        for (v, &k) in lane.iter_mut().zip(&self.of) {
+            *v = mw[k];
+        }
+    }
+}
+
 impl LteEngine {
     /// Rebuild the static linear gains of one UE's links:
-    /// `static_mw[link][s] = 10^((mean + offset + split)/10)` through
-    /// the batched conversion kernel. Without a fading process the
-    /// instantaneous gains are the static ones, so they go straight into
-    /// `lin_mw`, the slab the readers use. `lane_db` is an `n_sub`
-    /// scratch.
-    pub(super) fn rebuild_static_row(&mut self, u: usize, lane_db: &mut [f64]) {
+    /// `static_mw[link][s] = 10^((mean + offset + split)/10)`. Without
+    /// a fading process the instantaneous gains are the static ones, so
+    /// they go straight into `lin_mw`, the slab the readers use.
+    pub(super) fn rebuild_static_row(&mut self, u: usize) {
         // The static gains feed every downstream gain cache; bump the
         // generation here so a rewritten row can never be replayed
         // through a stale interference column or memoized scan.
@@ -365,25 +316,61 @@ impl LteEngine {
         let fading_off = self.scenario.env.fading.is_disabled();
         let nbr = &self.scenario.nbr;
         for (link, &a) in nbr.links(u).zip(nbr.candidates(u)) {
-            let base = self.dl_mean_dbm[link] + self.power_offset_db[a as usize];
-            for (slot, &split) in lane_db.iter_mut().zip(&self.split_db) {
-                *slot = base + split;
-            }
             let lane = if fading_off {
                 self.lin_mw.row_mut(link)
             } else {
                 self.static_mw.row_mut(link)
             };
-            db_slab_to_mw(lane_db, lane);
+            let base = self.dl_mean_dbm[link] + self.power_offset_db[a as usize];
+            self.split.fill_lane(base, lane);
         }
     }
 
-    /// Rebuild the whole static slab (construction, EIRP offset change).
-    pub(super) fn rebuild_static(&mut self) {
-        let mut lane_db = vec![0.0; self.grid.num_subchannels() as usize];
-        for u in 0..self.scenario.n_ues() {
-            self.rebuild_static_row(u, &mut lane_db);
+    /// Rebuild the static gains of the links whose candidate AP is
+    /// `cell` (its listener rows): after `cell`'s EIRP offset changed,
+    /// the only ones that read it.
+    pub(super) fn rebuild_static_listeners(&mut self, cell: usize) {
+        self.gain_gen += 1;
+        let fading_off = self.scenario.env.fading.is_disabled();
+        let nbr = &self.scenario.nbr;
+        let (ues, slots) = nbr.listeners(cell);
+        for (&u, &sl) in ues.iter().zip(slots) {
+            let link = nbr.links(u as usize).start + sl as usize;
+            let lane = if fading_off {
+                self.lin_mw.row_mut(link)
+            } else {
+                self.static_mw.row_mut(link)
+            };
+            let base = self.dl_mean_dbm[link] + self.power_offset_db[cell];
+            self.split.fill_lane(base, lane);
         }
+    }
+
+    /// Rebuild the whole static slab (construction), fanned out over
+    /// runs of UEs: one UE's lanes are a contiguous run of rows.
+    pub(super) fn rebuild_static(&mut self) {
+        self.gain_gen += 1;
+        let n_sub = self.grid.num_subchannels() as usize;
+        let slab = if self.scenario.env.fading.is_disabled() {
+            self.lin_mw.as_mut_slice()
+        } else {
+            self.static_mw.as_mut_slice()
+        };
+        let (nbr, split) = (&self.scenario.nbr, &self.split);
+        let (dl_mean_dbm, offset_db) = (&self.dl_mean_dbm, &self.power_offset_db);
+        crate::parallel::for_each_ragged(
+            slab,
+            n_sub,
+            self.scenario.n_ues(),
+            |u| nbr.links(u).end,
+            MIN_UES_PER_STATIC_WORKER,
+            |u, lanes| {
+                let lanes = lanes.chunks_exact_mut(n_sub).zip(nbr.links(u));
+                for ((lane, link), &a) in lanes.zip(nbr.candidates(u)) {
+                    split.fill_lane(dl_mean_dbm[link] + offset_db[a as usize], lane);
+                }
+            },
+        );
     }
 
     /// Refresh the instantaneous linear gains when the fading block
@@ -588,15 +575,14 @@ impl LteEngine {
         // Refresh the static and instantaneous gains for this UE
         // immediately (and invalidate interference columns and memoized
         // scans accumulated over the old row). The subchannel power
-        // split is precomputed in `split_db` — it depends only on the
+        // split is precomputed in `split` — it depends only on the
         // subchannel, never on the (ap, subchannel) pair.
         self.gain_gen += 1;
-        let n_sub = self.grid.num_subchannels() as usize;
-        let mut lane = vec![0.0; n_sub];
-        self.rebuild_static_row(ue, &mut lane);
+        self.rebuild_static_row(ue);
         if self.scenario.env.fading.is_disabled() {
             return; // the rebuild wrote the gains the readers use
         }
+        let mut lane = vec![0.0; self.grid.num_subchannels() as usize];
         let nbr = &self.scenario.nbr;
         let ue_node = self.scenario.ues[ue].node;
         for (link, &a) in nbr.links(ue).zip(nbr.candidates(ue)) {

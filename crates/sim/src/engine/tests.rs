@@ -549,7 +549,7 @@ mod all {
             let mut e = engine(s, ImMode::CellFi, seed ^ 0x51ab);
             e.backlog_all(10_000_000);
             e.run_until(Instant::from_millis(137)); // several fading blocks
-            e.set_power_offset_db(1, -3.0); // full static-slab rebuild
+            e.set_power_offset_db(1, -3.0); // listener-link rebuild
             e.move_ue(0, Point::new(110.0, 45.0)); // single-row rebuild
                                                    // The EIRP change invalidates the fading block; step past it
                                                    // so the engine re-derives `lin_mw` from the new statics.
@@ -594,7 +594,11 @@ mod all {
                         .mean_rx_power(&scen.aps[a], scen.config.ap_power, &scen.ues[u])
                         .value();
                     for sc in 0..n_sub {
-                        let db = mean + e.power_offset_db[a] + e.split_db[sc];
+                        let sc_id = SubchannelId::new(sc as u32);
+                        let ap_power = scen.config.ap_power;
+                        let split =
+                            (e.grid.subchannel_tx_power(ap_power, sc_id) - ap_power).value();
+                        let db = mean + e.power_offset_db[a] + split;
                         let static_ref = Dbm(db).to_milliwatts().value();
                         if fading {
                             assert_eq!(

@@ -83,7 +83,11 @@ impl ScenarioConfig {
 /// AP/UE loops exactly. With no cull radius the tables are the dense
 /// sets and the engine's arithmetic is byte-identical to the
 /// pre-spatial-index code.
-#[derive(Debug, Clone, Default)]
+///
+/// Until an engine takes it, a table remembers the placement it was
+/// built from, so [`Scenario::index_is_fresh`] can tell exactly whether
+/// a scenario was hand-edited since.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NeighborTable {
     /// The cull radius (m) the tables were built with; `None` = dense.
     pub cull_radius_m: Option<f64>,
@@ -112,6 +116,11 @@ pub struct NeighborTable {
     clients_offsets: Vec<u32>,
     /// Per-AP attached clients (ascending UE index).
     clients: Vec<u32>,
+    /// The AP positions, then the UE positions, a culled table was
+    /// built from; empty once an engine took the table. Empty for a
+    /// dense table too: its rows depend on the node counts and `assoc`
+    /// alone, and `clients` records `assoc`.
+    placed: Vec<Point>,
 }
 
 /// Best-case link-budget headroom (dB) above the mean path-loss curve:
@@ -158,6 +167,7 @@ impl NeighborTable {
         let mut ue_aps: Vec<u32>;
         let mut ap_offsets = Vec::with_capacity(n_ap + 1);
         let mut ap_aps: Vec<u32>;
+        let mut placed = Vec::new();
         ue_offsets.push(0);
         ap_offsets.push(0);
         match radius {
@@ -176,8 +186,8 @@ impl NeighborTable {
                 }
             }
             Some(r) => {
-                let positions: Vec<Point> = aps.iter().map(|a| a.position).collect();
-                let grid = UniformGrid::build(&positions, r.max(1.0));
+                placed.extend(aps.iter().chain(ues).map(|n| n.position));
+                let grid = UniformGrid::build(&placed[..n_ap], r.max(1.0));
                 let mut buf = Vec::new();
                 ue_aps = Vec::new();
                 for (u, ue) in ues.iter().enumerate() {
@@ -253,7 +263,18 @@ impl NeighborTable {
             listener_slots,
             clients_offsets,
             clients,
+            placed,
         }
+    }
+
+    /// Drop the record of the placement the table was built from. An
+    /// engine does so when it takes the table: it owns the placement
+    /// from then on (`move_ue`, handovers) and checks re-derived rows
+    /// against the laid-out ones instead, so the record would only hold
+    /// memory (16 bytes a node, 1.6 MB at metro scale). A culled table
+    /// without it is never fresh.
+    pub(crate) fn forget_placement(&mut self) {
+        self.placed = Vec::new();
     }
 
     /// UE `u`'s link ids. A link is one (UE, candidate AP) pair, and its
@@ -350,10 +371,11 @@ pub struct Scenario {
     pub assoc: Vec<usize>,
     /// The shared propagation environment.
     pub env: RadioEnvironment,
-    /// Spatial-index neighbor tables, built at generation time. Tests
-    /// that hand-edit `aps`/`ues`/`assoc` must call
-    /// [`Scenario::rebuild_index`] (the engine does so defensively at
-    /// construction).
+    /// Spatial-index neighbor tables, built at generation time. After
+    /// hand-editing `aps`/`ues`/`assoc`, call [`Scenario::rebuild_index`]
+    /// before reading them; the engine rebuilds them at construction
+    /// only when [`Scenario::index_is_fresh`] says the placement
+    /// changed.
     pub nbr: NeighborTable,
 }
 
@@ -472,10 +494,35 @@ impl Scenario {
     }
 
     /// Rebuild the neighbor tables from the current placement. Call
-    /// after hand-editing `aps`/`ues`/`assoc` (the engine calls this at
-    /// construction, so a stale index can never reach the hot path).
+    /// after hand-editing `aps`/`ues`/`assoc`. It always rebuilds: an
+    /// engine asks [`Scenario::index_is_fresh`] first.
     pub fn rebuild_index(&mut self) {
         self.nbr = NeighborTable::build(&self.config, &self.aps, &self.ues, &self.assoc, &self.env);
+    }
+
+    /// Whether `nbr` is exactly what [`Scenario::rebuild_index`] would
+    /// build from the current placement: the configuration's cull
+    /// radius, the node counts and `assoc` as the table was built, and,
+    /// for a culled table, every AP and UE position where it was. Any
+    /// hand edit of those makes it false, even one that would leave
+    /// every row as it is, and so does an engine's taking the table
+    /// (it drops the culled table's record of the placement).
+    pub fn index_is_fresh(&self) -> bool {
+        let nbr = &self.nbr;
+        let radius = cull_radius(&self.config, &self.env);
+        if radius.map(f64::to_bits) != nbr.cull_radius_m.map(f64::to_bits)
+            || nbr.ap_offsets.len() != self.aps.len() + 1
+            || nbr.ue_offsets.len() != self.ues.len() + 1
+            || nbr.clients.len() != self.assoc.len()
+        {
+            return false;
+        }
+        // `clients` lists every UE exactly once, so it matches `assoc`
+        // only if every UE sits under its own AP.
+        let same_assoc = (0..self.aps.len())
+            .all(|a| nbr.clients(a).iter().all(|&u| self.assoc[u as usize] == a));
+        let positions = self.aps.iter().chain(&self.ues).map(|n| n.position);
+        same_assoc && (radius.is_none() || positions.eq(nbr.placed.iter().copied()))
     }
 
     /// Total number of clients.
@@ -650,6 +697,50 @@ mod tests {
         let total: usize = (0..s.aps.len()).map(|a| s.nbr.listeners(a).0.len()).sum();
         let expect: usize = (0..s.n_ues()).map(|u| s.nbr.candidates(u).len()).sum();
         assert_eq!(total, expect);
+    }
+
+    /// `index_is_fresh` holds right after generation and after
+    /// `rebuild_index`, and any edit of what a table was built from
+    /// makes it false: the association and node counts always, the
+    /// positions for a culled table. A dense table's rows ignore
+    /// positions, so a moved UE leaves it fresh; a culled table whose
+    /// placement record was dropped is never fresh.
+    #[test]
+    fn index_freshness_follows_the_placement() {
+        let mut culled = ScenarioConfig::paper_default(10, 3);
+        culled.cull_floor_dbm = Some(-75.0);
+        let dense = Scenario::generate(ScenarioConfig::paper_default(6, 3), SeedSeq::new(9));
+        let culled = Scenario::generate(culled, SeedSeq::new(9));
+        assert!(dense.index_is_fresh() && culled.index_is_fresh());
+        type Edit = (&'static str, fn(&mut Scenario));
+        let edits: [Edit; 5] = [
+            ("assoc", |s| s.assoc[2] = (s.assoc[2] + 1) % s.aps.len()),
+            ("added UE", |s| {
+                s.ues.push(s.ues[0]);
+                s.assoc.push(0);
+            }),
+            ("cull floor", |s| {
+                s.config.cull_floor_dbm = Some(s.config.cull_floor_dbm.unwrap_or(-75.0) - 1.0)
+            }),
+            ("AP position", |s| s.aps[1].position.x += 1.0),
+            ("UE position", |s| s.ues[4].position.y += 1.0),
+        ];
+        for (what, edit) in edits {
+            for s in [&dense, &culled] {
+                let mut s = s.clone();
+                edit(&mut s);
+                let dense_move = s.nbr.cull_radius_m.is_none() && what.ends_with("position");
+                assert_eq!(s.index_is_fresh(), dense_move, "{what}");
+                s.rebuild_index();
+                assert!(s.index_is_fresh(), "{what} after rebuild_index");
+            }
+        }
+        // Without its placement record a culled table is never fresh.
+        for s in [&dense, &culled] {
+            let mut s = s.clone();
+            s.nbr.forget_placement();
+            assert_eq!(s.index_is_fresh(), s.nbr.cull_radius_m.is_none());
+        }
     }
 
     proptest::proptest! {

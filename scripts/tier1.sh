@@ -198,6 +198,17 @@ METRO_ALLOCS_PER_SF=$(metric "$TRACE_TMP/bench_metro_traced.jsonl" engine.allocs
 echo "metro_2500 engine.allocs_per_sf: ${METRO_ALLOCS_PER_SF} (ceiling ${METRO_ALLOCS_PER_SF_MAX})"
 python3 -c 'import sys; sys.exit(float(sys.argv[1]) > float(sys.argv[2]))' \
     "$METRO_ALLOCS_PER_SF" "$METRO_ALLOCS_PER_SF_MAX"
+# The same traced run times the set-up layers the benchmark reports:
+# engine construction (engine.new_s, about 0.14 s) and the rebuild of
+# the neighbor tables from unchanged positions (spatial.rebuild_s,
+# about 0.05 s). Both must read above 0: a construction or a
+# rebuild_spatial that skipped its work would show as a set-up gain
+# while timing nothing.
+for SETUP_LAYER in engine.new_s spatial.rebuild_s; do
+    SETUP_S=$(metric "$TRACE_TMP/bench_metro_traced.jsonl" "$SETUP_LAYER")
+    echo "metro_2500 ${SETUP_LAYER}: ${SETUP_S} (must be above 0)"
+    python3 -c 'import sys; sys.exit(not float(sys.argv[1]) > 0)' "$SETUP_S"
+done
 # Heap allocations per 10 ms tick of the Wi-Fi DCF slot loop on the
 # traced web_paired run. The loop reads link tables built at
 # construction and reuses its interval, exchange and interferer

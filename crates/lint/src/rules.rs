@@ -266,6 +266,7 @@ const GAIN_MUT_METHODS: &[&str] = &[
     "at_mut",
     "lane_mut",
     "row_mut",
+    "rows_mut",
     "as_mut_slice",
     "fill",
 ];

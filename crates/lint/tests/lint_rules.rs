@@ -664,6 +664,14 @@ fn cachegen_flags_gain_writes_without_a_generation_bump() {
          }\n",
     );
     assert_eq!(rules(&f), ["cachegen"], "{f:?}");
+    let f = lint_core(
+        "impl Engine {\n\
+         \x20   fn clear_run(&mut self, first: usize, last: usize) {\n\
+         \x20       self.static_mw.rows_mut(first..last).fill(0.0);\n\
+         \x20   }\n\
+         }\n",
+    );
+    assert_eq!(rules(&f), ["cachegen"], "{f:?}");
 }
 
 #[test]

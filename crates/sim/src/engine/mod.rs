@@ -205,7 +205,7 @@ pub struct LteEngine {
     /// Static linear rx power (mW) per `[link][sc]`: mean gain + EIRP
     /// offset + power split, precombined through one dB→linear
     /// conversion per distinct split. Rebuilt only when a UE moves or
-    /// an EIRP offset changes (then only the cell's listener links).
+    /// an EIRP offset changes.
     /// Empty when the scenario's fading process is disabled: `lin_mw`
     /// then holds the static gains itself.
     static_mw: Slab2,
@@ -556,11 +556,11 @@ impl LteEngine {
     pub fn set_power_offset_db(&mut self, cell: usize, offset_db: f64) {
         if self.power_offset_db[cell] != offset_db {
             self.power_offset_db[cell] = offset_db;
-            // Fold the new offset into the static gains of the links
-            // that hear `cell`, then invalidate the fading block so the
-            // next refresh rebuilds `lin_mw` even mid-coherence-block
-            // (without fading, the rebuild wrote `lin_mw` itself).
-            self.rebuild_static_listeners(cell);
+            // Fold the new offset into the static gains, then invalidate
+            // the fading block so the next refresh rebuilds `lin_mw`
+            // even mid-coherence-block (without fading, the rebuild
+            // wrote `lin_mw` itself).
+            self.rebuild_static();
             self.fading_block = u64::MAX;
             self.recompute_retention();
         }

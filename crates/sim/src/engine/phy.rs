@@ -51,6 +51,7 @@ use cellfi_obs::profile::SpanId;
 use cellfi_obs::trace::{Event, EventSink};
 use cellfi_types::time::{Duration, Instant};
 use cellfi_types::units::{db_slab_to_mw, Dbm};
+use std::ops::Range;
 
 /// One radio-link-failure monitor tick for a UE: a backlogged UE with
 /// no decodable subchannel accumulates bad time and drops its RRC
@@ -246,10 +247,10 @@ fn copy_columns(row: &mut [Cqi], saved: &[Cqi], mask: u64) {
     }
 }
 
-/// Fewest UEs per worker of the whole static-gain rebuild: below two
-/// workers' worth it stays on the caller's thread. The paper's 48 and
-/// the web workload's 60 UEs stay serial; the fig9metro district drop's
-/// 576 and metro's 100,000 split.
+/// Fewest UEs per worker of a static-gain rebuild: below two workers'
+/// worth it stays on the caller's thread. The paper's 48 and the web
+/// workload's 60 UEs, and a moved UE's row, stay serial; the fig9metro
+/// district drop's 576 and metro's 100,000 split.
 pub(super) const MIN_UES_PER_STATIC_WORKER: usize = 64;
 
 /// The carrier's downlink power split: a subchannel receives only its
@@ -304,73 +305,49 @@ impl PowerSplit {
 }
 
 impl LteEngine {
-    /// Rebuild the static linear gains of one UE's links:
+    /// Rebuild the static linear gains of the links of UEs `ues`:
     /// `static_mw[link][s] = 10^((mean + offset + split)/10)`. Without
     /// a fading process the instantaneous gains are the static ones, so
-    /// they go straight into `lin_mw`, the slab the readers use.
-    pub(super) fn rebuild_static_row(&mut self, u: usize) {
+    /// they go straight into `lin_mw`, the slab the readers use. One
+    /// UE's lanes are a contiguous run of rows, so the rebuild fans out
+    /// over runs of UEs.
+    pub(super) fn rebuild_static_rows(&mut self, ues: Range<usize>) {
         // The static gains feed every downstream gain cache; bump the
         // generation here so a rewritten row can never be replayed
         // through a stale interference column or memoized scan.
         self.gain_gen += 1;
-        let fading_off = self.scenario.env.fading.is_disabled();
-        let nbr = &self.scenario.nbr;
-        for (link, &a) in nbr.links(u).zip(nbr.candidates(u)) {
-            let lane = if fading_off {
-                self.lin_mw.row_mut(link)
-            } else {
-                self.static_mw.row_mut(link)
-            };
-            let base = self.dl_mean_dbm[link] + self.power_offset_db[a as usize];
-            self.split.fill_lane(base, lane);
+        if ues.is_empty() {
+            return;
         }
-    }
-
-    /// Rebuild the static gains of the links whose candidate AP is
-    /// `cell` (its listener rows): after `cell`'s EIRP offset changed,
-    /// the only ones that read it.
-    pub(super) fn rebuild_static_listeners(&mut self, cell: usize) {
-        self.gain_gen += 1;
-        let fading_off = self.scenario.env.fading.is_disabled();
-        let nbr = &self.scenario.nbr;
-        let (ues, slots) = nbr.listeners(cell);
-        for (&u, &sl) in ues.iter().zip(slots) {
-            let link = nbr.links(u as usize).start + sl as usize;
-            let lane = if fading_off {
-                self.lin_mw.row_mut(link)
-            } else {
-                self.static_mw.row_mut(link)
-            };
-            let base = self.dl_mean_dbm[link] + self.power_offset_db[cell];
-            self.split.fill_lane(base, lane);
-        }
-    }
-
-    /// Rebuild the whole static slab (construction), fanned out over
-    /// runs of UEs: one UE's lanes are a contiguous run of rows.
-    pub(super) fn rebuild_static(&mut self) {
-        self.gain_gen += 1;
         let n_sub = self.grid.num_subchannels() as usize;
-        let slab = if self.scenario.env.fading.is_disabled() {
-            self.lin_mw.as_mut_slice()
-        } else {
-            self.static_mw.as_mut_slice()
-        };
         let (nbr, split) = (&self.scenario.nbr, &self.split);
         let (dl_mean_dbm, offset_db) = (&self.dl_mean_dbm, &self.power_offset_db);
+        let first = nbr.links(ues.start).start;
+        let rows = first..nbr.links(ues.end - 1).end;
+        let lanes = if self.scenario.env.fading.is_disabled() {
+            self.lin_mw.rows_mut(rows)
+        } else {
+            self.static_mw.rows_mut(rows)
+        };
         crate::parallel::for_each_ragged(
-            slab,
+            lanes,
             n_sub,
-            self.scenario.n_ues(),
-            |u| nbr.links(u).end,
+            ues.len(),
+            |g| nbr.links(ues.start + g).end - first,
             MIN_UES_PER_STATIC_WORKER,
-            |u, lanes| {
+            |g, lanes| {
+                let u = ues.start + g;
                 let lanes = lanes.chunks_exact_mut(n_sub).zip(nbr.links(u));
                 for ((lane, link), &a) in lanes.zip(nbr.candidates(u)) {
                     split.fill_lane(dl_mean_dbm[link] + offset_db[a as usize], lane);
                 }
             },
         );
+    }
+
+    /// Rebuild the whole static slab (construction, EIRP offset change).
+    pub(super) fn rebuild_static(&mut self) {
+        self.rebuild_static_rows(0..self.scenario.n_ues());
     }
 
     /// Refresh the instantaneous linear gains when the fading block
@@ -578,7 +555,7 @@ impl LteEngine {
         // split is precomputed in `split` — it depends only on the
         // subchannel, never on the (ap, subchannel) pair.
         self.gain_gen += 1;
-        self.rebuild_static_row(ue);
+        self.rebuild_static_rows(ue..ue + 1);
         if self.scenario.env.fading.is_disabled() {
             return; // the rebuild wrote the gains the readers use
         }

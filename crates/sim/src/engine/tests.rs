@@ -549,7 +549,7 @@ mod all {
             let mut e = engine(s, ImMode::CellFi, seed ^ 0x51ab);
             e.backlog_all(10_000_000);
             e.run_until(Instant::from_millis(137)); // several fading blocks
-            e.set_power_offset_db(1, -3.0); // listener-link rebuild
+            e.set_power_offset_db(1, -3.0); // full static-slab rebuild
             e.move_ue(0, Point::new(110.0, 45.0)); // single-row rebuild
                                                    // The EIRP change invalidates the fading block; step past it
                                                    // so the engine re-derives `lin_mw` from the new statics.

@@ -21,6 +21,8 @@
 //! subchannel (CQI, interference flags, free streaks) is a slab too,
 //! indexed `[ue][subchannel]`.
 
+use std::ops::Range;
+
 /// A dense 2-D array in one allocation (of `f64` unless said otherwise).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Slab2<T = f64> {
@@ -63,6 +65,12 @@ impl<T: Copy> Slab2<T> {
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [T] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
+    }
+
+    /// Rows `rows` as one mutable contiguous slice (row-major).
+    #[inline]
+    pub fn rows_mut(&mut self, rows: Range<usize>) -> &mut [T] {
+        &mut self.data[rows.start * self.cols..rows.end * self.cols]
     }
 
     /// The whole slab as one slice (row-major).
